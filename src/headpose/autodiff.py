@@ -4,8 +4,8 @@ Just enough machinery to express the gated keypoint network and its
 losses: each operation builds a node holding its parents and a closure
 producing the parents' gradient contributions; backward() walks the graph
 once in reverse topological order. Element ops accept any shape; the
-structured ops (dense, conv1d) accept a single sample or a batch with one
-leading axis.
+structured ops (dense, conv1d, flatten) take batches only, with the batch
+on the leading axis, so a single sample is a batch of one.
 
 Everything is float64 and deterministic: identical inputs and parameters
 yield bit-identical outputs.
@@ -104,17 +104,9 @@ def scale(a: Tensor, k: float) -> Tensor:
     return Tensor(a.data * k, (a,), lambda g: (g * k,))
 
 
-def add_const(a: Tensor, k) -> Tensor:
-    return Tensor(a.data + k, (a,), lambda g: (g,))
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return Tensor(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
@@ -142,70 +134,56 @@ def tsum(a: Tensor) -> Tensor:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map x @ w + b with w of shape (m, k) and bias (k,).
-
-    x may be a single vector (m,) or a batch (B, m).
-    """
+    """Affine map x @ w + b of a batch x (B, m), with w (m, k) and bias (k,)."""
     if w.data.ndim != 2 or b.data.ndim != 1 or w.shape[1] != b.shape[0]:
         raise ValueError(f"dense: bad weight/bias shapes {w.shape}, {b.shape}")
-    if x.data.ndim not in (1, 2) or x.shape[-1] != w.shape[0]:
+    if x.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ValueError(f"dense: input {x.shape} does not match weights {w.shape}")
     out = x.data @ w.data + b.data
 
-    if x.data.ndim == 1:
-        def vjp(g):
-            return g @ w.data.T, np.outer(x.data, g), g
-    else:
-        def vjp(g):
-            return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+    def vjp(g):
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
     return Tensor(out, (x, w, b), vjp)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Same-padded 1-D cross-correlation of a single-channel sequence.
+    """Same-padded 1-D cross-correlation of a batch of single-channel sequences.
 
-    x: (n,) or (B, n); w: (k, F) with k odd; b: (F,). Output (n, F) or
-    (B, n, F): out[..., i, f] = sum_j w[j, f] * x_padded[..., i + j] + b[f].
+    x: (B, n); w: (k, F) with k odd; b: (F,). Output (B, n, F):
+    out[b, i, f] = sum_j w[j, f] * x_padded[b, i + j] + b[f].
     """
     k, nf = w.shape
     if k % 2 != 1:
         raise ValueError(f"conv1d kernel must be odd for same padding, got {k}")
     if b.shape != (nf,):
         raise ValueError(f"conv1d bias shape {b.shape} != ({nf},)")
-    batched = x.data.ndim == 2
-    n = x.shape[-1]
+    if x.data.ndim != 2:
+        raise ValueError(f"conv1d expects a (B, n) batch, got {x.shape}")
+    n = x.shape[1]
     if k > n:
         raise ValueError(f"conv1d kernel {k} longer than input {n}")
     pad = k // 2
-    xb = x.data if batched else x.data[None, :]
-    xpad = np.pad(xb, ((0, 0), (pad, pad)))
+    xpad = np.pad(x.data, ((0, 0), (pad, pad)))
     # windows[b, i, j] = xpad[b, i + j]
     windows = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=1)
     out = windows @ w.data + b.data  # (B, n, F)
 
     def vjp(g):
-        gb = g if batched else g[None, :, :]
-        gw = np.tensordot(windows, gb, axes=([0, 1], [0, 1]))  # (k, F)
-        gbias = gb.sum(axis=(0, 1))
+        gw = np.tensordot(windows, g, axes=([0, 1], [0, 1]))  # (k, F)
         gxpad = np.zeros_like(xpad)
         for j in range(k):
-            gxpad[:, j : j + n] += gb @ w.data[j]
-        gx = gxpad[:, pad : pad + n]
-        return (gx if batched else gx[0], gw, gbias)
+            gxpad[:, j : j + n] += g @ w.data[j]
+        return gxpad[:, pad : pad + n], gw, g.sum(axis=(0, 1))
 
-    return Tensor(out if batched else out[0], (x, w, b), vjp)
+    return Tensor(out, (x, w, b), vjp)
 
 
 def flatten(a: Tensor) -> Tensor:
-    """Collapse everything but a leading batch axis (2-D stays, 3-D -> 2-D)."""
-    if a.data.ndim <= 1:
-        return a
-    if a.data.ndim == 2:
-        new_shape = (a.data.size,)
-    else:
-        new_shape = (a.shape[0], -1)
-    out = a.data.reshape(new_shape)
+    """Collapse everything but the leading batch axis; B may be 0."""
+    if a.data.ndim < 2:
+        raise ValueError(f"flatten expects a batch, got {a.shape}")
+    out = a.data.reshape(a.shape[0], int(np.prod(a.shape[1:])))
     return Tensor(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
@@ -261,59 +239,3 @@ def cross_entropy_logits(logits: Tensor, target_idx: np.ndarray) -> Tensor:
         return (gi,)
 
     return Tensor(out, (logits,), vjp)
-
-
-def grad_check(
-    fn: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    epsilon: float = 1e-6,
-    floor: float = 1e-3,
-    max_elements_per_param: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    fn rebuilds the scalar loss from the current parameter data on every
-    call. When max_elements_per_param is set, a seeded random subset of
-    each parameter's elements is checked instead of all of them.
-
-    Each element's error is |analytic - numeric| / max(|analytic|,
-    |numeric|, floor). The floor keeps the ratio meaningful where both
-    derivatives sit inside the difference quotient's own rounding noise,
-    which is about 1e-16 * |f| / epsilon in absolute terms; pick epsilon
-    so that noise stays well under floor for your loss magnitude.
-    """
-    if not 0.0 < epsilon <= 1e-2:
-        raise ValueError(f"epsilon {epsilon} outside (0, 1e-2]")
-    if floor <= 0.0:
-        raise ValueError("floor must be > 0")
-    out = fn()
-    if out.data.size != 1:
-        raise ValueError("grad_check needs a scalar-valued function")
-    for p in params:
-        p.zero_grad()
-    out = fn()
-    out.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if max_elements_per_param is not None and n > max_elements_per_param:
-            picker = rng if rng is not None else np.random.default_rng(0)
-            indices = picker.choice(n, size=max_elements_per_param, replace=False)
-        else:
-            indices = range(n)
-        aflat = a.reshape(-1)
-        for i in indices:
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            fplus = float(fn().data)
-            flat[i] = orig - epsilon
-            fminus = float(fn().data)
-            flat[i] = orig
-            numeric = (fplus - fminus) / (2.0 * epsilon)
-            denom = max(abs(aflat[i]), abs(numeric), floor)
-            worst = max(worst, abs(aflat[i] - numeric) / denom)
-    return worst

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import evaluation, formats, laeo
-from .keypoints import normalize
+from .geometry import EulerPose
+from .keypoints import UnusableKeypoints, normalize
 from .model import Model, ModelConfig, PoseEstimate
 from .synthetic import NoiseModel, PoseRange, generate_dataset
 from .training import TrainConfig, TrainHistory, train
@@ -98,24 +99,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     model = formats.read_model(args.model)
-    lines = []
-    for record in formats.read_dataset(args.data):
-        try:
-            estimate = model.predict(normalize(record.keypoints))
-        except ValueError as e:
-            raise ValueError(f"record {record.id!r}: {e}") from e
-        row = {
-            "id": record.id,
-            "yaw": estimate.pose.yaw,
-            "pitch": estimate.pose.pitch,
-            "roll": estimate.pose.roll,
-            "log_variance": (
-                list(estimate.log_variance)
-                if estimate.log_variance is not None
-                else None
-            ),
-        }
-        lines.append(json.dumps(row))
+    records = formats.read_dataset(args.data)
+    try:
+        inputs = normalize([r.keypoints for r in records])
+    except UnusableKeypoints as e:
+        raise ValueError(f"record {records[e.index].id!r}: {e}") from e
+    angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
+    log_var_rows = log_var.tolist() if log_var is not None else [None] * len(records)
+    lines = [
+        json.dumps({"id": r.id, "yaw": yaw, "pitch": pitch, "roll": roll, "log_variance": lv})
+        for r, (yaw, pitch, roll), lv in zip(records, angles.tolist(), log_var_rows)
+    ]
     text = "\n".join(lines) + "\n" if lines else ""
     if args.out:
         formats.atomic_write_bytes(args.out, text.encode("utf-8"))
@@ -124,32 +118,47 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _head_to_instance(
-    head: formats.HeadRecord, model: Model | None, frame_id: str
-) -> laeo.HeadInstance:
-    if head.keypoints is not None and model is not None:
-        estimate = model.predict(normalize(head.keypoints))
-    elif head.pose is not None:
-        log_var = (
-            np.array(head.log_variance, dtype=np.float64)
-            if head.log_variance is not None
-            else None
-        )
-        estimate = PoseEstimate(pose=head.pose, log_variance=log_var)
-    else:
-        raise ValueError(
-            f"frame {frame_id!r} head {head.id!r} has keypoints only; pass --model"
-        )
-    return laeo.HeadInstance(id=head.id, centroid=head.centroid, estimate=estimate)
+def _head_estimates(
+    frame_records: list[formats.FrameRecord], model: Model | None
+) -> list[PoseEstimate]:
+    """Every head's estimate in file order; with a model, the keypoint heads
+    of all frames go through one normalize + predict_batch call."""
+    heads = [(fr.frame_id, h) for fr in frame_records for h in fr.heads]
+    batch = [i for i, (_, h) in enumerate(heads) if h.keypoints is not None and model is not None]
+    estimates = {}
+    if batch:
+        try:
+            inputs = normalize([heads[i][1].keypoints for i in batch])
+        except UnusableKeypoints as e:
+            frame_id, head = heads[batch[e.index]]
+            raise ValueError(f"frame {frame_id!r} head {head.id!r}: {e}") from e
+        angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
+        for row, i in enumerate(batch):
+            lv = log_var[row] if log_var is not None else None
+            estimates[i] = PoseEstimate(EulerPose(*angles[row].tolist()), lv)
+    for i, (frame_id, head) in enumerate(heads):
+        if i in estimates:
+            continue
+        if head.pose is None:
+            raise ValueError(
+                f"frame {frame_id!r} head {head.id!r} has keypoints only; pass --model"
+            )
+        lv = None if head.log_variance is None else np.array(head.log_variance, dtype=np.float64)
+        estimates[i] = PoseEstimate(head.pose, lv)
+    return [estimates[i] for i in range(len(heads))]
 
 
 def cmd_laeo(args: argparse.Namespace) -> int:
     frame_records = formats.read_frames(args.frames)
     model = formats.read_model(args.model) if args.model else None
+    estimates = iter(_head_estimates(frame_records, model))
     frames = [
         laeo.Frame(
             frame_id=fr.frame_id,
-            heads=tuple(_head_to_instance(h, model, fr.frame_id) for h in fr.heads),
+            heads=tuple(
+                laeo.HeadInstance(id=h.id, centroid=h.centroid, estimate=next(estimates))
+                for h in fr.heads
+            ),
             laeo_pairs=frozenset(frozenset(p) for p in fr.laeo_pairs),
         )
         for fr in frame_records

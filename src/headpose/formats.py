@@ -64,18 +64,33 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 
 def _read_lines(path: str | Path) -> list[tuple[int, dict]]:
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for line_number, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RecordError(line_number, f"invalid JSON ({e.msg})") from e
+                obj = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as e:  # also bad UTF-8, huge integers
+                raise RecordError(line_number, f"invalid JSON ({getattr(e, 'msg', e)})") from e
             if not isinstance(obj, dict):
                 raise RecordError(line_number, "record is not an object")
             rows.append((line_number, obj))
     return rows
+
+
+def _parse_numbers(raw, count: int, what: str, line_number: int) -> tuple[float, ...]:
+    """A JSON list of exactly `count` finite numbers as floats, else RecordError."""
+    if not isinstance(raw, list) or len(raw) != count:
+        raise RecordError(line_number, f"{what} must be a list of {count} numbers")
+    if not {int, float}.issuperset(map(type, raw)):  # type(True) is bool, not a number
+        raise RecordError(line_number, f"{what} holds a value that is not a number")
+    try:
+        values = tuple(map(float, raw))
+    except OverflowError:  # an integer beyond the float range
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise RecordError(line_number, f"non-finite value in {what}")
+    return values
 
 
 def _parse_keypoints(raw, line_number: int) -> KeypointSet:
@@ -83,11 +98,7 @@ def _parse_keypoints(raw, line_number: int) -> KeypointSet:
         raise RecordError(line_number, f"keypoints must be {N_KEYPOINTS} triples")
     points = []
     for triple in raw:
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise RecordError(line_number, "keypoint must be [x1, x2, c]")
-        x1, x2, c = (float(v) for v in triple)
-        if not all(math.isfinite(v) for v in (x1, x2, c)):
-            raise RecordError(line_number, "non-finite keypoint value")
+        x1, x2, c = _parse_numbers(triple, 3, "keypoint [x1, x2, c]", line_number)
         if not 0.0 <= c <= 1.0:
             raise RecordError(line_number, f"confidence {c} outside [0, 1]")
         points.append(Keypoint(x1, x2, c))
@@ -95,12 +106,7 @@ def _parse_keypoints(raw, line_number: int) -> KeypointSet:
 
 
 def _parse_pose(raw, line_number: int) -> EulerPose:
-    if not isinstance(raw, list) or len(raw) != 3:
-        raise RecordError(line_number, "pose must be [yaw, pitch, roll]")
-    y, p, r = (float(v) for v in raw)
-    if not all(math.isfinite(v) for v in (y, p, r)):
-        raise RecordError(line_number, "non-finite pose angle")
-    return EulerPose(y, p, r)
+    return EulerPose(*_parse_numbers(raw, 3, "pose [yaw, pitch, roll]", line_number))
 
 
 @dataclass(frozen=True)
@@ -211,12 +217,7 @@ def write_frames(path: str | Path, frames: Sequence[FrameRecord]) -> None:
 def _parse_head(raw, line_number: int) -> HeadRecord:
     if not isinstance(raw, dict) or "id" not in raw or "centroid" not in raw:
         raise RecordError(line_number, "head needs 'id' and 'centroid'")
-    centroid = raw["centroid"]
-    if not isinstance(centroid, list) or len(centroid) != 2:
-        raise RecordError(line_number, "centroid must be [x, y]")
-    cx, cy = float(centroid[0]), float(centroid[1])
-    if not (math.isfinite(cx) and math.isfinite(cy)):
-        raise RecordError(line_number, "non-finite centroid")
+    cx, cy = _parse_numbers(raw["centroid"], 2, "centroid [x, y]", line_number)
     keypoints = None
     pose = None
     log_variance = None
@@ -224,11 +225,8 @@ def _parse_head(raw, line_number: int) -> HeadRecord:
         keypoints = _parse_keypoints(raw["keypoints"], line_number)
     if "pose" in raw:
         pose = _parse_pose(raw["pose"], line_number)
-        if "log_variance" in raw and raw["log_variance"] is not None:
-            lv = raw["log_variance"]
-            if not isinstance(lv, list) or len(lv) != 3:
-                raise RecordError(line_number, "log_variance must be 3 values")
-            log_variance = tuple(float(v) for v in lv)
+        if raw.get("log_variance") is not None:
+            log_variance = _parse_numbers(raw["log_variance"], 3, "log_variance", line_number)
     if keypoints is None and pose is None:
         raise RecordError(line_number, "head needs 'keypoints' or 'pose'")
     return HeadRecord(
@@ -251,8 +249,11 @@ def read_frames(path: str | Path) -> list[FrameRecord]:
         ids = {h.id for h in heads}
         if len(ids) != len(heads):
             raise RecordError(line_number, "duplicate head ids")
+        raw_pairs = obj.get("laeo_pairs", [])
+        if not isinstance(raw_pairs, list):
+            raise RecordError(line_number, "'laeo_pairs' must be a list")
         pairs = []
-        for pair in obj.get("laeo_pairs", []):
+        for pair in raw_pairs:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise RecordError(line_number, "laeo pair must be [idA, idB]")
             a, b = str(pair[0]), str(pair[1])
@@ -291,10 +292,17 @@ def read_model(path: str | Path) -> Model:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"{path}: not a model file ({e})") from e
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: not a model file (header is not a JSON object)")
     if header.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format_version {header.get('format_version')}")
-    config = ModelConfig.from_dict(header["model_config"])
-    layout = parameter_layout(config)
+    if not isinstance(header.get("model_config"), dict):
+        raise ValueError(f"{path}: header has no model_config object")
+    try:
+        config = ModelConfig.from_dict(header["model_config"])
+        layout = parameter_layout(config)
+    except (ValueError, OverflowError) as e:  # OverflowError: widths beyond any float
+        raise ValueError(f"{path}: bad model_config ({e})") from e
     declared = [[name, list(shape)] for name, shape in layout]
     if header.get("tensors") != declared:
         raise ValueError(f"{path}: tensor layout does not match the config")

@@ -43,17 +43,12 @@ class KeypointSet:
     def from_triplets(triplets: Sequence[Sequence[float]]) -> "KeypointSet":
         return KeypointSet(tuple(Keypoint(float(a), float(b), float(c)) for a, b, c in triplets))
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x1 = np.array([p.x1 for p in self.points], dtype=np.float64)
-        x2 = np.array([p.x2 for p in self.points], dtype=np.float64)
-        c = np.array([p.c for p in self.points], dtype=np.float64)
-        return x1, x2, c
-
 
 @dataclass(frozen=True)
 class NormalizedInput:
     """Centered and max-normalized coordinates; confidences pass through.
 
+    Each stream is (5,) for one keypoint set or (N, 5) for a batch.
     Present-point coordinates have zero centroid per axis and max absolute
     value 1 per axis (all zeros when the present points coincide on an
     axis). Missing points carry zero coordinates and c = 0.
@@ -64,37 +59,51 @@ class NormalizedInput:
     c: np.ndarray
 
 
+class UnusableKeypoints(ValueError):
+    """Every confidence of one keypoint set is zero; `index` is its position."""
+
+    def __init__(self, index: int):
+        super().__init__("no usable keypoints: all confidences are zero")
+        self.index = index
+
+
 def present_count(kps: KeypointSet) -> int:
     """Number of points with confidence > 0."""
     return sum(1 for p in kps.points if p.c > 0.0)
 
 
-def _normalize_axis(values: np.ndarray, present: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    centered = values[present] - values[present].mean()
-    peak = np.abs(centered).max()
-    if peak > 0.0:
-        out[present] = centered / peak
-    return out
+def _center_and_scale(v: np.ndarray, present: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """One (N, 5) coordinate axis, centered on the present points, peak 1."""
+    v = np.where(present, v, 0.0)
+    centered = np.where(present, v - (v.sum(axis=1) / count)[:, None], 0.0)
+    peak = np.abs(centered).max(axis=1, keepdims=True)
+    return np.divide(centered, peak, out=np.zeros_like(centered), where=peak > 0.0)
 
 
-def normalize(raw: KeypointSet) -> NormalizedInput:
+def normalize(raw: KeypointSet | Sequence[KeypointSet]) -> NormalizedInput:
     """Center present points on their centroid and scale each axis to peak 1.
 
-    Missing points (c = 0) are excluded from the centroid and peak
-    statistics and come out with zero coordinates. Idempotent on its own
-    output; invariant to translation and positive uniform scaling of the
-    raw pixel coordinates. Raises ValueError when every confidence is 0.
+    N sets give (N, 5) streams in one vectorized pass; one KeypointSet is a
+    batch of one and gives its row as (5,) streams. Missing points (c = 0)
+    are excluded from the centroid and peak statistics and come out with
+    zero coordinates. Idempotent on its own output; invariant to translation
+    and positive uniform scaling of the raw pixel coordinates. Raises
+    UnusableKeypoints for the first set whose confidences are all 0.
     """
-    x1, x2, c = raw.as_arrays()
+    single = isinstance(raw, KeypointSet)
+    sets = [raw] if single else raw
+    kps = np.array(
+        [[(p.x1, p.x2, p.c) for p in s.points] for s in sets], dtype=np.float64
+    ).reshape(-1, N_KEYPOINTS, 3)
+    c = kps[:, :, 2]
     present = c > 0.0
-    if not present.any():
-        raise ValueError("no usable keypoints: all confidences are zero")
-    return NormalizedInput(
-        x1=_normalize_axis(x1, present),
-        x2=_normalize_axis(x2, present),
-        c=c,
-    )
+    count = present.sum(axis=1)
+    if not count.all():
+        raise UnusableKeypoints(int(np.argmin(count)))
+    x1, x2 = (_center_and_scale(kps[:, :, axis], present, count) for axis in (0, 1))
+    if single:
+        return NormalizedInput(x1=x1[0], x2=x2[0], c=c[0])
+    return NormalizedInput(x1=x1, x2=x2, c=c)
 
 
 def drop_keypoints(kps: KeypointSet, keep: int, rng: np.random.Generator) -> KeypointSet:
@@ -118,11 +127,8 @@ def drop_keypoints(kps: KeypointSet, keep: int, rng: np.random.Generator) -> Key
 def stack_normalized(
     sets: Sequence[KeypointSet],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize each set and stack the streams into (N, 5) arrays."""
+    """Normalize N sets at once into (N, 5) x1, x2 and c arrays."""
     if not sets:
         raise ValueError("nothing to stack")
-    normed = [normalize(s) for s in sets]
-    x1 = np.stack([n.x1 for n in normed])
-    x2 = np.stack([n.x2 for n in normed])
-    c = np.stack([n.c for n in normed])
-    return x1, x2, c
+    normed = normalize(sets)
+    return normed.x1, normed.x2, normed.c

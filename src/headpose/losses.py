@@ -11,8 +11,8 @@ Three interchangeable objectives, matched to the head widths in model.py:
 * combined: per-angle cross entropy against a binned version of the target
   plus a weighted squared-error term on the continuous head.
 
-Graph builders return the batch-mean scalar ready for backward(); the
-numeric helpers mirror them for evaluation and testing.
+Each graph builder takes a batch of network outputs, (B, ...) with B >= 1,
+and returns the batch-mean scalar ready for backward().
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import EulerPose
-from .model import NetworkOutput, PoseEstimate
+from .model import NetworkOutput
 
 
 @dataclass(frozen=True)
@@ -61,101 +60,6 @@ class BinningScheme:
         return BinningScheme(n_bins=n_bins, width_degrees=width_degrees, lo_degrees=lo)
 
 
-def heteroscedastic_terms(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-angle loss terms, shape (..., 3), from a six-value head."""
-    v = np.asarray(values, dtype=np.float64)
-    q = np.asarray(targets, dtype=np.float64)
-    f, s = v[..., :3], v[..., 3:6]
-    return 0.5 * np.exp(-s) * (q - f) ** 2 + 0.5 * s
-
-
-def heteroscedastic_loss(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-sample loss (terms summed over the three angles)."""
-    return heteroscedastic_terms(values, targets).sum(axis=-1)
-
-
-def gaussian_nll(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Exact per-sample Gaussian negative log-likelihood, three angles."""
-    v = np.asarray(values, dtype=np.float64)
-    q = np.asarray(targets, dtype=np.float64)
-    f, s = v[..., :3], v[..., 3:6]
-    terms = 0.5 * np.log(2.0 * np.pi) + 0.5 * s + 0.5 * np.exp(-s) * (q - f) ** 2
-    return terms.sum(axis=-1)
-
-
-def squared_error_loss(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-sample summed squared error over the three angles."""
-    v = np.asarray(values, dtype=np.float64)
-    q = np.asarray(targets, dtype=np.float64)
-    return ((q - v[..., :3]) ** 2).sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class LossValue:
-    """A single sample's loss, total plus the three per-angle terms."""
-
-    total: float
-    per_angle: tuple[float, float, float]
-
-
-def heteroscedastic_value(estimate: PoseEstimate, target: EulerPose) -> LossValue:
-    if estimate.log_variance is None:
-        raise ValueError("estimate carries no log-variances")
-    values = np.concatenate([estimate.pose.as_array(), estimate.log_variance])
-    terms = heteroscedastic_terms(values, target.as_array())
-    return LossValue(float(terms.sum()), tuple(float(t) for t in terms))
-
-
-def squared_error_value(pose: EulerPose, target: EulerPose) -> LossValue:
-    terms = (target.as_array() - pose.as_array()) ** 2
-    return LossValue(float(terms.sum()), tuple(float(t) for t in terms))
-
-
-def combined_value(
-    pose: EulerPose,
-    logits: np.ndarray,
-    target: EulerPose,
-    binning: BinningScheme,
-    mse_mix: float = 1.0,
-) -> LossValue:
-    """Per-angle cross entropy on binned targets plus weighted squared error."""
-    z = np.asarray(logits, dtype=np.float64)
-    n = binning.n_bins
-    if z.shape != (3 * n,):
-        raise ValueError(f"expected {3 * n} logits, got {z.shape}")
-    q = target.as_array()
-    idx = binning.bin_index(q)
-    sq = (q - pose.as_array()) ** 2
-    terms = []
-    for angle in range(3):
-        row = z[angle * n : (angle + 1) * n]
-        lse = float(np.log(np.exp(row - row.max()).sum()) + row.max())
-        terms.append(lse - float(row[idx[angle]]) + mse_mix * float(sq[angle]))
-    return LossValue(float(sum(terms)), tuple(terms))
-
-
-def nll_gap(estimate: PoseEstimate, target: EulerPose) -> float:
-    """Worst per-angle gap between the loss term and the exact Gaussian
-    negative log-likelihood with the constant 0.5*log(2*pi) removed.
-
-    Algebraically zero; anything above rounding noise means the loss no
-    longer matches its maximum-likelihood derivation.
-    """
-    if estimate.log_variance is None:
-        raise ValueError("estimate carries no log-variances")
-    values = np.concatenate([estimate.pose.as_array(), estimate.log_variance])
-    q = target.as_array()
-    terms = heteroscedastic_terms(values, q)
-    f, s = values[:3], values[3:6]
-    sigma_sq = np.exp(s)
-    nll = (q - f) ** 2 / (2.0 * sigma_sq) + 0.5 * np.log(sigma_sq) + 0.5 * np.log(2.0 * np.pi)
-    return float(np.abs(terms - (nll - 0.5 * np.log(2.0 * np.pi))).max())
-
-
-def _batch_size(t: ad.Tensor) -> int:
-    return t.data.shape[0] if t.data.ndim == 2 else 1
-
-
 def heteroscedastic_loss_graph(output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
     values = output.values
     if values.shape[-1] != 6:
@@ -165,7 +69,7 @@ def heteroscedastic_loss_graph(output: NetworkOutput, targets: np.ndarray) -> ad
     diff = ad.sub(f, ad.Tensor(targets))
     damped = ad.scale(ad.mul(ad.exp(ad.neg(s)), ad.mul(diff, diff)), 0.5)
     term = ad.add(damped, ad.scale(s, 0.5))
-    return ad.scale(ad.tsum(term), 1.0 / _batch_size(values))
+    return ad.scale(ad.tsum(term), 1.0 / values.shape[0])
 
 
 def mse_loss_graph(output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
@@ -173,7 +77,7 @@ def mse_loss_graph(output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
     if values.shape[-1] != 3:
         raise ValueError(f"mse loss needs 3 outputs, got {values.shape}")
     diff = ad.sub(values, ad.Tensor(targets))
-    return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / _batch_size(values))
+    return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / values.shape[0])
 
 
 def combined_loss_graph(
@@ -185,8 +89,6 @@ def combined_loss_graph(
     if output.logits is None:
         raise ValueError("combined loss needs the bin-logits head")
     values, logits = output.values, output.logits
-    if values.data.ndim != 2:
-        raise ValueError("combined loss expects batched outputs")
     n = binning.n_bins
     if logits.shape[-1] != 3 * n:
         raise ValueError(f"expected {3 * n} logits, got {logits.shape[-1]}")
@@ -199,7 +101,7 @@ def combined_loss_graph(
         total = ce_sum if total is None else ad.add(total, ce_sum)
     diff = ad.sub(values, ad.Tensor(q))
     total = ad.add(total, ad.scale(ad.tsum(ad.mul(diff, diff)), mse_mix))
-    return ad.scale(total, 1.0 / _batch_size(values))
+    return ad.scale(total, 1.0 / values.shape[0])
 
 
 def loss_graph(

@@ -89,6 +89,15 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        """Missing keys take defaults; unknown keys and bad values raise ValueError."""
+        defaults = ModelConfig().to_dict()
+        for key, value in d.items():
+            if key not in defaults:
+                raise ValueError(f"unknown key {key!r}")
+            kind = type(defaults[key])
+            allowed = (int, float) if kind is float else (kind,)  # type(True) is bool
+            if type(value) not in allowed or (kind is float and not -math.inf < value < math.inf):
+                raise ValueError(f"{key}={value!r} is not a valid {kind.__name__}")
         return ModelConfig(**d)
 
 
@@ -152,59 +161,31 @@ class Model:
         total += w2 * (cfg.n_pose_outputs + cfg.n_aux_outputs)
         return total
 
-    def _trunk(
-        self,
-        x1: ad.Tensor,
-        x2: ad.Tensor,
-        c: ad.Tensor,
-        kink_log: list[np.ndarray] | None = None,
-    ) -> ad.Tensor:
+    def forward(self, x1: np.ndarray, x2: np.ndarray, c: np.ndarray) -> NetworkOutput:
+        """Run the network on a batch; inputs are (B, 5) arrays.
+
+        This one graph-building forward serves training and inference
+        alike; a single sample is a batch of one.
+        """
         p = self.params
         slope = self.config.leaky_slope
-
-        def rectify(pre: ad.Tensor) -> ad.Tensor:
-            if kink_log is not None:
-                kink_log.append(pre.data)
-            return ad.leaky_relu(pre, slope)
-
-        a1 = rectify(ad.conv1d(x1, p["conv_x1_w"], p["conv_x1_b"]))
-        a2 = rectify(ad.conv1d(x2, p["conv_x2_w"], p["conv_x2_b"]))
-        gate = ad.sigmoid(ad.conv1d(c, p["conv_c_w"], p["conv_c_b"]))
-        v1 = ad.flatten(ad.mul(a1, gate))
-        v2 = ad.flatten(ad.mul(a2, gate))
-        h = ad.concat([v1, v2])
+        a1 = ad.leaky_relu(ad.conv1d(ad.Tensor(x1), p["conv_x1_w"], p["conv_x1_b"]), slope)
+        a2 = ad.leaky_relu(ad.conv1d(ad.Tensor(x2), p["conv_x2_w"], p["conv_x2_b"]), slope)
+        gate = ad.sigmoid(ad.conv1d(ad.Tensor(c), p["conv_c_w"], p["conv_c_b"]))
+        h = ad.concat([ad.flatten(ad.mul(a1, gate)), ad.flatten(ad.mul(a2, gate))])
         for i in range(3):
-            h = rectify(ad.dense(h, p[f"fc{i}_w"], p[f"fc{i}_b"]))
-        return h
-
-    def kink_margin(self, x1: np.ndarray, x2: np.ndarray, c: np.ndarray) -> float:
-        """Smallest |pre-activation| feeding any piecewise-linear unit.
-
-        Finite-difference gradient checks are only valid when parameter
-        perturbations cannot push a unit across the kink at zero; callers
-        should require this margin to comfortably exceed the check's
-        epsilon times the activation scale.
-        """
-        log: list[np.ndarray] = []
-        self._trunk(ad.Tensor(x1), ad.Tensor(x2), ad.Tensor(c), kink_log=log)
-        return min(float(np.abs(a).min()) for a in log)
-
-    def forward(self, x1: np.ndarray, x2: np.ndarray, c: np.ndarray) -> NetworkOutput:
-        """Run the network; inputs are (5,) or (B, 5) arrays."""
-        h = self._trunk(ad.Tensor(x1), ad.Tensor(x2), ad.Tensor(c))
-        values = ad.dense(h, self.params["head_w"], self.params["head_b"])
+            h = ad.leaky_relu(ad.dense(h, p[f"fc{i}_w"], p[f"fc{i}_b"]), slope)
+        values = ad.dense(h, p["head_w"], p["head_b"])
         logits = None
         if self.config.loss_kind == "combined":
-            logits = ad.dense(h, self.params["logits_w"], self.params["logits_b"])
+            logits = ad.dense(h, p["logits_w"], p["logits_b"])
         return NetworkOutput(values=values, logits=logits)
 
     def predict(self, inputs: NormalizedInput) -> PoseEstimate:
-        out = self.forward(inputs.x1, inputs.x2, inputs.c).values.data
-        pose = EulerPose(float(out[0]), float(out[1]), float(out[2]))
-        log_var = None
-        if self.config.loss_kind == "heteroscedastic":
-            log_var = out[3:6].copy()
-        return PoseEstimate(pose=pose, log_variance=log_var)
+        """One sample's estimate: predict_batch on a batch of one row."""
+        angles, log_var = self.predict_batch(inputs.x1[None], inputs.x2[None], inputs.c[None])
+        pose = EulerPose(float(angles[0, 0]), float(angles[0, 1]), float(angles[0, 2]))
+        return PoseEstimate(pose=pose, log_variance=None if log_var is None else log_var[0])
 
     def predict_batch(
         self, x1: np.ndarray, x2: np.ndarray, c: np.ndarray

@@ -30,18 +30,14 @@ from headpose.formats import (
 from headpose.geometry import EulerPose
 from headpose.keypoints import normalize
 from headpose.laeo import evaluate_laeo
-from headpose.losses import (
-    BinningScheme,
-    heteroscedastic_loss,
-    loss_graph,
-    nll_gap,
-    squared_error_loss,
-)
+from headpose.losses import BinningScheme, loss_graph
 from headpose.model import Model, ModelConfig, PoseEstimate
 from headpose.synthetic import NoiseModel, PoseRange, generate_dataset
 from headpose.training import TrainConfig, prepare_arrays, train
 
+from autodiff_reference import grad_check
 from laeo_reference import brute_force_scores
+from loss_reference import heteroscedastic_loss, nll_gap, squared_error_loss
 from test_laeo import as_plain, random_frames, separable_frames
 
 NOISE = NoiseModel(base_sigma=1.0, yaw_gain=0.05)
@@ -177,7 +173,7 @@ def test_criterion_4_gradient_integrity(capsys):
 
             worst = max(
                 worst,
-                ad.grad_check(
+                grad_check(
                     build,
                     model.parameters(),
                     epsilon=1e-5,

@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 
 from headpose import cli
+from headpose.evaluation import evaluate
 from headpose.formats import (
     FrameRecord,
     HeadRecord,
     read_dataset,
     read_model,
+    samples_from_records,
     write_frames,
     write_model,
 )
 from headpose.geometry import EulerPose
+from headpose.keypoints import Keypoint, KeypointSet, normalize
 from headpose.model import Model, ModelConfig
 from headpose.synthetic import generate_dataset
 
@@ -196,6 +199,24 @@ class TestInfer:
         assert code == 1
         assert "ghost" in err
 
+    def test_matches_evaluate_bit_for_bit(self, data_file, unc_model, capsys):
+        code, out, err = run(capsys, "infer", "--model", str(unc_model), "--data", str(data_file))
+        assert code == 0, err
+        rows = [json.loads(line) for line in out.splitlines()]
+        result = evaluate(read_model(unc_model), samples_from_records(read_dataset(data_file)))
+        assert len(rows) == len(result.records) == 12
+        for row, record in zip(rows, result.records):
+            pose = record.estimate.pose
+            assert (row["yaw"], row["pitch"], row["roll"]) == (pose.yaw, pose.pitch, pose.roll)
+            assert row["log_variance"] == record.estimate.log_variance.tolist()
+
+    def test_empty_file_gives_no_rows(self, tmp_path, unc_model, capsys):
+        empty = tmp_path / "none.jsonl"
+        empty.write_text("")
+        code, out, err = run(capsys, "infer", "--model", str(unc_model), "--data", str(empty))
+        assert code == 0, err
+        assert out == ""
+
 
 def mutual_pair():
     return (
@@ -290,6 +311,56 @@ class TestLaeo:
         assert code == 0, err
         rows = [json.loads(line) for line in out.splitlines()]
         assert rows[0]["pair"] == ["a", "b"]
+
+    def test_model_estimates_map_back_to_heads(self, tmp_path, unc_model, capsys):
+        # keypoint heads of every frame go through one batch; each estimate
+        # must land on its own (frame, head), as if it had been given ready
+        samples = generate_dataset(7, np.random.default_rng(4))
+        sizes = (2, 3, 2)
+        model = read_model(unc_model)
+        inputs = normalize([s.keypoints for s in samples])
+        angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
+        with_keypoints, with_estimates = [], []
+        k = 0
+        for f, n in enumerate(sizes):
+            kp_heads, ready_heads = [], []
+            for h in range(n):
+                centroid = (40.0 * h, 25.0 * f)
+                kp_heads.append(HeadRecord(f"h{h}", centroid, keypoints=samples[k].keypoints))
+                ready_heads.append(HeadRecord(
+                    f"h{h}", centroid, pose=EulerPose(*angles[k].tolist()),
+                    log_variance=tuple(log_var[k].tolist()),
+                ))
+                k += 1
+            with_keypoints.append(FrameRecord(f"f{f}", heads=tuple(kp_heads), laeo_pairs=()))
+            with_estimates.append(FrameRecord(f"f{f}", heads=tuple(ready_heads), laeo_pairs=()))
+        kp_path, ready_path = tmp_path / "kp.jsonl", tmp_path / "ready.jsonl"
+        write_frames(kp_path, with_keypoints)
+        write_frames(ready_path, with_estimates)
+        code, from_model, err = run(
+            capsys, "laeo", "--frames", str(kp_path), "--model", str(unc_model), "--gate", "off"
+        )
+        assert code == 0, err
+        _, from_ready, _ = run(capsys, "laeo", "--frames", str(ready_path), "--gate", "off")
+        assert len(from_model.splitlines()) == 1 + 3 + 1 + 1  # pairs per frame, summary
+        assert from_model == from_ready
+
+    def test_unusable_head_names_frame_and_head(self, tmp_path, unc_model, capsys):
+        good = generate_dataset(1, np.random.default_rng(3))[0].keypoints
+        blind = KeypointSet((Keypoint(1.0, 2.0, 0.0),) * 5)
+        frames = [
+            FrameRecord("k0", heads=(HeadRecord("a", (0.0, 0.0), keypoints=good),
+                                     HeadRecord("b", (30.0, 0.0), keypoints=good))),
+            FrameRecord("k1", heads=(HeadRecord("a", (0.0, 0.0), keypoints=good),
+                                     HeadRecord("ghost", (30.0, 0.0), keypoints=blind))),
+        ]
+        frames_path = tmp_path / "kp.jsonl"
+        write_frames(frames_path, frames)
+        code, _, err = run(
+            capsys, "laeo", "--frames", str(frames_path), "--model", str(unc_model)
+        )
+        assert code == 1
+        assert "'k1'" in err and "'ghost'" in err and "confidences are zero" in err
 
 
 class TestAblate:

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from headpose.formats import (
     DatasetRecord,
@@ -339,3 +341,125 @@ class TestModelFile:
         path = tmp_path / "m.hpm"
         write_model(path, self.build())
         assert path.stat().st_size < 512 * 1024
+
+
+KP = [[0, 0, 1], [1, 0, 1], [2, 0, 1], [3, 0, 1], [4, 0, 1]]
+GOOD_FRAME_LINE = json.dumps(
+    {"frame_id": "f", "heads": [{"id": "a", "centroid": [0, 0], "pose": [0, 0, 0]}]}
+)
+
+
+def head_row(**fields):
+    head = {"id": "a", "centroid": [0, 0], "pose": [0, 0, 0], **fields}
+    return {"frame_id": "g", "heads": [head]}
+
+
+@pytest.mark.parametrize(
+    "reader, row, word",
+    [
+        pytest.param(read_dataset, {"id": "x", "keypoints": [[None, 0, 1]] + KP[1:]},
+                     "keypoint", id="null-coordinate"),
+        pytest.param(read_dataset, {"id": "x", "keypoints": [["x", 0, 1]] + KP[1:]},
+                     "keypoint", id="string-coordinate"),
+        pytest.param(read_frames, head_row(centroid=[None, 0]), "centroid", id="null-centroid"),
+        pytest.param(read_frames, head_row(log_variance=[0, "x", 0]),
+                     "log_variance", id="string-log-variance"),
+        pytest.param(read_frames, head_row(log_variance=[0, float("nan"), 0]),
+                     "log_variance", id="nan-log-variance"),
+        pytest.param(read_frames, {**head_row(), "laeo_pairs": 5}, "laeo_pairs",
+                     id="laeo-pairs-not-a-list"),
+    ],
+)
+def test_bad_value_reports_line(tmp_path, reader, row, word):
+    good = GOOD_LINE if reader is read_dataset else GOOD_FRAME_LINE
+    path = write_lines(tmp_path, [good, json.dumps(row)])
+    with pytest.raises(RecordError) as info:
+        reader(path)
+    assert info.value.line_number == 2
+    assert word in info.value.reason
+
+
+@pytest.mark.parametrize(
+    "edit, words",
+    [
+        pytest.param(lambda d: {**d, "model_config": {**d["model_config"], "mystery": 1}},
+                     ("model_config", "mystery"), id="unknown-config-key"),
+        pytest.param(lambda d: {**d, "model_config": {**d["model_config"], "width_scale": "x"}},
+                     ("model_config", "width_scale"), id="wrong-typed-value"),
+        pytest.param(lambda d: {**d, "model_config": {**d["model_config"], "width_scale": 10**400}},
+                     ("model_config",), id="width-beyond-float"),
+        pytest.param(lambda d: {k: v for k, v in d.items() if k != "model_config"},
+                     ("model_config",), id="missing-config"),
+        pytest.param(lambda d: [1, 2], ("not a model file",), id="header-not-an-object"),
+    ],
+)
+def test_bad_model_header_names_path(tmp_path, edit, words):
+    path = tmp_path / "m.hpm"
+    write_model(path, Model.build(ModelConfig("mse", width_scale=0.2), np.random.default_rng(0)))
+    header, blob = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + blob)
+    with pytest.raises(ValueError) as info:
+        read_model(path)
+    assert str(path) in str(info.value)
+    for word in words:
+        assert word in str(info.value)
+
+
+# Random JSON lines, most of them shaped like dataset or frame records so
+# that draws get past the first checks and into the field parsers.
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.floats(0, 1)
+    | st.text(max_size=3)
+)
+
+
+def _containers(inner):
+    return st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
+_values = st.recursive(_scalars, _containers, max_leaves=10)
+
+
+def _numbers(n):
+    return st.lists(st.floats(0, 1) | _scalars, min_size=n, max_size=n) | _values
+
+
+_keypoints = st.lists(_numbers(3), min_size=5, max_size=5) | _values
+_ids = st.sampled_from(["a", "b", "c"]) | _values
+_dataset_rows = st.fixed_dictionaries(
+    {"id": _ids, "keypoints": _keypoints}, optional={"pose": _numbers(3), "meta": _values}
+)
+_heads = st.fixed_dictionaries(
+    {"id": _ids, "centroid": _numbers(2)},
+    optional={"keypoints": _keypoints, "pose": _numbers(3), "log_variance": _numbers(3)},
+) | _values
+_frame_rows = st.fixed_dictionaries(
+    {"frame_id": _ids, "heads": st.lists(_heads, min_size=1, max_size=3) | _values},
+    optional={"laeo_pairs": st.lists(st.lists(_ids, max_size=3), max_size=3) | _values},
+)
+_garbage = st.binary(min_size=1, max_size=20).filter(lambda b: b"\n" not in b and b.strip())
+
+
+def _lines(rows):
+    return st.lists(rows.map(lambda r: json.dumps(r).encode()) | _garbage, min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize(
+    "reader, rows", [(read_dataset, _dataset_rows), (read_frames, _frame_rows)],
+    ids=["dataset", "frames"],
+)
+def test_readers_fail_only_with_record_errors(tmp_path, reader, rows):
+    path = tmp_path / "fuzz.jsonl"
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(lines=_lines(rows | _values))
+    def check(lines):
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        try:
+            parsed = reader(path)
+        except RecordError as e:
+            assert 1 <= e.line_number <= len(lines)
+        else:
+            assert len(parsed) == len(lines)
+
+    check()

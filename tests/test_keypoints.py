@@ -9,6 +9,7 @@ from headpose.keypoints import (
     KEYPOINT_NAMES,
     Keypoint,
     KeypointSet,
+    UnusableKeypoints,
     drop_keypoints,
     normalize,
     present_count,
@@ -24,6 +25,33 @@ def kps(coords, conf=None):
 def spread(seed=0, conf=None):
     rng = np.random.default_rng(seed)
     return kps(rng.uniform(-50, 50, size=(5, 2)).tolist(), conf)
+
+
+def loop_normalize(s):
+    """Per-set reference: 1-D mean and peak over the present points of each axis."""
+    c = np.array([p.c for p in s.points])
+    present = c > 0.0
+    axes = []
+    for values in ([p.x1 for p in s.points], [p.x2 for p in s.points]):
+        values = np.array(values)
+        out = np.zeros_like(values)
+        centered = values[present] - values[present].mean()
+        peak = np.abs(centered).max()
+        if peak > 0.0:
+            out[present] = centered / peak
+        axes.append(out)
+    return axes[0], axes[1], c
+
+
+def sparse_sets(n, seed):
+    """Random sets with about 30% of the points missing, never all of them."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for i in range(n):
+        conf = np.where(rng.uniform(size=5) < 0.3, 0.0, rng.uniform(0.1, 1.0, size=5))
+        conf[rng.integers(5)] = 0.9
+        sets.append(spread(seed + i, conf=conf.tolist()))
+    return sets
 
 
 class TestContainers:
@@ -82,8 +110,39 @@ class TestNormalize:
         assert n.x1[:4].tolist() == [-1.0, -1 / 3, 1 / 3, 1.0]
 
     def test_all_missing_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnusableKeypoints) as info:
             normalize(kps([(1, 2)] * 5, conf=[0.0] * 5))
+        assert isinstance(info.value, ValueError) and info.value.index == 0
+
+    def test_batch_names_first_unusable_set(self):
+        ghost = kps([(1, 2)] * 5, conf=[0.0] * 5)
+        with pytest.raises(UnusableKeypoints) as info:
+            normalize([spread(0), spread(1), ghost, spread(2), ghost])
+        assert info.value.index == 2
+
+    def test_batch_matches_per_set_loop_bit_for_bit(self):
+        sets = sparse_sets(500, seed=1000)
+        batch = normalize(sets)
+        for i, s in enumerate(sets):
+            x1, x2, c = loop_normalize(s)
+            assert np.array_equal(batch.x1[i], x1)
+            assert np.array_equal(batch.x2[i], x2)
+            assert np.array_equal(batch.c[i], c)
+
+    def test_single_set_equals_its_batch_row(self):
+        sets = sparse_sets(200, seed=100)
+        batch = normalize(sets)
+        assert batch.x1.shape == batch.x2.shape == batch.c.shape == (200, 5)
+        for i, s in enumerate(sets):
+            one = normalize(s)
+            assert one.x1.shape == (5,)
+            assert np.array_equal(one.x1, batch.x1[i])
+            assert np.array_equal(one.x2, batch.x2[i])
+            assert np.array_equal(one.c, batch.c[i])
+
+    def test_empty_batch(self):
+        n = normalize([])
+        assert n.x1.shape == n.x2.shape == n.c.shape == (0, 5)
 
     def test_degenerate_axis_goes_to_zero(self):
         s = kps([(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)])

@@ -1,4 +1,7 @@
-"""Loss functions: closed-form oracles, the NLL identity, graph consistency."""
+"""Loss functions: closed-form oracles, the NLL identity, graph consistency.
+
+The per-sample numeric oracles live in tests/loss_reference.py.
+"""
 
 from __future__ import annotations
 
@@ -13,19 +16,22 @@ from headpose.geometry import EulerPose
 from headpose.losses import (
     BinningScheme,
     combined_loss_graph,
+    heteroscedastic_loss_graph,
+    loss_graph,
+    mse_loss_graph,
+)
+from headpose.model import Model, ModelConfig, PoseEstimate
+
+from loss_reference import (
     combined_value,
     gaussian_nll,
     heteroscedastic_loss,
-    heteroscedastic_loss_graph,
     heteroscedastic_terms,
     heteroscedastic_value,
-    loss_graph,
-    mse_loss_graph,
     nll_gap,
     squared_error_loss,
     squared_error_value,
 )
-from headpose.model import Model, ModelConfig, NetworkOutput, PoseEstimate
 
 
 def het_values(pose, log_var):
@@ -204,12 +210,12 @@ class TestGraphs:
         rng = np.random.default_rng(7)
         cfg = ModelConfig("heteroscedastic")
         m = Model.build(cfg, np.random.default_rng(98))
-        x = rng.uniform(-1, 1, size=5)
-        out = m.forward(x, x, np.ones(5))
-        target = np.zeros(3)
+        x = rng.uniform(-1, 1, size=(1, 5))
+        out = m.forward(x, x, np.ones((1, 5)))
+        target = np.zeros((1, 3))
         g = heteroscedastic_loss_graph(out, target)
         assert float(g.data) == pytest.approx(
-            float(heteroscedastic_loss(out.values.data, target)), abs=1e-12
+            float(heteroscedastic_loss(out.values.data, target).sum()), abs=1e-12
         )
 
     def test_head_width_validation(self):
@@ -226,10 +232,10 @@ class TestGraphs:
         binning = BinningScheme.centered(66, 3.0)
         with pytest.raises(ValueError):
             combined_loss_graph(batch_output("mse", rng), np.zeros((8, 3)), binning)
+        # an unbatched sample is refused before any loss sees it
         m = Model.build(ModelConfig("combined"), np.random.default_rng(97))
-        single = m.forward(np.ones(5), np.ones(5), np.ones(5))
-        with pytest.raises(ValueError):
-            combined_loss_graph(single, np.zeros(3), binning)
+        with pytest.raises(ValueError, match="batch"):
+            m.forward(np.ones(5), np.ones(5), np.ones(5))
 
     def test_dispatcher(self):
         rng = np.random.default_rng(10)

@@ -16,13 +16,15 @@ from headpose.model import (
     scaled_width,
 )
 
+from autodiff_reference import kink_margin
+
 
 def build(kind="heteroscedastic", alpha=1.0, seed=0):
     return Model.build(ModelConfig(loss_kind=kind, width_scale=alpha), np.random.default_rng(seed))
 
 
-def rand_inputs(rng, batch=None):
-    shape = (5,) if batch is None else (batch, 5)
+def rand_inputs(rng, batch=1):
+    shape = (batch, 5)
     return (
         rng.uniform(-1, 1, size=shape),
         rng.uniform(-1, 1, size=shape),
@@ -155,10 +157,10 @@ class TestForward:
             m = build(kind, seed=2)
             x1, x2, c = rand_inputs(rng)
             out = m.forward(x1, x2, c)
-            values, logits = numpy_forward(m, x1, x2, c)
-            assert np.allclose(out.values.data, values, atol=1e-12)
+            values, logits = numpy_forward(m, x1[0], x2[0], c[0])
+            assert np.allclose(out.values.data[0], values, atol=1e-12)
             if kind == "combined":
-                assert np.allclose(out.logits.data, logits, atol=1e-12)
+                assert np.allclose(out.logits.data[0], logits, atol=1e-12)
             else:
                 assert out.logits is None
 
@@ -169,8 +171,8 @@ class TestForward:
         out = m.forward(x1, x2, c)
         assert out.values.shape == (7, 6)
         for i in range(7):
-            single = m.forward(x1[i], x2[i], c[i])
-            assert np.allclose(out.values.data[i], single.values.data, atol=1e-12)
+            single = m.forward(x1[i : i + 1], x2[i : i + 1], c[i : i + 1])
+            assert np.allclose(out.values.data[i], single.values.data[0], atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
@@ -191,16 +193,21 @@ class TestForward:
     def test_output_head_shapes(self):
         rng = np.random.default_rng(8)
         x1, x2, c = rand_inputs(rng)
-        assert build("heteroscedastic").forward(x1, x2, c).values.shape == (6,)
-        assert build("mse").forward(x1, x2, c).values.shape == (3,)
+        assert build("heteroscedastic").forward(x1, x2, c).values.shape == (1, 6)
+        assert build("mse").forward(x1, x2, c).values.shape == (1, 3)
         out = build("combined").forward(x1, x2, c)
-        assert out.values.shape == (3,) and out.logits.shape == (198,)
+        assert out.values.shape == (1, 3) and out.logits.shape == (1, 198)
+
+    def test_batches_only(self):
+        x1, x2, c = rand_inputs(np.random.default_rng(8))
+        with pytest.raises(ValueError, match="batch"):
+            build().forward(x1[0], x2[0], c[0])
 
     def test_kink_margin_positive(self):
         rng = np.random.default_rng(9)
         m = build(seed=10)
         x1, x2, c = rand_inputs(rng)
-        margin = m.kink_margin(x1, x2, c)
+        margin = kink_margin(m, x1, x2, c)
         assert np.isfinite(margin) and margin > 0.0
 
 
@@ -209,19 +216,19 @@ class TestPredict:
         m = build(seed=11)
         rng = np.random.default_rng(12)
         x1, x2, c = rand_inputs(rng)
-        est = m.predict(NormalizedInput(x1=x1, x2=x2, c=c))
+        est = m.predict(NormalizedInput(x1=x1[0], x2=x2[0], c=c[0]))
         assert isinstance(est, PoseEstimate)
         assert isinstance(est.pose, EulerPose)
         assert est.log_variance.shape == (3,)
         assert np.allclose(est.sigma_degrees, np.exp(0.5 * est.log_variance), atol=1e-15)
-        raw = m.forward(x1, x2, c).values.data
+        raw = m.forward(x1, x2, c).values.data[0]
         assert est.pose.yaw == raw[0] and est.log_variance.tolist() == raw[3:6].tolist()
 
     def test_point_estimate_has_no_variance(self):
         m = build("mse", seed=13)
         rng = np.random.default_rng(14)
         x1, x2, c = rand_inputs(rng)
-        est = m.predict(NormalizedInput(x1=x1, x2=x2, c=c))
+        est = m.predict(NormalizedInput(x1=x1[0], x2=x2[0], c=c[0]))
         assert est.log_variance is None and est.sigma_degrees is None
 
     def test_predict_batch(self):
