@@ -163,12 +163,11 @@ def cmd_laeo(args: argparse.Namespace) -> int:
         )
         for fr in frame_records
     ]
-    gated = laeo.evaluate_laeo(frames, args.tau, args.delta, mode=args.gate)
-    baseline = laeo.evaluate_laeo(frames, args.tau, args.delta, mode="off")
+    scored = laeo.evaluate_laeo(frames, args.tau, args.delta, mode=args.gate)
     labelled = any(fr.has_labels for fr in frame_records)
     lines = []
     labels_by_frame = {fr.frame_id: fr.has_labels for fr in frame_records}
-    for frame_id, result, label in gated.results:
+    for frame_id, result, label in scored.results:
         row = {"frame_id": frame_id}
         row.update(result.to_dict())
         row["label"] = label if labels_by_frame[frame_id] else None
@@ -178,9 +177,11 @@ def cmd_laeo(args: argparse.Namespace) -> int:
             "tau": args.tau,
             "delta": args.delta,
             "gate": args.gate,
-            "n_pairs": gated.n_pairs,
-            "gated": gated.to_dict() if labelled else None,
-            "baseline": baseline.to_dict() if labelled else None,
+            "n_pairs": scored.n_pairs,
+            "n_heads": scored.n_heads,
+            "n_heads_gated": scored.n_heads_gated,
+            "gated": scored.to_dict() if labelled else None,
+            "baseline": scored.baseline if labelled else None,
         }
     }
     lines.append(json.dumps(summary))

@@ -240,9 +240,14 @@ def _parse_head(raw, line_number: int) -> HeadRecord:
 
 def read_frames(path: str | Path) -> list[FrameRecord]:
     frames = []
+    seen_ids: set[str] = set()
     for line_number, obj in _read_lines(path):
         if "frame_id" not in obj or "heads" not in obj:
             raise RecordError(line_number, "frame needs 'frame_id' and 'heads'")
+        frame_id = str(obj["frame_id"])
+        if frame_id in seen_ids:
+            raise RecordError(line_number, f"duplicate frame_id {frame_id!r}")
+        seen_ids.add(frame_id)
         if not isinstance(obj["heads"], list):
             raise RecordError(line_number, "'heads' must be a list")
         heads = tuple(_parse_head(h, line_number) for h in obj["heads"])
@@ -262,7 +267,7 @@ def read_frames(path: str | Path) -> list[FrameRecord]:
             pairs.append((a, b))
         frames.append(
             FrameRecord(
-                frame_id=str(obj["frame_id"]),
+                frame_id=frame_id,
                 heads=heads,
                 laeo_pairs=tuple(pairs),
                 has_labels="laeo_pairs" in obj,

@@ -6,6 +6,15 @@ per-head binary weight discards estimates whose yaw/pitch log-variances
 look untrustworthy, and the pair score is the weight-normalized average
 of the two gaze cosines.
 
+`evaluate_laeo` scores every pair of every frame in one array pass: each
+head's gaze and weight are computed once, and the cosines, pair scores
+and labels of all pairs are arrays. The same pass also yields the
+ungated baseline metrics, so a command scores its pairs once.
+
+A head whose projected gaze has zero length (yaw = pitch = 0, facing the
+camera) looks at no one in the image plane: its cosine toward every
+other head is 0, and its weight is unchanged.
+
 Gate modes:
 * "interval": weight 1 iff the mean log-variance lies in [0, delta],
   taken literally. Very confident heads (negative log-variance) gate out.
@@ -92,36 +101,6 @@ def uncertainty_weight(
     return 1 if s_hat <= delta else 0
 
 
-def interaction_measure(a: HeadInstance, b: HeadInstance) -> tuple[float, float]:
-    """Cosines between each head's projected gaze and the line joining them."""
-    u = np.array(b.centroid, dtype=np.float64) - np.array(a.centroid, dtype=np.float64)
-    u_norm = float(np.linalg.norm(u))
-    if u_norm == 0.0:
-        raise ValueError(f"heads {a.id}, {b.id} share a centroid")
-    cosines = []
-    for head, toward in ((a, u), (b, -u)):
-        g = np.array(project_direction(head.estimate.pose), dtype=np.float64)
-        g_norm = float(np.linalg.norm(g))
-        if g_norm == 0.0:
-            raise ValueError(f"head {head.id} gaze projects to a point")
-        cosines.append(float(np.dot(toward, g) / (u_norm * g_norm)))
-    return cosines[0], cosines[1]
-
-
-def laeo_value(measure: tuple[float, float], weights: tuple[int, int]) -> float:
-    """Weight-normalized average of the two cosines; 0 when fully gated out."""
-    (ca, cb), (wa, wb) = measure, weights
-    if wa not in (0, 1) or wb not in (0, 1):
-        raise ValueError("weights must be 0 or 1")
-    if wa + wb == 0:
-        return 0.0
-    return (wa * ca + wb * cb) / (wa + wb)
-
-
-def classify(value: float, tau: float = DEFAULT_TAU) -> bool:
-    return value >= tau
-
-
 def _head_weight(head: HeadInstance, delta: float, mode: str) -> int:
     lv = head.estimate.log_variance
     if lv is None:
@@ -129,26 +108,29 @@ def _head_weight(head: HeadInstance, delta: float, mode: str) -> int:
     return uncertainty_weight(float(lv[0]), float(lv[1]), delta, mode)
 
 
-def score_pair(
-    a: HeadInstance,
-    b: HeadInstance,
-    tau: float = DEFAULT_TAU,
-    delta: float = DEFAULT_DELTA,
-    mode: str = "interval",
-) -> LaeoResult:
-    ca, cb = interaction_measure(a, b)
-    wa = _head_weight(a, delta, mode)
-    wb = _head_weight(b, delta, mode)
-    value = laeo_value((ca, cb), (wa, wb))
-    return LaeoResult(
-        pair=(a.id, b.id),
-        cos_a=ca,
-        cos_b=cb,
-        weight_a=wa,
-        weight_b=wb,
-        laeo_value=value,
-        is_laeo=classify(value, tau),
-    )
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each row of two (n, 2) arrays.
+
+    A stacked (n, 1, 2) @ (n, 2, 1) matmul calls the BLAS dot that np.dot
+    and np.linalg.norm call on one vector, so each row equals theirs bit
+    for bit; x0*y0 + x1*y1 does not where that dot uses FMA.
+    """
+    return (x[:, None, :] @ y[:, :, None]).reshape(-1)
+
+
+def _cosines(toward: np.ndarray, u_norm: np.ndarray, gaze: np.ndarray,
+             g_norm: np.ndarray) -> np.ndarray:
+    """Cosine between each gaze and its line; 0 for a gaze of zero length."""
+    has_direction = g_norm > 0.0
+    cos = _row_dots(toward, gaze) / (u_norm * np.where(has_direction, g_norm, 1.0))
+    return np.where(has_direction, cos, 0.0)
+
+
+def _pair_values(cos_a: np.ndarray, cos_b: np.ndarray, w_a: np.ndarray,
+                 w_b: np.ndarray) -> np.ndarray:
+    """Weight-normalized average of the two cosines; 0 when fully gated out."""
+    total = w_a + w_b
+    return np.where(total > 0, (w_a * cos_a + w_b * cos_b) / np.maximum(total, 1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -171,13 +153,23 @@ class Frame:
 
 @dataclass(frozen=True)
 class LaeoEvaluation:
+    """Metrics of one scoring pass, its per-pair results and gate counts.
+
+    `baseline` holds the same metrics for the same pairs with every weight
+    1, which is what the "off" gate gives. `n_heads` counts heads that are
+    in at least one pair; `n_heads_gated` those of them with weight 0.
+    """
+
     precision: float
     recall: float
     f1: float
     average_precision: float
     n_pairs: int
     n_positive: int
+    n_heads: int
+    n_heads_gated: int
     results: list[tuple[str, LaeoResult, bool]]
+    baseline: dict
 
     def to_dict(self) -> dict:
         return {
@@ -216,40 +208,100 @@ def _average_precision(ranked_labels: Sequence[bool]) -> float:
     return ap
 
 
+def _metrics(
+    keys: list[tuple[str, tuple[str, str]]],
+    labels: np.ndarray,
+    values: np.ndarray,
+    hits: np.ndarray,
+) -> dict:
+    """Precision/recall/F1 of the hits and AP of the values, against the labels.
+
+    AP ranks pairs by value, ties broken by frame and head ids for
+    determinism.
+    """
+    tp = int(np.count_nonzero(hits & labels))
+    fp = int(np.count_nonzero(hits & ~labels))
+    fn = int(np.count_nonzero(~hits & labels))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    rank_keys = [(-v, frame_id, pair) for v, (frame_id, pair) in zip(values.tolist(), keys)]
+    ranked = sorted(range(len(keys)), key=rank_keys.__getitem__)
+    label_list = labels.tolist()
+    return {
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "average_precision": _average_precision([label_list[k] for k in ranked]),
+        "n_pairs": len(keys),
+        "n_positive": int(np.count_nonzero(labels)),
+    }
+
+
 def evaluate_laeo(
     frames: Sequence[Frame],
     tau: float = DEFAULT_TAU,
     delta: float = DEFAULT_DELTA,
     mode: str = "interval",
 ) -> LaeoEvaluation:
-    """Score every unordered head pair per frame against the labels.
+    """Score every unordered head pair of every frame in one array pass.
 
-    Precision/recall/F1 use the tau cutoff; average precision ranks pairs
-    by laeo_value (ties broken by frame and head ids for determinism).
-    A frame with fewer than two heads contributes nothing.
+    Pairs come in frame order, then i < j over each frame's heads sorted by
+    id. Each head's gaze and weight are computed once. Precision/recall/F1
+    use the tau cutoff. A frame with fewer than two heads contributes
+    nothing. Raises ValueError naming the first pair whose heads share a
+    centroid.
     """
-    scored: list[tuple[str, LaeoResult, bool]] = []
+    heads: list[HeadInstance] = []
+    keys: list[tuple[str, tuple[str, str]]] = []  # (frame_id, pair) per pair
+    labels: list[bool] = []
+    ia: list[int] = []
+    ib: list[int] = []
     for frame in frames:
-        heads = sorted(frame.heads, key=lambda h: h.id)
-        for i in range(len(heads)):
+        if len(frame.heads) < 2:
+            continue
+        first = len(heads)
+        heads.extend(sorted(frame.heads, key=lambda h: h.id))
+        for i in range(first, len(heads)):
             for j in range(i + 1, len(heads)):
-                result = score_pair(heads[i], heads[j], tau, delta, mode)
-                label = frozenset(result.pair) in frame.laeo_pairs
-                scored.append((frame.frame_id, result, label))
-    tp = sum(1 for _, r, lab in scored if r.is_laeo and lab)
-    fp = sum(1 for _, r, lab in scored if r.is_laeo and not lab)
-    fn = sum(1 for _, r, lab in scored if not r.is_laeo and lab)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    ranked = sorted(scored, key=lambda e: (-e[1].laeo_value, e[0], e[1].pair))
-    ap = _average_precision([lab for _, _, lab in ranked])
+                pair = (heads[i].id, heads[j].id)
+                ia.append(i)
+                ib.append(j)
+                keys.append((frame.frame_id, pair))
+                labels.append(frozenset(pair) in frame.laeo_pairs)
+
+    centroids = np.array([h.centroid for h in heads], dtype=np.float64).reshape(-1, 2)
+    u = centroids[ib] - centroids[ia]
+    u_norm = np.sqrt(_row_dots(u, u))
+    shared = np.flatnonzero(u_norm == 0.0)
+    if shared.size:
+        frame_id, (a, b) = keys[shared[0]]
+        raise ValueError(f"frame {frame_id!r}: heads {a}, {b} share a centroid")
+    gaze = np.array(
+        [project_direction(h.estimate.pose) for h in heads], dtype=np.float64
+    ).reshape(-1, 2)
+    g_norm = np.sqrt(_row_dots(gaze, gaze))
+    cos_a = _cosines(u, u_norm, gaze[ia], g_norm[ia])
+    cos_b = _cosines(-u, u_norm, gaze[ib], g_norm[ib])
+    weights = np.array([_head_weight(h, delta, mode) for h in heads], dtype=np.int64)
+    w_a, w_b = weights[ia], weights[ib]
+    values = _pair_values(cos_a, cos_b, w_a, w_b)
+    hits = values >= tau
+    label_arr = np.array(labels, dtype=bool)
+    ones = np.ones_like(w_a)
+    baseline_values = _pair_values(cos_a, cos_b, ones, ones)
+
+    results = [
+        (frame_id, LaeoResult(pair, ca, cb, wa, wb, v, hit), label)
+        for (frame_id, pair), ca, cb, wa, wb, v, hit, label in zip(
+            keys, cos_a.tolist(), cos_b.tolist(), w_a.tolist(), w_b.tolist(),
+            values.tolist(), hits.tolist(), labels,
+        )
+    ]
     return LaeoEvaluation(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        average_precision=ap,
-        n_pairs=len(scored),
-        n_positive=sum(1 for _, _, lab in scored if lab),
-        results=scored,
+        **_metrics(keys, label_arr, values, hits),
+        n_heads=len(heads),
+        n_heads_gated=int(np.count_nonzero(weights == 0)),
+        results=results,
+        baseline=_metrics(keys, label_arr, baseline_values, baseline_values >= tau),
     )

@@ -1,13 +1,36 @@
-"""Brute-force mutual-gaze scorer used as an independent test oracle.
+"""Mutual-gaze oracles for the array scorer in `headpose.laeo`.
 
-Recomputes pair scores from first principles: gaze direction from the
-pose angles via basic trigonometry, plain cosine formulas, explicit loops.
-Shares no code with the package implementation beyond numpy.
+Two independent references:
+
+* A brute-force scorer (`gaze_2d` ... `brute_force_scores`) that recomputes
+  pair scores from first principles: gaze direction from the pose angles
+  via basic trigonometry, plain cosine formulas, explicit loops. It shares
+  no code with the package.
+* The scalar per-pair path (`interaction_measure` ... `per_pair_evaluation`)
+  that scored one pair at a time before the array pass replaced it. It
+  uses the same numpy calls per pair, so the array pass must match it bit
+  for bit.
+
+Both give a head whose projected gaze has zero length a cosine of 0 toward
+every other head, as the package does.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from headpose.geometry import project_direction
+from headpose.laeo import (
+    DEFAULT_DELTA,
+    DEFAULT_TAU,
+    Frame,
+    HeadInstance,
+    LaeoResult,
+    _average_precision,
+    uncertainty_weight,
+)
 
 
 def gaze_2d(yaw_deg: float, pitch_deg: float) -> tuple[float, float]:
@@ -37,6 +60,9 @@ def pair_score(head_a, head_b, delta: float, mode: str) -> float:
     for (pose, sign) in ((pose_a, 1.0), (pose_b, -1.0)):
         gx, gy = gaze_2d(pose[0], pose[1])
         gn = math.hypot(gx, gy)
+        if gn == 0.0:
+            cosines.append(0.0)
+            continue
         cosines.append((sign * ux * gx + sign * uy * gy) / (un * gn))
     wa = weight(lv_a, delta, mode)
     wb = weight(lv_b, delta, mode)
@@ -55,3 +81,93 @@ def brute_force_scores(frames, delta: float, mode: str) -> dict:
                 a, b = ids[i], ids[j]
                 out[(frame_id, a, b)] = pair_score(heads[a], heads[b], delta, mode)
     return out
+
+
+def interaction_measure(a: HeadInstance, b: HeadInstance) -> tuple[float, float]:
+    """Cosines between each head's projected gaze and the line joining them."""
+    u = np.array(b.centroid, dtype=np.float64) - np.array(a.centroid, dtype=np.float64)
+    u_norm = float(np.linalg.norm(u))
+    if u_norm == 0.0:
+        raise ValueError(f"heads {a.id}, {b.id} share a centroid")
+    cosines = []
+    for head, toward in ((a, u), (b, -u)):
+        g = np.array(project_direction(head.estimate.pose), dtype=np.float64)
+        g_norm = float(np.linalg.norm(g))
+        if g_norm == 0.0:
+            cosines.append(0.0)
+            continue
+        cosines.append(float(np.dot(toward, g) / (u_norm * g_norm)))
+    return cosines[0], cosines[1]
+
+
+def laeo_value(measure: tuple[float, float], weights: tuple[int, int]) -> float:
+    """Weight-normalized average of the two cosines; 0 when fully gated out."""
+    (ca, cb), (wa, wb) = measure, weights
+    if wa not in (0, 1) or wb not in (0, 1):
+        raise ValueError("weights must be 0 or 1")
+    if wa + wb == 0:
+        return 0.0
+    return (wa * ca + wb * cb) / (wa + wb)
+
+
+def classify(value: float, tau: float = DEFAULT_TAU) -> bool:
+    return value >= tau
+
+
+def head_weight(head: HeadInstance, delta: float, mode: str) -> int:
+    lv = head.estimate.log_variance
+    if lv is None:
+        return 1
+    return uncertainty_weight(float(lv[0]), float(lv[1]), delta, mode)
+
+
+def score_pair(
+    a: HeadInstance,
+    b: HeadInstance,
+    tau: float = DEFAULT_TAU,
+    delta: float = DEFAULT_DELTA,
+    mode: str = "interval",
+) -> LaeoResult:
+    ca, cb = interaction_measure(a, b)
+    wa = head_weight(a, delta, mode)
+    wb = head_weight(b, delta, mode)
+    value = laeo_value((ca, cb), (wa, wb))
+    return LaeoResult(
+        pair=(a.id, b.id),
+        cos_a=ca,
+        cos_b=cb,
+        weight_a=wa,
+        weight_b=wb,
+        laeo_value=value,
+        is_laeo=classify(value, tau),
+    )
+
+
+def per_pair_evaluation(
+    frames: list[Frame], tau: float, delta: float, mode: str
+) -> tuple[dict, list[tuple[str, LaeoResult, bool]]]:
+    """(metrics dict, results) of scoring one pair at a time, in pair order."""
+    scored = []
+    for frame in frames:
+        heads = sorted(frame.heads, key=lambda h: h.id)
+        for i in range(len(heads)):
+            for j in range(i + 1, len(heads)):
+                result = score_pair(heads[i], heads[j], tau, delta, mode)
+                label = frozenset(result.pair) in frame.laeo_pairs
+                scored.append((frame.frame_id, result, label))
+    tp = sum(1 for _, r, lab in scored if r.is_laeo and lab)
+    fp = sum(1 for _, r, lab in scored if r.is_laeo and not lab)
+    fn = sum(1 for _, r, lab in scored if not r.is_laeo and lab)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    ranked = sorted(scored, key=lambda e: (-e[1].laeo_value, e[0], e[1].pair))
+    metrics = {
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "average_precision": _average_precision([lab for _, _, lab in ranked]),
+        "n_pairs": len(scored),
+        "n_positive": sum(1 for _, _, lab in scored if lab),
+    }
+    return metrics, scored

@@ -251,8 +251,11 @@ class TestLaeo:
         by_frame = {r["frame_id"]: r for r in rows}
         assert by_frame["f0"]["is_laeo"] is True and by_frame["f0"]["label"] is True
         assert by_frame["f1"]["is_laeo"] is False and by_frame["f1"]["label"] is False
-        assert list(summary.keys()) == ["tau", "delta", "gate", "n_pairs", "gated", "baseline"]
+        assert list(summary.keys()) == [
+            "tau", "delta", "gate", "n_pairs", "n_heads", "n_heads_gated", "gated", "baseline",
+        ]
         assert summary["gate"] == "interval" and summary["n_pairs"] == 2
+        assert summary["n_heads"] == 4 and summary["n_heads_gated"] == 0
         for block in (summary["gated"], summary["baseline"]):
             assert list(block.keys()) == [
                 "precision", "recall", "f1", "average_precision", "n_pairs", "n_positive",
@@ -293,6 +296,34 @@ class TestLaeo:
         assert code == 0
         assert out_path.read_text() == direct
         assert "summary" in json.loads(stdout.strip())
+
+    def test_frontal_head_scores_zero_and_leaves_other_pairs(self, tmp_path, capsys):
+        # a head facing the camera (yaw = pitch = 0) has no gaze direction in
+        # the image plane; it no longer aborts the run, and the pairs without
+        # it score exactly as in the same frame without it
+        others = (
+            HeadRecord("a", (0.0, 0.0), pose=EulerPose(70.0, 10.0, 0.0),
+                       log_variance=(0.5, 1.5, 0.0)),
+            HeadRecord("b", (40.0, 5.0), pose=EulerPose(-60.0, -5.0, 3.0)),
+            HeadRecord("d", (-25.0, 30.0), pose=EulerPose(20.0, 40.0, 0.0),
+                       log_variance=(9.0, 9.0, 0.0)),
+        )
+        frontal = HeadRecord("c", (15.0, -20.0), pose=EulerPose(0.0, 0.0, 5.0))
+        with_path, without_path = tmp_path / "with.jsonl", tmp_path / "without.jsonl"
+        write_frames(with_path, [FrameRecord("f", heads=others + (frontal,),
+                                             laeo_pairs=(("a", "b"),))])
+        write_frames(without_path, [FrameRecord("f", heads=others, laeo_pairs=(("a", "b"),))])
+        code, with_out, err = run(capsys, "laeo", "--frames", str(with_path))
+        assert code == 0, err
+        _, without_out, _ = run(capsys, "laeo", "--frames", str(without_path))
+        with_rows = with_out.splitlines()[:-1]
+        assert len(with_rows) == 6
+        kept = [line for line in with_rows if "c" not in json.loads(line)["pair"]]
+        assert kept == without_out.splitlines()[:-1]
+        for line in with_rows:
+            row = json.loads(line)
+            if "c" in row["pair"]:
+                assert row["cos_b" if row["pair"][1] == "c" else "cos_a"] == 0.0
 
     def test_keypoint_frames_need_model(self, tmp_path, unc_model, data_file, capsys):
         sample = generate_dataset(1, np.random.default_rng(3))[0]

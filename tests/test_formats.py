@@ -239,6 +239,21 @@ class TestFrames:
         }
         assert "duplicate" in self.frame_error(tmp_path, row).reason
 
+    def test_duplicate_frame_ids(self, tmp_path):
+        # the second line has no labels; read as two frames of one id, its
+        # pairs would be reported under the first line's labels
+        heads = [
+            {"id": "a", "centroid": [0, 0], "pose": [0, 0, 0]},
+            {"id": "b", "centroid": [1, 0], "pose": [0, 0, 0]},
+        ]
+        rows = [{"frame_id": "f1", "heads": heads, "laeo_pairs": [["a", "b"]]},
+                {"frame_id": "f1", "heads": heads}]
+        path = write_lines(tmp_path, [json.dumps(r) for r in rows])
+        with pytest.raises(RecordError) as info:
+            read_frames(path)
+        assert info.value.line_number == 2
+        assert info.value.reason == "duplicate frame_id 'f1'"
+
     def test_pair_with_unknown_id(self, tmp_path):
         row = {
             "frame_id": "f",

@@ -2,28 +2,31 @@
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headpose.geometry import EulerPose
 from headpose.laeo import (
     DEFAULT_DELTA,
     DEFAULT_TAU,
+    GATE_MODES,
     Frame,
     HeadInstance,
-    classify,
     evaluate_laeo,
-    interaction_measure,
-    laeo_value,
-    score_pair,
     uncertainty_weight,
     _average_precision,
 )
 from headpose.model import PoseEstimate
 
-from laeo_reference import brute_force_scores
+import laeo_reference
+from laeo_reference import brute_force_scores, per_pair_evaluation
 
 
 def head(hid, centroid, yaw, pitch=0.0, roll=0.0, log_var=None):
@@ -70,16 +73,28 @@ class TestUncertaintyWeight:
             uncertainty_weight(math.nan, 0.0)
 
 
+def score_two(a, b, tau=DEFAULT_TAU, delta=DEFAULT_DELTA, mode="interval"):
+    """The one result of a frame holding heads a and b (ids sorted: a first)."""
+    assert a.id < b.id
+    (_, result, _), = evaluate_laeo([Frame("f", (a, b), frozenset())], tau, delta, mode).results
+    return result
+
+
+def measure(a, b):
+    result = score_two(a, b, mode="off")
+    return result.cos_a, result.cos_b
+
+
 class TestInteractionMeasure:
     def test_mutual_gaze_scores_one(self):
-        ca, cb = interaction_measure(*facing_pair())
+        ca, cb = measure(*facing_pair())
         assert ca == pytest.approx(1.0, abs=1e-12)
         assert cb == pytest.approx(1.0, abs=1e-12)
 
     def test_looking_away_scores_minus_one(self):
         a = head("a", (0.0, 0.0), yaw=-90.0)
         b = head("b", (10.0, 0.0), yaw=90.0)
-        ca, cb = interaction_measure(a, b)
+        ca, cb = measure(a, b)
         assert ca == pytest.approx(-1.0, abs=1e-12)
         assert cb == pytest.approx(-1.0, abs=1e-12)
 
@@ -87,65 +102,93 @@ class TestInteractionMeasure:
         # A looks straight down (+y on screen) while B sits along +x
         a = head("a", (0.0, 0.0), yaw=0.0, pitch=-90.0)
         b = head("b", (10.0, 0.0), yaw=-90.0)
-        ca, cb = interaction_measure(a, b)
+        ca, cb = measure(a, b)
         assert ca == pytest.approx(0.0, abs=1e-12)
         assert cb == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric(self):
-        a, b = facing_pair()
-        ca, cb = interaction_measure(a, b)
-        cb2, ca2 = interaction_measure(b, a)
+        # swapping the two heads' places and poses swaps their cosines
+        a = head("a", (0.0, 0.0), yaw=60.0, pitch=10.0)
+        b = head("b", (10.0, 4.0), yaw=-30.0, pitch=-20.0)
+        a2 = head("a", (10.0, 4.0), yaw=-30.0, pitch=-20.0)
+        b2 = head("b", (0.0, 0.0), yaw=60.0, pitch=10.0)
+        ca, cb = measure(a, b)
+        cb2, ca2 = measure(a2, b2)
         assert ca == ca2 and cb == cb2
 
     def test_coincident_centroids_raise(self):
         a = head("a", (1.0, 1.0), yaw=10.0)
         b = head("b", (1.0, 1.0), yaw=-10.0)
-        with pytest.raises(ValueError):
-            interaction_measure(a, b)
+        with pytest.raises(ValueError, match="heads a, b share a centroid"):
+            measure(a, b)
 
-    def test_frontal_gaze_has_no_direction(self):
-        a = head("a", (0.0, 0.0), yaw=0.0, pitch=0.0)
+    def test_frontal_gaze_scores_zero(self):
+        # a faces the camera: no direction in the image plane, so cosine 0;
+        # b's cosine and both weights are what they would be otherwise
+        a = head("a", (0.0, 0.0), yaw=0.0, pitch=0.0, log_var=[1.0, 1.0, 0.0])
         b = head("b", (10.0, 0.0), yaw=-90.0)
-        with pytest.raises(ValueError):
-            interaction_measure(a, b)
+        result = score_two(a, b, tau=0.5)
+        assert result.cos_a == 0.0 and result.cos_b == pytest.approx(1.0, abs=1e-12)
+        assert result.weight_a == 1 and result.weight_b == 1
+        assert result.laeo_value == 0.5 * result.cos_b and result.is_laeo
+        assert laeo_reference.score_pair(a, b, tau=0.5) == result
+        assert laeo_reference.pair_score(
+            ((0.0, 0.0), (0.0, 0.0), None), ((10.0, 0.0), (-90.0, 0.0), None), 7.0, "off"
+        ) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestLaeoValue:
+    # cos_a = 1; b's gaze (-1/2, sqrt(3)/2) is 60 degrees off the line to a,
+    # so cos_b = 1/2; the weights come from the gate
+    def pair(self, log_var_a=None, log_var_b=None):
+        a = head("a", (0.0, 0.0), yaw=90.0, log_var=log_var_a)
+        b = head("b", (10.0, 0.0), yaw=-30.0, pitch=-90.0, log_var=log_var_b)
+        return a, b
+
     def test_weighted_average(self):
-        assert laeo_value((0.8, 0.6), (1, 1)) == pytest.approx(0.7)
-        assert laeo_value((0.8, 0.6), (1, 0)) == pytest.approx(0.8)
-        assert laeo_value((0.8, 0.6), (0, 1)) == pytest.approx(0.6)
+        gated_out = [10.0, 10.0, 0.0]
+        assert score_two(*self.pair()).laeo_value == pytest.approx(0.75)
+        assert score_two(*self.pair(log_var_b=gated_out)).laeo_value == pytest.approx(1.0)
+        assert score_two(*self.pair(log_var_a=gated_out)).laeo_value == pytest.approx(0.5)
 
     def test_fully_gated_pair_scores_zero(self):
-        assert laeo_value((0.9, 0.9), (0, 0)) == 0.0
+        gated_out = [10.0, 10.0, 0.0]
+        result = score_two(*facing_pair(gated_out, gated_out))
+        assert result.weight_a == 0 and result.weight_b == 0
+        assert result.laeo_value == 0.0 and not result.is_laeo
 
     def test_weights_must_be_binary(self):
         with pytest.raises(ValueError):
-            laeo_value((0.5, 0.5), (2, 0))
+            laeo_reference.laeo_value((0.5, 0.5), (2, 0))
+        for mode in GATE_MODES:
+            ev = evaluate_laeo(random_frames(np.random.default_rng(2), 20), mode=mode)
+            assert {r.weight_a for _, r, _ in ev.results} <= {0, 1}
+            assert {r.weight_b for _, r, _ in ev.results} <= {0, 1}
 
     def test_classify_threshold(self):
-        assert classify(0.93, tau=0.93)
-        assert not classify(0.9299, tau=0.93)
+        value = score_two(*self.pair()).laeo_value
+        assert score_two(*self.pair(), tau=value).is_laeo
+        assert not score_two(*self.pair(), tau=value + 1e-4).is_laeo
+        assert laeo_reference.classify(0.93, tau=0.93)
+        assert not laeo_reference.classify(0.9299, tau=0.93)
         assert DEFAULT_TAU == 0.93 and DEFAULT_DELTA == 7.0
 
 
 class TestScorePair:
     def test_missing_variances_weigh_one(self):
-        a, b = facing_pair()
-        result = score_pair(a, b)
+        result = score_two(*facing_pair())
         assert result.weight_a == 1 and result.weight_b == 1
         assert result.laeo_value == pytest.approx(1.0, abs=1e-12)
         assert result.is_laeo
 
     def test_gated_head_drops_out(self):
         a, b = facing_pair(log_var_a=[10.0, 10.0, 0.0])
-        result = score_pair(a, b, mode="interval", delta=7.0)
+        result = score_two(a, b, mode="interval", delta=7.0)
         assert result.weight_a == 0 and result.weight_b == 1
         assert result.laeo_value == pytest.approx(result.cos_b)
 
     def test_to_dict_keys(self):
-        a, b = facing_pair()
-        d = score_pair(a, b).to_dict()
+        d = score_two(*facing_pair()).to_dict()
         assert list(d.keys()) == [
             "pair", "cos_a", "cos_b", "weight_a", "weight_b", "laeo_value", "is_laeo",
         ]
@@ -228,6 +271,65 @@ class TestEvaluateLaeo:
         assert list(d.keys()) == [
             "precision", "recall", "f1", "average_precision", "n_pairs", "n_positive",
         ]
+
+
+_angle = st.floats(-180.0, 180.0, allow_nan=False)
+_head_data = st.tuples(
+    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    st.just((0.0, 0.0, 0.0)) | st.tuples(_angle, _angle, _angle),  # frontal, or any pose
+    st.none() | st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+)
+
+
+@st.composite
+def _frames(draw):
+    frames = []
+    for f in range(draw(st.integers(0, 4))):
+        data = draw(st.lists(_head_data, min_size=1, max_size=8))
+        # ids in random order, so the scorer has to sort them
+        ids = draw(st.lists(st.text("abxyz", min_size=1, max_size=2),
+                            min_size=len(data), max_size=len(data), unique=True))
+        heads = tuple(
+            head(hid, centroid, pose[0], pose[1], pose[2], log_var)
+            for hid, (centroid, pose, log_var) in zip(ids, data)
+        )
+        pairs = [frozenset((a, b)) for k, a in enumerate(ids) for b in ids[k + 1:]
+                 if draw(st.booleans())]
+        frames.append(Frame(f"f{f}", heads, frozenset(pairs)))
+    return frames
+
+
+def as_rows(results):
+    """Results as the CLI writes them, so -0.0 and 0.0 differ."""
+    return [(f, json.dumps(r.to_dict()), label) for f, r, label in results]
+
+
+class TestArrayPass:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        frames=_frames(),
+        tau=st.floats(-1.0, 1.0),
+        delta=st.sampled_from([0.5, 2.0, 7.0]),
+        mode=st.sampled_from(GATE_MODES),
+    )
+    def test_matches_per_pair_oracle(self, frames, tau, delta, mode):
+        try:
+            metrics, results = per_pair_evaluation(frames, tau, delta, mode)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                evaluate_laeo(frames, tau, delta, mode=mode)
+            return
+        ev = evaluate_laeo(frames, tau, delta, mode=mode)
+        assert as_rows(ev.results) == as_rows(results)
+        assert ev.to_dict() == metrics
+        assert ev.baseline == evaluate_laeo(frames, tau, delta, mode="off").to_dict()
+        assert ev.baseline == per_pair_evaluation(frames, tau, delta, "off")[0]
+        weights = {}
+        for frame_id, r, _ in results:
+            weights[(frame_id, r.pair[0])] = r.weight_a
+            weights[(frame_id, r.pair[1])] = r.weight_b
+        assert ev.n_heads == len(weights)
+        assert ev.n_heads_gated == sum(1 for w in weights.values() if w == 0)
 
 
 def random_frames(rng, n):
