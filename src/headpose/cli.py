@@ -9,16 +9,17 @@ offending file and line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import evaluation, formats, laeo
-from .geometry import EulerPose
 from .keypoints import UnusableKeypoints, normalize
-from .model import Model, ModelConfig, PoseEstimate
+from .model import Model, ModelConfig
 from .synthetic import NoiseModel, PoseRange, generate_dataset
 from .training import TrainConfig, TrainHistory, train
 
@@ -34,11 +35,22 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return _default_seed() if args.seed is None else args.seed
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--alpha", type=float, default=1.0, help="width multiplier")
+    p.add_argument("--lr", type=_finite_float, default=0.001)
+    p.add_argument("--alpha", type=_finite_float, default=1.0, help="width multiplier")
     p.add_argument("--seed", type=int, default=None)
 
 
@@ -118,59 +130,45 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _head_estimates(
-    frame_records: list[formats.FrameRecord], model: Model | None
-) -> list[PoseEstimate]:
-    """Every head's estimate in file order; with a model, the keypoint heads
-    of all frames go through one normalize + predict_batch call."""
-    heads = [(fr.frame_id, h) for fr in frame_records for h in fr.heads]
-    batch = [i for i, (_, h) in enumerate(heads) if h.keypoints is not None and model is not None]
-    estimates = {}
-    if batch:
-        try:
-            inputs = normalize([heads[i][1].keypoints for i in batch])
-        except UnusableKeypoints as e:
-            frame_id, head = heads[batch[e.index]]
-            raise ValueError(f"frame {frame_id!r} head {head.id!r}: {e}") from e
-        angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
-        for row, i in enumerate(batch):
-            lv = log_var[row] if log_var is not None else None
-            estimates[i] = PoseEstimate(EulerPose(*angles[row].tolist()), lv)
-    for i, (frame_id, head) in enumerate(heads):
-        if i in estimates:
-            continue
-        if head.pose is None:
-            raise ValueError(
-                f"frame {frame_id!r} head {head.id!r} has keypoints only; pass --model"
-            )
-        lv = None if head.log_variance is None else np.array(head.log_variance, dtype=np.float64)
-        estimates[i] = PoseEstimate(head.pose, lv)
-    return [estimates[i] for i in range(len(heads))]
+def _with_model_poses(frames: laeo.Frames, model: Model | None) -> laeo.Frames:
+    """Frames whose keypoint heads carry the model's pose and log-variances.
+
+    With a model, the keypoint heads of all frames go through one
+    normalize + predict_batch call, in file order; a model without a
+    variance head leaves their log-variances NaN. Raises ValueError naming
+    the first head left without a pose, or given a non-finite estimate.
+    """
+    if model is None:
+        missing = np.flatnonzero(np.isnan(frames.poses[:, 0]))
+        if missing.size:
+            raise ValueError(f"{frames.head_name(missing[0])} has keypoints only; pass --model")
+        return frames
+    batch = np.flatnonzero(~np.isnan(frames.keypoints[:, 0, 0]))
+    try:
+        inputs = normalize(frames.keypoints[batch])
+    except UnusableKeypoints as e:
+        raise ValueError(f"{frames.head_name(batch[e.index])}: {e}") from e
+    angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
+    estimates = angles if log_var is None else np.hstack([angles, log_var])
+    bad = np.flatnonzero(~np.isfinite(estimates).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{frames.head_name(batch[bad[0]])}: the model gave a non-finite estimate")
+    poses, log_variance = frames.poses.copy(), frames.log_variance.copy()
+    poses[batch] = angles
+    log_variance[batch] = np.nan if log_var is None else log_var
+    return dataclasses.replace(frames, poses=poses, log_variance=log_variance)
 
 
 def cmd_laeo(args: argparse.Namespace) -> int:
-    frame_records = formats.read_frames(args.frames)
+    frames = formats.read_frames(args.frames)
     model = formats.read_model(args.model) if args.model else None
-    estimates = iter(_head_estimates(frame_records, model))
-    frames = [
-        laeo.Frame(
-            frame_id=fr.frame_id,
-            heads=tuple(
-                laeo.HeadInstance(id=h.id, centroid=h.centroid, estimate=next(estimates))
-                for h in fr.heads
-            ),
-            laeo_pairs=frozenset(frozenset(p) for p in fr.laeo_pairs),
-        )
-        for fr in frame_records
-    ]
+    frames = _with_model_poses(frames, model)
     scored = laeo.evaluate_laeo(frames, args.tau, args.delta, mode=args.gate)
-    labelled = any(fr.has_labels for fr in frame_records)
     lines = []
-    labels_by_frame = {fr.frame_id: fr.has_labels for fr in frame_records}
     for frame_id, result, label in scored.results:
         row = {"frame_id": frame_id}
         row.update(result.to_dict())
-        row["label"] = label if labels_by_frame[frame_id] else None
+        row["label"] = label
         lines.append(json.dumps(row))
     summary = {
         "summary": {
@@ -180,8 +178,8 @@ def cmd_laeo(args: argparse.Namespace) -> int:
             "n_pairs": scored.n_pairs,
             "n_heads": scored.n_heads,
             "n_heads_gated": scored.n_heads_gated,
-            "gated": scored.to_dict() if labelled else None,
-            "baseline": scored.baseline if labelled else None,
+            "gated": scored.gated,
+            "baseline": scored.baseline,
         }
     }
     lines.append(json.dumps(summary))
@@ -198,7 +196,11 @@ def _parse_noise(text: str) -> NoiseModel:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("--noise expects 'base_sigma,yaw_gain'")
-    return NoiseModel(base_sigma=float(parts[0]), yaw_gain=float(parts[1]))
+    try:
+        base_sigma, yaw_gain = map(_finite_float, parts)
+    except argparse.ArgumentTypeError as e:
+        raise ValueError(f"--noise: {e}") from e
+    return NoiseModel(base_sigma=base_sigma, yaw_gain=yaw_gain)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -284,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laeo", help="score mutual gaze over head-pair frames")
     p.add_argument("--frames", required=True)
     p.add_argument("--model", default=None, help="needed when frames carry raw keypoints")
-    p.add_argument("--tau", type=float, default=laeo.DEFAULT_TAU)
-    p.add_argument("--delta", type=float, default=laeo.DEFAULT_DELTA)
+    p.add_argument("--tau", type=_finite_float, default=laeo.DEFAULT_TAU)
+    p.add_argument("--delta", type=_finite_float, default=laeo.DEFAULT_DELTA)
     p.add_argument("--gate", choices=laeo.GATE_MODES, default="interval")
     p.add_argument("--out", default=None, help="write pair results here instead of stdout")
     p.set_defaults(func=cmd_laeo)
@@ -295,11 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", default="0,0", help="base_sigma,yaw_gain (pixels, pixels/deg)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--yaw-range", type=float, default=75.0)
-    p.add_argument("--pitch-range", type=float, default=60.0)
-    p.add_argument("--roll-range", type=float, default=40.0)
-    p.add_argument("--occlusion-yaw", type=float, default=60.0)
-    p.add_argument("--drop-fraction", type=float, default=0.0)
+    p.add_argument("--yaw-range", type=_finite_float, default=75.0)
+    p.add_argument("--pitch-range", type=_finite_float, default=60.0)
+    p.add_argument("--roll-range", type=_finite_float, default=40.0)
+    p.add_argument("--occlusion-yaw", type=_finite_float, default=60.0)
+    p.add_argument("--drop-fraction", type=_finite_float, default=0.0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ablate", help="train all three losses and compare errors")
@@ -316,10 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except formats.RecordError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
+    except (formats.RecordError, ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,12 @@
 """File formats: datasets, LAEO frames, model weights, JSON reports.
 
-Data files are line-delimited JSON so they stream and diff cleanly. Model
-files are one JSON header line (version, config, tensor layout) followed
-by the tensors as raw little-endian float32 in the documented layout
-order. All writes go through a temp file in the target directory and a
-rename, so readers never observe partial files.
+Data files are line-delimited JSON so they stream and diff cleanly. A
+frames file is read into one columnar `laeo.Frames`, with no object per
+head; every check on frame input lives in its reader. Model files are one
+JSON header line (version, config, tensor layout) followed by the tensors
+as raw little-endian float32 in the documented layout order. All writes
+go through a temp file in the target directory and a rename, so readers
+never observe partial files.
 
 Malformed input lines raise RecordError carrying the 1-based line number.
 """
@@ -24,6 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .geometry import EulerPose
 from .keypoints import N_KEYPOINTS, Keypoint, KeypointSet
+from .laeo import Frames
 from .model import Model, ModelConfig, parameter_layout
 from .synthetic import Sample
 
@@ -93,20 +96,28 @@ def _parse_numbers(raw, count: int, what: str, line_number: int) -> tuple[float,
     return values
 
 
-def _parse_keypoints(raw, line_number: int) -> KeypointSet:
+def _parse_keypoint_rows(raw, line_number: int) -> list[tuple[float, ...]]:
+    """Five [x1, x2, c] triples of finite numbers with c in [0, 1]."""
     if not isinstance(raw, list) or len(raw) != N_KEYPOINTS:
         raise RecordError(line_number, f"keypoints must be {N_KEYPOINTS} triples")
-    points = []
+    rows = []
     for triple in raw:
-        x1, x2, c = _parse_numbers(triple, 3, "keypoint [x1, x2, c]", line_number)
-        if not 0.0 <= c <= 1.0:
-            raise RecordError(line_number, f"confidence {c} outside [0, 1]")
-        points.append(Keypoint(x1, x2, c))
-    return KeypointSet(tuple(points))
+        row = _parse_numbers(triple, 3, "keypoint [x1, x2, c]", line_number)
+        if not 0.0 <= row[2] <= 1.0:
+            raise RecordError(line_number, f"confidence {row[2]} outside [0, 1]")
+        rows.append(row)
+    return rows
+
+
+def _parse_keypoints(raw, line_number: int) -> KeypointSet:
+    return KeypointSet(tuple(Keypoint(*row) for row in _parse_keypoint_rows(raw, line_number)))
+
+
+_POSE = "pose [yaw, pitch, roll]"
 
 
 def _parse_pose(raw, line_number: int) -> EulerPose:
-    return EulerPose(*_parse_numbers(raw, 3, "pose [yaw, pitch, roll]", line_number))
+    return EulerPose(*_parse_numbers(raw, 3, _POSE, line_number))
 
 
 @dataclass(frozen=True)
@@ -170,110 +181,82 @@ def read_dataset(path: str | Path) -> list[DatasetRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class HeadRecord:
-    """A head in a frame: keypoints (model needed) or a ready estimate."""
+def read_frames(path: str | Path) -> Frames:
+    """Every frame of a frames file as one `laeo.Frames`, heads in file order.
 
-    id: str
-    centroid: tuple[float, float]
-    keypoints: KeypointSet | None = None
-    pose: EulerPose | None = None
-    log_variance: tuple[float, float, float] | None = None
-
-    def to_dict(self) -> dict:
-        row: dict = {"id": self.id, "centroid": [self.centroid[0], self.centroid[1]]}
-        if self.keypoints is not None:
-            row["keypoints"] = [[p.x1, p.x2, p.c] for p in self.keypoints.points]
-        if self.pose is not None:
-            row["pose"] = [self.pose.yaw, self.pose.pitch, self.pose.roll]
-        if self.log_variance is not None:
-            row["log_variance"] = list(self.log_variance)
-        return row
-
-
-@dataclass(frozen=True)
-class FrameRecord:
-    frame_id: str
-    heads: tuple[HeadRecord, ...]
-    laeo_pairs: tuple[tuple[str, str], ...] = ()
-    # False when the source line had no "laeo_pairs" key at all, which is
-    # different from an explicit empty list (all pairs negative).
-    has_labels: bool = True
-
-    def to_dict(self) -> dict:
-        row: dict = {
-            "frame_id": self.frame_id,
-            "heads": [h.to_dict() for h in self.heads],
-        }
-        if self.has_labels:
-            row["laeo_pairs"] = [list(p) for p in self.laeo_pairs]
-        return row
-
-
-def write_frames(path: str | Path, frames: Sequence[FrameRecord]) -> None:
-    write_jsonl(path, (f.to_dict() for f in frames))
-
-
-def _parse_head(raw, line_number: int) -> HeadRecord:
-    if not isinstance(raw, dict) or "id" not in raw or "centroid" not in raw:
-        raise RecordError(line_number, "head needs 'id' and 'centroid'")
-    cx, cy = _parse_numbers(raw["centroid"], 2, "centroid [x, y]", line_number)
-    keypoints = None
-    pose = None
-    log_variance = None
-    if "keypoints" in raw:
-        keypoints = _parse_keypoints(raw["keypoints"], line_number)
-    if "pose" in raw:
-        pose = _parse_pose(raw["pose"], line_number)
-        if raw.get("log_variance") is not None:
-            log_variance = _parse_numbers(raw["log_variance"], 3, "log_variance", line_number)
-    if keypoints is None and pose is None:
-        raise RecordError(line_number, "head needs 'keypoints' or 'pose'")
-    return HeadRecord(
-        id=str(raw["id"]),
-        centroid=(cx, cy),
-        keypoints=keypoints,
-        pose=pose,
-        log_variance=log_variance,
-    )
-
-
-def read_frames(path: str | Path) -> list[FrameRecord]:
-    frames = []
-    seen_ids: set[str] = set()
+    A head needs an id, a centroid, and keypoints or a pose; log_variance
+    is read only beside a pose. Frame ids are unique in the file, head ids
+    within a frame, and a label pair names two of the frame's heads.
+    """
+    frame_ids: list[str] = []
+    seen: set[str] = set()
+    starts = [0]
+    labels: list[frozenset[tuple[str, str]] | None] = []
+    head_ids: list[str] = []
+    centroids: list[tuple[float, ...]] = []
+    poses: dict[int, tuple[float, ...]] = {}  # by head index; absent heads stay NaN
+    log_variance: dict[int, tuple[float, ...]] = {}
+    keypoints: dict[int, list[tuple[float, ...]]] = {}
     for line_number, obj in _read_lines(path):
         if "frame_id" not in obj or "heads" not in obj:
             raise RecordError(line_number, "frame needs 'frame_id' and 'heads'")
         frame_id = str(obj["frame_id"])
-        if frame_id in seen_ids:
+        if frame_id in seen:
             raise RecordError(line_number, f"duplicate frame_id {frame_id!r}")
-        seen_ids.add(frame_id)
+        seen.add(frame_id)
         if not isinstance(obj["heads"], list):
             raise RecordError(line_number, "'heads' must be a list")
-        heads = tuple(_parse_head(h, line_number) for h in obj["heads"])
-        ids = {h.id for h in heads}
-        if len(ids) != len(heads):
+        for raw in obj["heads"]:
+            if not isinstance(raw, dict) or "id" not in raw or "centroid" not in raw:
+                raise RecordError(line_number, "head needs 'id' and 'centroid'")
+            h = len(head_ids)
+            centroids.append(_parse_numbers(raw["centroid"], 2, "centroid [x, y]", line_number))
+            if "keypoints" in raw:
+                keypoints[h] = _parse_keypoint_rows(raw["keypoints"], line_number)
+            if "pose" in raw:
+                poses[h] = _parse_numbers(raw["pose"], 3, _POSE, line_number)
+                if raw.get("log_variance") is not None:
+                    log_variance[h] = _parse_numbers(
+                        raw["log_variance"], 3, "log_variance", line_number
+                    )
+            elif h not in keypoints:
+                raise RecordError(line_number, "head needs 'keypoints' or 'pose'")
+            head_ids.append(str(raw["id"]))
+        ids = set(head_ids[starts[-1]:])
+        if len(ids) != len(head_ids) - starts[-1]:
             raise RecordError(line_number, "duplicate head ids")
-        raw_pairs = obj.get("laeo_pairs", [])
-        if not isinstance(raw_pairs, list):
-            raise RecordError(line_number, "'laeo_pairs' must be a list")
-        pairs = []
-        for pair in raw_pairs:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise RecordError(line_number, "laeo pair must be [idA, idB]")
-            a, b = str(pair[0]), str(pair[1])
-            if a == b or a not in ids or b not in ids:
-                raise RecordError(line_number, f"pair [{a}, {b}] not among head ids")
-            pairs.append((a, b))
-        frames.append(
-            FrameRecord(
-                frame_id=frame_id,
-                heads=heads,
-                laeo_pairs=tuple(pairs),
-                has_labels="laeo_pairs" in obj,
-            )
-        )
-    return frames
+        pairs = None
+        if "laeo_pairs" in obj:
+            pairs = set()
+            if not isinstance(obj["laeo_pairs"], list):
+                raise RecordError(line_number, "'laeo_pairs' must be a list")
+            for pair in obj["laeo_pairs"]:
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise RecordError(line_number, "laeo pair must be [idA, idB]")
+                a, b = str(pair[0]), str(pair[1])
+                if a == b or a not in ids or b not in ids:
+                    raise RecordError(line_number, f"pair [{a}, {b}] not among head ids")
+                pairs.add((a, b) if a < b else (b, a))
+        frame_ids.append(frame_id)
+        starts.append(len(head_ids))
+        labels.append(None if pairs is None else frozenset(pairs))
+
+    def rows(values: dict[int, tuple], shape: tuple[int, ...]) -> np.ndarray:
+        out = np.full((len(head_ids), *shape), np.nan)
+        if values:
+            out[list(values)] = list(values.values())
+        return out
+
+    return Frames(
+        frame_ids=np.array(frame_ids, dtype=object),
+        starts=np.array(starts, dtype=np.intp),
+        head_ids=np.array(head_ids, dtype=object),
+        centroids=np.array(centroids, dtype=np.float64).reshape(-1, 2),
+        poses=rows(poses, (3,)),
+        log_variance=rows(log_variance, (3,)),
+        keypoints=rows(keypoints, (N_KEYPOINTS, 3)),
+        labels=tuple(labels),
+    )
 
 
 def write_model(path: str | Path, model: Model) -> None:

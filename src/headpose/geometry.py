@@ -22,16 +22,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 
-def _wrap180(angle: float) -> float:
-    """Wrap an angle in degrees into (-180, 180]."""
-    a = math.fmod(angle, 360.0)
-    if a > 180.0:
-        a -= 360.0
-    elif a <= -180.0:
-        a += 360.0
-    return a
-
-
 @dataclass(frozen=True)
 class EulerPose:
     """Head orientation as Tait-Bryan angles in degrees."""
@@ -39,20 +29,6 @@ class EulerPose:
     yaw: float
     pitch: float
     roll: float
-
-    def canonical(self) -> "EulerPose":
-        """Equivalent pose with yaw/roll in [-180, 180] and pitch in [-90, 90].
-
-        Out-of-range pitch is folded through the rotation-preserving double
-        cover (y, p, r) -> (-180 - y, p - 180, r + 180); both the rotation
-        matrix and the projected direction are unchanged.
-        """
-        y, p, r = _wrap180(self.yaw), _wrap180(self.pitch), _wrap180(self.roll)
-        if abs(p) > 90.0:
-            y = _wrap180(-180.0 - y)
-            p = _wrap180(p - 180.0)
-            r = _wrap180(r + 180.0)
-        return EulerPose(y, p, r)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.yaw, self.pitch, self.roll], dtype=np.float64)

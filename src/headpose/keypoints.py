@@ -80,21 +80,27 @@ def _center_and_scale(v: np.ndarray, present: np.ndarray, count: np.ndarray) -> 
     return np.divide(centered, peak, out=np.zeros_like(centered), where=peak > 0.0)
 
 
-def normalize(raw: KeypointSet | Sequence[KeypointSet]) -> NormalizedInput:
+def normalize(raw: KeypointSet | Sequence[KeypointSet] | np.ndarray) -> NormalizedInput:
     """Center present points on their centroid and scale each axis to peak 1.
 
-    N sets give (N, 5) streams in one vectorized pass; one KeypointSet is a
-    batch of one and gives its row as (5,) streams. Missing points (c = 0)
-    are excluded from the centroid and peak statistics and come out with
-    zero coordinates. Idempotent on its own output; invariant to translation
-    and positive uniform scaling of the raw pixel coordinates. Raises
-    UnusableKeypoints for the first set whose confidences are all 0.
+    N sets, or an (N, 5, 3) array of [x1, x2, c] rows, give (N, 5) streams
+    in one vectorized pass; one KeypointSet is a batch of one and gives its
+    row as (5,) streams. Missing points (c = 0) are excluded from the
+    centroid and peak statistics and come out with zero coordinates.
+    Idempotent on its own output; invariant to translation and positive
+    uniform scaling of the raw pixel coordinates. Raises UnusableKeypoints
+    for the first set whose confidences are all 0.
     """
     single = isinstance(raw, KeypointSet)
-    sets = [raw] if single else raw
-    kps = np.array(
-        [[(p.x1, p.x2, p.c) for p in s.points] for s in sets], dtype=np.float64
-    ).reshape(-1, N_KEYPOINTS, 3)
+    if isinstance(raw, np.ndarray):
+        if raw.ndim != 3 or raw.shape[1:] != (N_KEYPOINTS, 3):
+            raise ValueError(f"expected an (N, {N_KEYPOINTS}, 3) array, got shape {raw.shape}")
+        kps = raw.astype(np.float64)
+    else:
+        sets = [raw] if single else raw
+        kps = np.array(
+            [[(p.x1, p.x2, p.c) for p in s.points] for s in sets], dtype=np.float64
+        ).reshape(-1, N_KEYPOINTS, 3)
     c = kps[:, :, 2]
     present = c > 0.0
     count = present.sum(axis=1)

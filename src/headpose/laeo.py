@@ -1,15 +1,22 @@
 """Mutual-gaze detection between head pairs in a frame.
 
-Each head contributes its centroid and its pose estimate. A pair scores
-high when each projected gaze direction points at the other centroid; a
-per-head binary weight discards estimates whose yaw/pitch log-variances
-look untrustworthy, and the pair score is the weight-normalized average
-of the two gaze cosines.
+A file of frames is one columnar value, `Frames`: every head of every
+frame in file order, as arrays of ids, centroids, poses, log-variances and
+keypoints, with per-frame offsets and labels. `formats.read_frames` builds
+and validates it; the CLI fills in the poses of keypoint heads from the
+model; `evaluate_laeo` scores it.
+
+Each head contributes its centroid and its pose. A pair scores high when
+each projected gaze direction points at the other centroid; a per-head
+binary weight discards estimates whose yaw/pitch log-variances look
+untrustworthy, and the pair score is the weight-normalized average of the
+two gaze cosines.
 
 `evaluate_laeo` scores every pair of every frame in one array pass: each
 head's gaze and weight are computed once, and the cosines, pair scores
 and labels of all pairs are arrays. The same pass also yields the
-ungated baseline metrics, so a command scores its pairs once.
+ungated baseline metrics, so a command scores its pairs once. Metrics
+count only the pairs of labelled frames.
 
 A head whose projected gaze has zero length (yaw = pitch = 0, facing the
 camera) looks at no one in the image plane: its cosine toward every
@@ -27,14 +34,12 @@ Heads whose estimates carry no variances always weigh 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import project_direction
-from .model import PoseEstimate
+from .geometry import EulerPose, project_direction
 
 GATE_MODES = ("interval", "open-below", "off")
 
@@ -43,16 +48,32 @@ DEFAULT_TAU = 0.93
 
 
 @dataclass(frozen=True)
-class HeadInstance:
-    """One detected head: image centroid plus its pose estimate."""
+class Frames:
+    """Every head of every frame, in file order, as arrays.
 
-    id: str
-    centroid: tuple[float, float]
-    estimate: PoseEstimate
+    Frame f holds heads starts[f]:starts[f + 1]. A head has a pose,
+    keypoints or both; the rows of what it lacks are NaN, as are the
+    log-variances of a head without them. labels[f] is None for a frame
+    without labels, else the set of its mutual-gaze pairs, each an id
+    tuple in sorted order.
+    """
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in self.centroid):
-            raise ValueError(f"head {self.id}: non-finite centroid")
+    frame_ids: np.ndarray  # (F,) str objects
+    starts: np.ndarray  # (F + 1,) head offsets
+    head_ids: np.ndarray  # (H,) str objects
+    centroids: np.ndarray  # (H, 2) pixels
+    poses: np.ndarray  # (H, 3) yaw, pitch, roll in degrees
+    log_variance: np.ndarray  # (H, 3)
+    keypoints: np.ndarray  # (H, 5, 3) x1, x2, c
+    labels: tuple[frozenset[tuple[str, str]] | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    def head_name(self, h: int) -> str:
+        """The frame and id of head index h, as in "frame 'f' head 'a'"."""
+        f = int(np.searchsorted(self.starts, h, side="right")) - 1
+        return f"frame {self.frame_ids[f]!r} head {self.head_ids[h]!r}"
 
 
 @dataclass(frozen=True)
@@ -78,34 +99,34 @@ class LaeoResult:
 
 
 def uncertainty_weight(
-    s_yaw: float,
-    s_pitch: float,
+    s_yaw,
+    s_pitch,
     delta: float = DEFAULT_DELTA,
     mode: str = "interval",
-) -> int:
-    """Binary trust gate on the mean yaw/pitch log-variance.
+) -> np.ndarray:
+    """Binary trust gate on the mean yaw/pitch log-variance, element-wise.
 
-    Roll is excluded: it does not move the projected gaze direction.
+    Gives int64 weights of 0 or 1 in the broadcast shape of the two
+    log-variances; scalars give a 0-d array. Roll is excluded: it does not
+    move the projected gaze direction. Raises ValueError for an unknown
+    mode and, unless the mode is "off" or there is nothing to gate, for a
+    non-finite log-variance or delta <= 0.
     """
     if mode not in GATE_MODES:
         raise ValueError(f"unknown gate mode {mode!r}")
+    s_yaw = np.asarray(s_yaw, dtype=np.float64)
+    s_pitch = np.asarray(s_pitch, dtype=np.float64)
     if mode == "off":
-        return 1
-    if not (math.isfinite(s_yaw) and math.isfinite(s_pitch)):
+        return np.ones(np.broadcast_shapes(s_yaw.shape, s_pitch.shape), dtype=np.int64)
+    if not (np.isfinite(s_yaw).all() and np.isfinite(s_pitch).all()):
         raise ValueError("non-finite log-variance")
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
     s_hat = 0.5 * (s_yaw + s_pitch)
+    if s_hat.size and delta <= 0:
+        raise ValueError("delta must be > 0")
+    keep = s_hat <= delta
     if mode == "interval":
-        return 1 if 0.0 <= s_hat <= delta else 0
-    return 1 if s_hat <= delta else 0
-
-
-def _head_weight(head: HeadInstance, delta: float, mode: str) -> int:
-    lv = head.estimate.log_variance
-    if lv is None:
-        return 1
-    return uncertainty_weight(float(lv[0]), float(lv[1]), delta, mode)
+        keep &= s_hat >= 0.0
+    return keep.astype(np.int64)
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -134,52 +155,24 @@ def _pair_values(cos_a: np.ndarray, cos_b: np.ndarray, w_a: np.ndarray,
 
 
 @dataclass(frozen=True)
-class Frame:
-    """All heads of one image plus the labelled mutual-gaze pairs."""
-
-    frame_id: str
-    heads: tuple[HeadInstance, ...]
-    laeo_pairs: frozenset[frozenset[str]]
-
-    def __post_init__(self) -> None:
-        ids = [h.id for h in self.heads]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"frame {self.frame_id}: duplicate head ids")
-        known = set(ids)
-        for pair in self.laeo_pairs:
-            if len(pair) != 2 or not pair <= known:
-                raise ValueError(f"frame {self.frame_id}: bad label pair {sorted(pair)}")
-
-
-@dataclass(frozen=True)
 class LaeoEvaluation:
-    """Metrics of one scoring pass, its per-pair results and gate counts.
+    """Per-pair results of one scoring pass, its gate counts and metrics.
 
-    `baseline` holds the same metrics for the same pairs with every weight
-    1, which is what the "off" gate gives. `n_heads` counts heads that are
-    in at least one pair; `n_heads_gated` those of them with weight 0.
+    `results` holds (frame_id, result, label) per pair, in pair order; the
+    label is None for a pair of an unlabelled frame. `gated` holds the
+    metrics over the pairs of labelled frames, and `baseline` the same
+    metrics for the same pairs with every weight 1, which is what the "off"
+    gate gives; both are None when no frame is labelled. `n_pairs` counts
+    every pair, `n_heads` the heads in at least one pair, `n_heads_gated`
+    those of them with weight 0.
     """
 
-    precision: float
-    recall: float
-    f1: float
-    average_precision: float
     n_pairs: int
-    n_positive: int
     n_heads: int
     n_heads_gated: int
-    results: list[tuple[str, LaeoResult, bool]]
-    baseline: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "average_precision": self.average_precision,
-            "n_pairs": self.n_pairs,
-            "n_positive": self.n_positive,
-        }
+    results: list[tuple[str, LaeoResult, bool | None]]
+    gated: dict | None
+    baseline: dict | None
 
 
 def _average_precision(ranked_labels: Sequence[bool]) -> float:
@@ -212,13 +205,14 @@ def _metrics(
     keys: list[tuple[str, tuple[str, str]]],
     labels: np.ndarray,
     values: np.ndarray,
-    hits: np.ndarray,
+    tau: float,
 ) -> dict:
-    """Precision/recall/F1 of the hits and AP of the values, against the labels.
+    """Precision/recall/F1 of values >= tau and AP of the values, against the labels.
 
     AP ranks pairs by value, ties broken by frame and head ids for
     determinism.
     """
+    hits = values >= tau
     tp = int(np.count_nonzero(hits & labels))
     fp = int(np.count_nonzero(hits & ~labels))
     fn = int(np.count_nonzero(~hits & labels))
@@ -238,8 +232,36 @@ def _metrics(
     }
 
 
+def _pair_index(frames: Frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The heads that are in a pair and, per pair, where its heads are.
+
+    Returns the indices of the heads of frames with two or more heads,
+    sorted by id within each frame, and per pair the positions (ia, ib) of
+    its two heads in that order and the index of its frame. Pairs come in
+    frame order, then i < j.
+    """
+    heads: list[int] = []
+    ia, ib, pair_frame = [], [], []
+    triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    starts = frames.starts.tolist()
+    for f in range(len(frames)):
+        first, last = starts[f], starts[f + 1]
+        if last - first < 2:
+            continue
+        if last - first not in triu:
+            triu[last - first] = np.triu_indices(last - first, 1)
+        i, j = triu[last - first]
+        ia.append(len(heads) + i)
+        ib.append(len(heads) + j)
+        pair_frame.append(np.full(i.size, f))
+        heads.extend(sorted(range(first, last), key=frames.head_ids.__getitem__))
+    empty = [np.zeros(0, dtype=np.intp)]
+    return (np.array(heads, dtype=np.intp), np.concatenate(ia + empty),
+            np.concatenate(ib + empty), np.concatenate(pair_frame + empty))
+
+
 def evaluate_laeo(
-    frames: Sequence[Frame],
+    frames: Frames,
     tau: float = DEFAULT_TAU,
     delta: float = DEFAULT_DELTA,
     mode: str = "interval",
@@ -247,61 +269,64 @@ def evaluate_laeo(
     """Score every unordered head pair of every frame in one array pass.
 
     Pairs come in frame order, then i < j over each frame's heads sorted by
-    id. Each head's gaze and weight are computed once. Precision/recall/F1
-    use the tau cutoff. A frame with fewer than two heads contributes
-    nothing. Raises ValueError naming the first pair whose heads share a
-    centroid.
+    id. Every head in a pair needs a pose. Each head's gaze and weight are
+    computed once. Precision/recall/F1 use the tau cutoff and, like AP,
+    count only the pairs of labelled frames. A frame with fewer than two
+    heads contributes nothing. Raises ValueError naming the first pair
+    whose heads share a centroid.
     """
-    heads: list[HeadInstance] = []
-    keys: list[tuple[str, tuple[str, str]]] = []  # (frame_id, pair) per pair
-    labels: list[bool] = []
-    ia: list[int] = []
-    ib: list[int] = []
-    for frame in frames:
-        if len(frame.heads) < 2:
-            continue
-        first = len(heads)
-        heads.extend(sorted(frame.heads, key=lambda h: h.id))
-        for i in range(first, len(heads)):
-            for j in range(i + 1, len(heads)):
-                pair = (heads[i].id, heads[j].id)
-                ia.append(i)
-                ib.append(j)
-                keys.append((frame.frame_id, pair))
-                labels.append(frozenset(pair) in frame.laeo_pairs)
+    heads, ia, ib, pair_frame = _pair_index(frames)
+    ids = frames.head_ids[heads].tolist()
+    pairs = [(ids[a], ids[b]) for a, b in zip(ia.tolist(), ib.tolist())]
+    frame_ids = frames.frame_ids[pair_frame].tolist()
 
-    centroids = np.array([h.centroid for h in heads], dtype=np.float64).reshape(-1, 2)
+    centroids = frames.centroids[heads]
     u = centroids[ib] - centroids[ia]
     u_norm = np.sqrt(_row_dots(u, u))
     shared = np.flatnonzero(u_norm == 0.0)
     if shared.size:
-        frame_id, (a, b) = keys[shared[0]]
-        raise ValueError(f"frame {frame_id!r}: heads {a}, {b} share a centroid")
+        a, b = pairs[shared[0]]
+        raise ValueError(f"frame {frame_ids[shared[0]]!r}: heads {a}, {b} share a centroid")
     gaze = np.array(
-        [project_direction(h.estimate.pose) for h in heads], dtype=np.float64
+        [project_direction(EulerPose(*pose)) for pose in frames.poses[heads].tolist()],
+        dtype=np.float64,
     ).reshape(-1, 2)
     g_norm = np.sqrt(_row_dots(gaze, gaze))
     cos_a = _cosines(u, u_norm, gaze[ia], g_norm[ia])
     cos_b = _cosines(-u, u_norm, gaze[ib], g_norm[ib])
-    weights = np.array([_head_weight(h, delta, mode) for h in heads], dtype=np.int64)
+    log_var = frames.log_variance[heads]
+    has_variance = ~np.isnan(log_var[:, 0])
+    weights = np.ones(len(heads), dtype=np.int64)
+    weights[has_variance] = uncertainty_weight(
+        log_var[has_variance, 0], log_var[has_variance, 1], delta, mode
+    )
     w_a, w_b = weights[ia], weights[ib]
     values = _pair_values(cos_a, cos_b, w_a, w_b)
-    hits = values >= tau
-    label_arr = np.array(labels, dtype=bool)
     ones = np.ones_like(w_a)
     baseline_values = _pair_values(cos_a, cos_b, ones, ones)
 
+    known = [frames.labels[f] for f in pair_frame.tolist()]
+    labels = [None if pos is None else pair in pos for pos, pair in zip(known, pairs)]
+    gated = baseline = None
+    if any(pos is not None for pos in frames.labels):
+        keep = [k for k, label in enumerate(labels) if label is not None]
+        keys = [(frame_ids[k], pairs[k]) for k in keep]
+        label_arr = np.array([labels[k] for k in keep], dtype=bool)
+        gated = _metrics(keys, label_arr, values[keep], tau)
+        baseline = _metrics(keys, label_arr, baseline_values[keep], tau)
+
     results = [
-        (frame_id, LaeoResult(pair, ca, cb, wa, wb, v, hit), label)
-        for (frame_id, pair), ca, cb, wa, wb, v, hit, label in zip(
-            keys, cos_a.tolist(), cos_b.tolist(), w_a.tolist(), w_b.tolist(),
-            values.tolist(), hits.tolist(), labels,
+        (frame_id, LaeoResult(pair, ca, cb, wa, wb, v, v >= tau), label)
+        for frame_id, pair, ca, cb, wa, wb, v, label in zip(
+            frame_ids, pairs, cos_a.tolist(), cos_b.tolist(), w_a.tolist(), w_b.tolist(),
+            values.tolist(), labels,
         )
     ]
     return LaeoEvaluation(
-        **_metrics(keys, label_arr, values, hits),
+        n_pairs=len(pairs),
         n_heads=len(heads),
         n_heads_gated=int(np.count_nonzero(weights == 0)),
         results=results,
-        baseline=_metrics(keys, label_arr, baseline_values, baseline_values >= tau),
+        gated=gated,
+        baseline=baseline,
     )

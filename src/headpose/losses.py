@@ -50,10 +50,6 @@ class BinningScheme:
         idx = np.floor((a - self.lo_degrees) / self.width_degrees).astype(np.int64)
         return np.minimum(idx, self.n_bins - 1)
 
-    def bin_center(self, index) -> np.ndarray:
-        idx = np.asarray(index)
-        return self.lo_degrees + (idx + 0.5) * self.width_degrees
-
     @staticmethod
     def centered(n_bins: int, width_degrees: float) -> "BinningScheme":
         lo = -0.5 * n_bins * width_degrees

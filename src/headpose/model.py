@@ -108,12 +108,6 @@ class PoseEstimate:
     pose: EulerPose
     log_variance: np.ndarray | None = None
 
-    @property
-    def sigma_degrees(self) -> np.ndarray | None:
-        if self.log_variance is None:
-            return None
-        return np.exp(0.5 * self.log_variance)
-
 
 @dataclass(frozen=True)
 class NetworkOutput:

@@ -12,7 +12,10 @@ Two independent references:
   for bit.
 
 Both give a head whose projected gaze has zero length a cosine of 0 toward
-every other head, as the package does.
+every other head, as the package does. The per-pair path reads frames as
+the JSON rows of a frames file (see `frame_rows`): a head is a dict with
+"id", "centroid", "pose" and an optional "log_variance", and a frame
+without a "laeo_pairs" key is unlabelled.
 """
 
 from __future__ import annotations
@@ -21,12 +24,10 @@ import math
 
 import numpy as np
 
-from headpose.geometry import project_direction
+from headpose.geometry import EulerPose, project_direction
 from headpose.laeo import (
     DEFAULT_DELTA,
     DEFAULT_TAU,
-    Frame,
-    HeadInstance,
     LaeoResult,
     _average_precision,
     uncertainty_weight,
@@ -83,15 +84,15 @@ def brute_force_scores(frames, delta: float, mode: str) -> dict:
     return out
 
 
-def interaction_measure(a: HeadInstance, b: HeadInstance) -> tuple[float, float]:
+def interaction_measure(a: dict, b: dict) -> tuple[float, float]:
     """Cosines between each head's projected gaze and the line joining them."""
-    u = np.array(b.centroid, dtype=np.float64) - np.array(a.centroid, dtype=np.float64)
+    u = np.array(b["centroid"], dtype=np.float64) - np.array(a["centroid"], dtype=np.float64)
     u_norm = float(np.linalg.norm(u))
     if u_norm == 0.0:
-        raise ValueError(f"heads {a.id}, {b.id} share a centroid")
+        raise ValueError(f"heads {a['id']}, {b['id']} share a centroid")
     cosines = []
     for head, toward in ((a, u), (b, -u)):
-        g = np.array(project_direction(head.estimate.pose), dtype=np.float64)
+        g = np.array(project_direction(EulerPose(*head["pose"])), dtype=np.float64)
         g_norm = float(np.linalg.norm(g))
         if g_norm == 0.0:
             cosines.append(0.0)
@@ -114,16 +115,16 @@ def classify(value: float, tau: float = DEFAULT_TAU) -> bool:
     return value >= tau
 
 
-def head_weight(head: HeadInstance, delta: float, mode: str) -> int:
-    lv = head.estimate.log_variance
+def head_weight(head: dict, delta: float, mode: str) -> int:
+    lv = head.get("log_variance")
     if lv is None:
         return 1
-    return uncertainty_weight(float(lv[0]), float(lv[1]), delta, mode)
+    return int(uncertainty_weight(float(lv[0]), float(lv[1]), delta, mode))
 
 
 def score_pair(
-    a: HeadInstance,
-    b: HeadInstance,
+    a: dict,
+    b: dict,
     tau: float = DEFAULT_TAU,
     delta: float = DEFAULT_DELTA,
     mode: str = "interval",
@@ -133,7 +134,7 @@ def score_pair(
     wb = head_weight(b, delta, mode)
     value = laeo_value((ca, cb), (wa, wb))
     return LaeoResult(
-        pair=(a.id, b.id),
+        pair=(a["id"], b["id"]),
         cos_a=ca,
         cos_b=cb,
         weight_a=wa,
@@ -144,30 +145,40 @@ def score_pair(
 
 
 def per_pair_evaluation(
-    frames: list[Frame], tau: float, delta: float, mode: str
-) -> tuple[dict, list[tuple[str, LaeoResult, bool]]]:
-    """(metrics dict, results) of scoring one pair at a time, in pair order."""
+    rows: list[dict], tau: float, delta: float, mode: str
+) -> tuple[dict | None, list[tuple[str, LaeoResult, bool | None]]]:
+    """(metrics dict, results) of scoring one pair at a time, in pair order.
+
+    A pair of an unlabelled frame has label None and stays out of the
+    metrics, which are None when no frame is labelled.
+    """
     scored = []
-    for frame in frames:
-        heads = sorted(frame.heads, key=lambda h: h.id)
+    for row in rows:
+        heads = sorted(row["heads"], key=lambda h: h["id"])
+        positives = None
+        if "laeo_pairs" in row:
+            positives = {frozenset(p) for p in row["laeo_pairs"]}
         for i in range(len(heads)):
             for j in range(i + 1, len(heads)):
                 result = score_pair(heads[i], heads[j], tau, delta, mode)
-                label = frozenset(result.pair) in frame.laeo_pairs
-                scored.append((frame.frame_id, result, label))
-    tp = sum(1 for _, r, lab in scored if r.is_laeo and lab)
-    fp = sum(1 for _, r, lab in scored if r.is_laeo and not lab)
-    fn = sum(1 for _, r, lab in scored if not r.is_laeo and lab)
+                label = None if positives is None else frozenset(result.pair) in positives
+                scored.append((row["frame_id"], result, label))
+    if all("laeo_pairs" not in row for row in rows):
+        return None, scored
+    labelled = [e for e in scored if e[2] is not None]
+    tp = sum(1 for _, r, lab in labelled if r.is_laeo and lab)
+    fp = sum(1 for _, r, lab in labelled if r.is_laeo and not lab)
+    fn = sum(1 for _, r, lab in labelled if not r.is_laeo and lab)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    ranked = sorted(scored, key=lambda e: (-e[1].laeo_value, e[0], e[1].pair))
+    ranked = sorted(labelled, key=lambda e: (-e[1].laeo_value, e[0], e[1].pair))
     metrics = {
         "precision": precision,
         "recall": recall,
         "f1": f1,
         "average_precision": _average_precision([lab for _, _, lab in ranked]),
-        "n_pairs": len(scored),
-        "n_positive": sum(1 for _, _, lab in scored if lab),
+        "n_pairs": len(labelled),
+        "n_positive": sum(1 for _, _, lab in labelled if lab),
     }
     return metrics, scored

@@ -19,14 +19,7 @@ from scipy.optimize import minimize_scalar
 from headpose import autodiff as ad
 from headpose import cli
 from headpose.evaluation import error_by_keypoint_count, evaluate, pearson
-from headpose.formats import (
-    FrameRecord,
-    HeadRecord,
-    read_dataset,
-    read_model,
-    write_frames,
-    write_model,
-)
+from headpose.formats import read_dataset, read_model, write_model
 from headpose.geometry import EulerPose
 from headpose.keypoints import normalize
 from headpose.laeo import evaluate_laeo
@@ -35,6 +28,7 @@ from headpose.model import Model, ModelConfig, PoseEstimate
 from headpose.synthetic import NoiseModel, PoseRange, generate_dataset
 from headpose.training import TrainConfig, prepare_arrays, train
 
+import frame_rows
 from autodiff_reference import grad_check
 from laeo_reference import brute_force_scores
 from loss_reference import heteroscedastic_loss, nll_gap, squared_error_loss
@@ -276,29 +270,30 @@ def test_criterion_7_ablation_harness(tmp_path, capsys):
 
 
 def test_criterion_8_mutual_gaze_oracle(capsys):
-    frames = random_frames(np.random.default_rng(88), 200)
+    rows = random_frames(np.random.default_rng(88), 200)
+    frames = frame_rows.read(rows)
     worst = 0.0
     n_scored = 0
     for mode, delta in (("interval", 7.0), ("open-below", 4.0), ("off", 7.0)):
         scored = evaluate_laeo(frames, tau=0.5, delta=delta, mode=mode)
-        reference = brute_force_scores(as_plain(frames), delta, mode)
+        reference = brute_force_scores(as_plain(rows), delta, mode)
         assert len(scored.results) == len(reference)
         for frame_id, result, _ in scored.results:
             key = (frame_id, *sorted(result.pair))
             worst = max(worst, abs(result.laeo_value - reference[key]))
             n_scored += 1
 
-    separable = evaluate_laeo(separable_frames(40), tau=0.93)
+    separable = evaluate_laeo(frame_rows.read(separable_frames(40)), tau=0.93).gated
     perfect = (
-        separable.precision == 1.0
-        and separable.recall == 1.0
-        and separable.f1 == 1.0
-        and separable.average_precision == 1.0
+        separable["precision"] == 1.0
+        and separable["recall"] == 1.0
+        and separable["f1"] == 1.0
+        and separable["average_precision"] == 1.0
     )
 
     unbounded = evaluate_laeo(frames, tau=0.5, delta=math.inf, mode="open-below")
     baseline = evaluate_laeo(frames, tau=0.5, mode="off")
-    bit_equal = unbounded.to_dict() == baseline.to_dict() and all(
+    bit_equal = unbounded.gated == baseline.gated and all(
         r1.laeo_value == r2.laeo_value and r1.is_laeo == r2.is_laeo
         for (_, r1, _), (_, r2, _) in zip(unbounded.results, baseline.results)
     )
@@ -343,18 +338,17 @@ def test_criterion_9_determinism(tmp_path, capsys):
         frames_file = tmp_path / "frames.jsonl"
         if run == 0:
             records = read_dataset(val_file)[:20]
-            frames = [
-                FrameRecord(
+            frame_rows.write(frames_file, [
+                frame_rows.frame(
                     f"fr{i}",
-                    heads=(
-                        HeadRecord("a", (0.0, 0.0), keypoints=records[2 * i].keypoints),
-                        HeadRecord("b", (25.0, 5.0), keypoints=records[2 * i + 1].keypoints),
+                    (
+                        frame_rows.head("a", (0.0, 0.0), keypoints=records[2 * i].keypoints),
+                        frame_rows.head("b", (25.0, 5.0), keypoints=records[2 * i + 1].keypoints),
                     ),
-                    laeo_pairs=(("a", "b"),) if i % 2 == 0 else (),
+                    [("a", "b")] if i % 2 == 0 else [],
                 )
                 for i in range(10)
-            ]
-            write_frames(frames_file, frames)
+            ])
         pairs_file = tmp_path / f"p{run}.jsonl"
         assert cli.main(
             ["laeo", "--frames", str(frames_file), "--model", str(model_file),

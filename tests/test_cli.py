@@ -3,25 +3,21 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from headpose import cli
 from headpose.evaluation import evaluate
-from headpose.formats import (
-    FrameRecord,
-    HeadRecord,
-    read_dataset,
-    read_model,
-    samples_from_records,
-    write_frames,
-    write_model,
-)
-from headpose.geometry import EulerPose
+from headpose.formats import read_dataset, read_model, samples_from_records, write_model
 from headpose.keypoints import Keypoint, KeypointSet, normalize
 from headpose.model import Model, ModelConfig
 from headpose.synthetic import generate_dataset
+
+from frame_rows import frame, head, write
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -220,19 +216,15 @@ class TestInfer:
 
 def mutual_pair():
     return (
-        HeadRecord("a", (0.0, 0.0), pose=EulerPose(90.0, 0.0, 0.0), log_variance=(0.5, 0.5, 0.5)),
-        HeadRecord("b", (10.0, 0.0), pose=EulerPose(-90.0, 0.0, 0.0), log_variance=(0.5, 0.5, 0.5)),
+        head("a", (0.0, 0.0), pose=(90.0, 0.0, 0.0), log_variance=(0.5, 0.5, 0.5)),
+        head("b", (10.0, 0.0), pose=(-90.0, 0.0, 0.0), log_variance=(0.5, 0.5, 0.5)),
     )
 
 
 def write_labelled_frames(path):
     a, b = mutual_pair()
-    looking_away = HeadRecord("b", (10.0, 0.0), pose=EulerPose(90.0, 0.0, 0.0))
-    frames = [
-        FrameRecord("f0", heads=(a, b), laeo_pairs=(("a", "b"),)),
-        FrameRecord("f1", heads=(a, looking_away), laeo_pairs=()),
-    ]
-    write_frames(path, frames)
+    looking_away = head("b", (10.0, 0.0), pose=(90.0, 0.0, 0.0))
+    write(path, [frame("f0", (a, b), [("a", "b")]), frame("f1", (a, looking_away), [])])
 
 
 class TestLaeo:
@@ -265,7 +257,7 @@ class TestLaeo:
     def test_unlabelled_frames_skip_metrics(self, tmp_path, capsys):
         a, b = mutual_pair()
         frames_path = tmp_path / "frames.jsonl"
-        write_frames(frames_path, [FrameRecord("g0", heads=(a, b), has_labels=False)])
+        write(frames_path, [frame("g0", (a, b))])
         code, out, _ = run(capsys, "laeo", "--frames", str(frames_path))
         assert code == 0
         lines = [json.loads(line) for line in out.splitlines()]
@@ -302,17 +294,14 @@ class TestLaeo:
         # the image plane; it no longer aborts the run, and the pairs without
         # it score exactly as in the same frame without it
         others = (
-            HeadRecord("a", (0.0, 0.0), pose=EulerPose(70.0, 10.0, 0.0),
-                       log_variance=(0.5, 1.5, 0.0)),
-            HeadRecord("b", (40.0, 5.0), pose=EulerPose(-60.0, -5.0, 3.0)),
-            HeadRecord("d", (-25.0, 30.0), pose=EulerPose(20.0, 40.0, 0.0),
-                       log_variance=(9.0, 9.0, 0.0)),
+            head("a", (0.0, 0.0), pose=(70.0, 10.0, 0.0), log_variance=(0.5, 1.5, 0.0)),
+            head("b", (40.0, 5.0), pose=(-60.0, -5.0, 3.0)),
+            head("d", (-25.0, 30.0), pose=(20.0, 40.0, 0.0), log_variance=(9.0, 9.0, 0.0)),
         )
-        frontal = HeadRecord("c", (15.0, -20.0), pose=EulerPose(0.0, 0.0, 5.0))
+        frontal = head("c", (15.0, -20.0), pose=(0.0, 0.0, 5.0))
         with_path, without_path = tmp_path / "with.jsonl", tmp_path / "without.jsonl"
-        write_frames(with_path, [FrameRecord("f", heads=others + (frontal,),
-                                             laeo_pairs=(("a", "b"),))])
-        write_frames(without_path, [FrameRecord("f", heads=others, laeo_pairs=(("a", "b"),))])
+        write(with_path, [frame("f", others + (frontal,), [("a", "b")])])
+        write(without_path, [frame("f", others, [("a", "b")])])
         code, with_out, err = run(capsys, "laeo", "--frames", str(with_path))
         assert code == 0, err
         _, without_out, _ = run(capsys, "laeo", "--frames", str(without_path))
@@ -328,14 +317,14 @@ class TestLaeo:
     def test_keypoint_frames_need_model(self, tmp_path, unc_model, data_file, capsys):
         sample = generate_dataset(1, np.random.default_rng(3))[0]
         heads = (
-            HeadRecord("a", (0.0, 0.0), keypoints=sample.keypoints),
-            HeadRecord("b", (30.0, 0.0), pose=EulerPose(-90.0, 0.0, 0.0)),
+            head("a", (0.0, 0.0), keypoints=sample.keypoints),
+            head("b", (30.0, 0.0), pose=(-90.0, 0.0, 0.0)),
         )
         frames_path = tmp_path / "kp.jsonl"
-        write_frames(frames_path, [FrameRecord("k0", heads=heads, has_labels=False)])
+        write(frames_path, [frame("k0", heads)])
         code, _, err = run(capsys, "laeo", "--frames", str(frames_path))
         assert code == 1
-        assert "pass --model" in err
+        assert "frame 'k0' head 'a' has keypoints only; pass --model" in err
         code, out, err = run(
             capsys, "laeo", "--frames", str(frames_path), "--model", str(unc_model)
         )
@@ -357,17 +346,15 @@ class TestLaeo:
             kp_heads, ready_heads = [], []
             for h in range(n):
                 centroid = (40.0 * h, 25.0 * f)
-                kp_heads.append(HeadRecord(f"h{h}", centroid, keypoints=samples[k].keypoints))
-                ready_heads.append(HeadRecord(
-                    f"h{h}", centroid, pose=EulerPose(*angles[k].tolist()),
-                    log_variance=tuple(log_var[k].tolist()),
-                ))
+                kp_heads.append(head(f"h{h}", centroid, keypoints=samples[k].keypoints))
+                ready_heads.append(head(f"h{h}", centroid, pose=angles[k].tolist(),
+                                        log_variance=log_var[k].tolist()))
                 k += 1
-            with_keypoints.append(FrameRecord(f"f{f}", heads=tuple(kp_heads), laeo_pairs=()))
-            with_estimates.append(FrameRecord(f"f{f}", heads=tuple(ready_heads), laeo_pairs=()))
+            with_keypoints.append(frame(f"f{f}", kp_heads, []))
+            with_estimates.append(frame(f"f{f}", ready_heads, []))
         kp_path, ready_path = tmp_path / "kp.jsonl", tmp_path / "ready.jsonl"
-        write_frames(kp_path, with_keypoints)
-        write_frames(ready_path, with_estimates)
+        write(kp_path, with_keypoints)
+        write(ready_path, with_estimates)
         code, from_model, err = run(
             capsys, "laeo", "--frames", str(kp_path), "--model", str(unc_model), "--gate", "off"
         )
@@ -380,18 +367,99 @@ class TestLaeo:
         good = generate_dataset(1, np.random.default_rng(3))[0].keypoints
         blind = KeypointSet((Keypoint(1.0, 2.0, 0.0),) * 5)
         frames = [
-            FrameRecord("k0", heads=(HeadRecord("a", (0.0, 0.0), keypoints=good),
-                                     HeadRecord("b", (30.0, 0.0), keypoints=good))),
-            FrameRecord("k1", heads=(HeadRecord("a", (0.0, 0.0), keypoints=good),
-                                     HeadRecord("ghost", (30.0, 0.0), keypoints=blind))),
+            frame("k0", (head("a", (0.0, 0.0), keypoints=good),
+                         head("b", (30.0, 0.0), keypoints=good)), []),
+            frame("k1", (head("a", (0.0, 0.0), keypoints=good),
+                         head("ghost", (30.0, 0.0), keypoints=blind)), []),
         ]
         frames_path = tmp_path / "kp.jsonl"
-        write_frames(frames_path, frames)
+        write(frames_path, frames)
         code, _, err = run(
             capsys, "laeo", "--frames", str(frames_path), "--model", str(unc_model)
         )
         assert code == 1
         assert "'k1'" in err and "'ghost'" in err and "confidences are zero" in err
+
+
+    def test_unlabelled_frame_in_labelled_file_is_not_scored(self, tmp_path, capsys):
+        # f1 has no labels: its row says so, and its hit is no false positive
+        a, b = (head(h, c, pose=p) for h, c, p in
+                (("a", (0.0, 0.0), (90.0, 0.0, 0.0)), ("b", (10.0, 0.0), (-90.0, 0.0, 0.0))))
+        labelled = frame("f0", (a, b), [("a", "b")])
+        mixed_path, alone_path = tmp_path / "mixed.jsonl", tmp_path / "alone.jsonl"
+        write(mixed_path, [labelled, frame("f1", (a, b))])
+        write(alone_path, [labelled])
+        code, out, err = run(capsys, "laeo", "--frames", str(mixed_path))
+        assert code == 0, err
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [row["label"] for row in lines[:-1]] == [True, None]
+        assert all(row["is_laeo"] for row in lines[:-1])
+        summary = lines[-1]["summary"]
+        _, alone, _ = run(capsys, "laeo", "--frames", str(alone_path))
+        alone_summary = json.loads(alone.splitlines()[-1])["summary"]
+        assert summary["n_pairs"] == 2 and alone_summary["n_pairs"] == 1
+        for block in ("gated", "baseline"):
+            assert summary[block] == alone_summary[block]
+            assert summary[block]["precision"] == 1.0 and summary[block]["n_pairs"] == 1
+
+    def test_model_pose_replaces_a_given_pose(self, tmp_path, unc_model, capsys):
+        # a head with keypoints and a pose takes the model's pose under --model
+        kp = generate_dataset(1, np.random.default_rng(6))[0].keypoints
+        other = head("b", (30.0, 0.0), pose=(-90.0, 0.0, 0.0))
+        both_path, kp_path = tmp_path / "both.jsonl", tmp_path / "kp.jsonl"
+        write(both_path, [frame("k0", (head("a", (0.0, 0.0), pose=(5.0, 5.0, 5.0),
+                                            log_variance=(9.0, 9.0, 9.0), keypoints=kp), other))])
+        write(kp_path, [frame("k0", (head("a", (0.0, 0.0), keypoints=kp), other))])
+        _, given, _ = run(capsys, "laeo", "--frames", str(both_path))
+        code, from_both, err = run(
+            capsys, "laeo", "--frames", str(both_path), "--model", str(unc_model))
+        assert code == 0, err
+        _, from_kp, _ = run(capsys, "laeo", "--frames", str(kp_path), "--model", str(unc_model))
+        assert from_both == from_kp != given
+
+    def test_point_model_leaves_heads_ungated(self, tmp_path, capsys):
+        # a model without a variance head gives no log-variances to gate on
+        model_path = tmp_path / "mse.hpm"
+        write_model(model_path, Model.build(ModelConfig("mse"), np.random.default_rng(0)))
+        samples = generate_dataset(3, np.random.default_rng(7))
+        heads = [head(f"h{i}", (30.0 * i, 0.0), keypoints=s.keypoints)
+                 for i, s in enumerate(samples)]
+        frames_path = tmp_path / "kp.jsonl"
+        write(frames_path, [frame("k0", heads)])
+        code, out, err = run(capsys, "laeo", "--frames", str(frames_path),
+                             "--model", str(model_path), "--delta", "0.001")
+        assert code == 0, err
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert all(r["weight_a"] == 1 and r["weight_b"] == 1 for r in lines[:-1])
+        assert lines[-1]["summary"]["n_heads"] == 3
+        assert lines[-1]["summary"]["n_heads_gated"] == 0
+
+
+    def test_non_finite_model_estimate_names_head(self, tmp_path, capsys):
+        model = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(0))
+        list(model.params.values())[-1].data[...] = np.nan  # the output bias
+        model_path = tmp_path / "nan.hpm"
+        write_model(model_path, model)
+        samples = generate_dataset(2, np.random.default_rng(1))
+        frames_path = tmp_path / "kp.jsonl"
+        write(frames_path, [frame("k0", (head("a", (0.0, 0.0), pose=(90.0, 0.0, 0.0)),
+                                         head("b", (9.0, 0.0), keypoints=samples[0].keypoints)))])
+        for gate in ("interval", "off"):
+            code, _, err = run(capsys, "laeo", "--frames", str(frames_path),
+                               "--model", str(model_path), "--gate", gate)
+            assert code == 1
+            assert "frame 'k0' head 'b': the model gave a non-finite estimate" in err
+
+@pytest.mark.parametrize("kind", ["labelled", "unlabelled"])
+@pytest.mark.parametrize("gate", ["interval", "open-below", "off"])
+def test_laeo_output_is_pinned(tmp_path, capsys, kind, gate):
+    # tests/data holds ready-estimate frames (one head without variances,
+    # one facing the camera) and the output of `laeo` on them
+    out_path = tmp_path / "pairs.jsonl"
+    code, _, err = run(capsys, "laeo", "--frames", str(DATA / f"laeo_frames_{kind}.jsonl"),
+                       "--gate", gate, "--out", str(out_path))
+    assert code == 0, err
+    assert out_path.read_bytes() == (DATA / f"laeo_{kind}_{gate}.jsonl").read_bytes()
 
 
 class TestAblate:
@@ -424,3 +492,48 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.main(["train", "--data", "x", "--loss", "huber", "--out", "y"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["train", "--data", "d", "--out", "m", "--lr", "nan"], id="train-lr"),
+            pytest.param(["train", "--data", "d", "--out", "m", "--alpha", "inf"],
+                         id="train-alpha"),
+            pytest.param(["ablate", "--data", "d", "--lr=-inf"], id="ablate-lr"),
+            pytest.param(["ablate", "--data", "d", "--alpha", "nan"], id="ablate-alpha"),
+            pytest.param(["laeo", "--frames", "f", "--tau", "nan"], id="laeo-tau"),
+            pytest.param(["laeo", "--frames", "f", "--delta", "nan"], id="laeo-delta"),
+            pytest.param(["synth", "--n", "3", "--out", "x", "--yaw-range", "inf"],
+                         id="synth-yaw-range"),
+            pytest.param(["synth", "--n", "3", "--out", "x", "--pitch-range", "nan"],
+                         id="synth-pitch-range"),
+            pytest.param(["synth", "--n", "3", "--out", "x", "--roll-range", "1e999"],
+                         id="synth-roll-range"),
+            pytest.param(["synth", "--n", "3", "--out", "x", "--occlusion-yaw", "nan"],
+                         id="synth-occlusion-yaw"),
+            pytest.param(["synth", "--n", "3", "--out", "x", "--drop-fraction", "nan"],
+                         id="synth-drop-fraction"),
+        ],
+    )
+    def test_non_finite_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", ["nan,0", "1,inf"])
+    def test_non_finite_noise_rejected(self, tmp_path, capsys, noise):
+        out = tmp_path / "x.jsonl"
+        code, _, err = run(capsys, "synth", "--n", "3", "--noise", noise, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: --noise: expected a finite number")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_training_reports_error(self, tmp_path, data_file, capsys):
+        code, _, err = run(
+            capsys, "train", "--data", str(data_file), "--epochs", "3", "--batch-size", "4",
+            "--seed", "3", "--lr", "1e9", "--out", str(tmp_path / "m.hpm"),
+        )
+        assert code == 1
+        assert err.startswith("error: non-finite") and "epoch" in err and "batch" in err

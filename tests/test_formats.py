@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from hypothesis import strategies as st
 
 from headpose.formats import (
     DatasetRecord,
-    FrameRecord,
-    HeadRecord,
     MODEL_FORMAT_VERSION,
     RecordError,
     atomic_write_bytes,
@@ -22,13 +21,13 @@ from headpose.formats import (
     records_from_samples,
     samples_from_records,
     write_dataset,
-    write_frames,
     write_json,
     write_model,
 )
-from headpose.geometry import EulerPose
 from headpose.model import Model, ModelConfig, parameter_layout
 from headpose.synthetic import generate_dataset
+
+import frame_rows
 
 
 class TestAtomicWrite:
@@ -168,51 +167,51 @@ class TestDatasetErrors:
 
 def make_frames():
     kp = records_from_samples(generate_dataset(1, np.random.default_rng(9)))[0].keypoints
-    labelled = FrameRecord(
-        frame_id="f0",
-        heads=(
-            HeadRecord("a", (0.0, 0.0), pose=EulerPose(90.0, 0.0, 0.0), log_variance=(0.1, 0.2, 0.3)),
-            HeadRecord("b", (10.0, 0.0), pose=EulerPose(-90.0, 0.0, 0.0)),
-            HeadRecord("c", (5.0, 20.0), keypoints=kp),
-        ),
-        laeo_pairs=(("a", "b"),),
-    )
-    negatives_only = FrameRecord(
-        frame_id="f1",
-        heads=(
-            HeadRecord("a", (0.0, 0.0), pose=EulerPose(10.0, 0.0, 0.0)),
-            HeadRecord("b", (10.0, 0.0), pose=EulerPose(10.0, 0.0, 0.0)),
-        ),
-        laeo_pairs=(),
-    )
-    unlabelled = FrameRecord(
-        frame_id="f2",
-        heads=(HeadRecord("a", (0.0, 0.0), pose=EulerPose(0.0, 10.0, 0.0)),),
-        has_labels=False,
-    )
-    return [labelled, negatives_only, unlabelled]
+    head = frame_rows.head
+    labelled = frame_rows.frame("f0", (
+        head("a", (0.0, 0.0), pose=(90.0, 0.0, 0.0), log_variance=(0.1, 0.2, 0.3)),
+        head("b", (10.0, 0.0), pose=(-90.0, 0.0, 0.0)),
+        head("c", (5.0, 20.0), keypoints=kp),
+    ), pairs=[("a", "b")])
+    negatives_only = frame_rows.frame("f1", (
+        head("a", (0.0, 0.0), pose=(10.0, 0.0, 0.0)),
+        head("b", (10.0, 0.0), pose=(10.0, 0.0, 0.0)),
+    ), pairs=[])
+    unlabelled = frame_rows.frame("f2", (head("a", (0.0, 0.0), pose=(0.0, 10.0, 0.0)),))
+    return [labelled, negatives_only, unlabelled], kp
 
 
 class TestFrames:
     def test_round_trip(self, tmp_path):
-        frames = make_frames()
-        path = tmp_path / "frames.jsonl"
-        write_frames(path, frames)
-        loaded = read_frames(path)
-        assert [f.to_dict() for f in loaded] == [f.to_dict() for f in frames]
-        assert loaded[0].laeo_pairs == (("a", "b"),)
-        assert loaded[0].heads[0].log_variance == (0.1, 0.2, 0.3)
-        assert loaded[2].heads[0].keypoints is None
+        rows, kp = make_frames()
+        loaded = read_frames(frame_rows.write(tmp_path / "frames.jsonl", rows))
+        nan3 = [math.nan] * 3
+        assert len(loaded) == 3
+        assert loaded.frame_ids.tolist() == ["f0", "f1", "f2"]
+        assert loaded.starts.tolist() == [0, 3, 5, 6]
+        assert loaded.head_ids.tolist() == ["a", "b", "c", "a", "b", "a"]
+        assert loaded.centroids.tolist() == [[0, 0], [10, 0], [5, 20], [0, 0], [10, 0], [0, 0]]
+        assert np.array_equal(loaded.poses, [
+            [90, 0, 0], [-90, 0, 0], nan3, [10, 0, 0], [10, 0, 0], [0, 10, 0],
+        ], equal_nan=True)
+        assert np.array_equal(loaded.log_variance, [[0.1, 0.2, 0.3]] + [nan3] * 5,
+                              equal_nan=True)
+        assert loaded.keypoints[2].tolist() == [[p.x1, p.x2, p.c] for p in kp.points]
+        assert np.isnan(np.delete(loaded.keypoints, 2, axis=0)).all()
+        assert loaded.labels == (frozenset({("a", "b")}), frozenset(), None)
 
     def test_unlabelled_frame_omits_pair_key(self, tmp_path):
-        frames = make_frames()
-        assert "laeo_pairs" not in frames[2].to_dict()
-        assert frames[1].to_dict()["laeo_pairs"] == []
-        path = tmp_path / "frames.jsonl"
-        write_frames(path, frames)
-        loaded = read_frames(path)
-        assert loaded[0].has_labels and loaded[1].has_labels
-        assert not loaded[2].has_labels
+        rows, _ = make_frames()
+        assert "laeo_pairs" not in rows[2]
+        assert rows[1]["laeo_pairs"] == []
+        loaded = read_frames(frame_rows.write(tmp_path / "frames.jsonl", rows))
+        assert loaded.labels[1] == frozenset() and loaded.labels[2] is None
+
+    def test_label_pairs_are_sorted_and_unique(self, tmp_path):
+        heads = [frame_rows.head(h, (i, 0), pose=(0, 0, 0)) for i, h in enumerate("yxz")]
+        rows = [frame_rows.frame("f", heads, [("y", "x"), ("x", "y"), ("z", "x")])]
+        loaded = read_frames(frame_rows.write(tmp_path / "frames.jsonl", rows))
+        assert loaded.labels == (frozenset({("x", "y"), ("x", "z")}),)
 
     def test_log_variance_requires_pose(self, tmp_path):
         kp = [[0, 0, 1], [1, 0, 1], [2, 0, 1], [3, 0, 1], [4, 0, 1]]
@@ -221,7 +220,9 @@ class TestFrames:
             "heads": [{"id": "a", "centroid": [0, 0], "keypoints": kp, "log_variance": [1, 1, 1]}],
         }
         path = write_lines(tmp_path, [json.dumps(row)])
-        assert read_frames(path)[0].heads[0].log_variance is None
+        loaded = read_frames(path)
+        assert np.isnan(loaded.log_variance).all() and np.isnan(loaded.poses).all()
+        assert loaded.keypoints[0].tolist() == kp
 
     def frame_error(self, tmp_path, row):
         path = write_lines(tmp_path, [json.dumps(row)])
@@ -478,3 +479,61 @@ def test_readers_fail_only_with_record_errors(tmp_path, reader, rows):
             assert len(parsed) == len(lines)
 
     check()
+
+
+_finite = st.floats(-1e6, 1e6)
+_head_rows = st.fixed_dictionaries(
+    {"centroid": st.lists(_finite, min_size=2, max_size=2)},
+    optional={
+        "keypoints": st.lists(st.tuples(_finite, _finite, st.floats(0, 1)).map(list),
+                              min_size=5, max_size=5),
+        "pose": st.lists(_finite, min_size=3, max_size=3),
+        "log_variance": st.lists(_finite, min_size=3, max_size=3),
+    },
+).filter(lambda h: "keypoints" in h or "pose" in h)
+
+
+@st.composite
+def _frame_files(draw):
+    """Valid frame rows: unique ids, heads with keypoints, a pose or both."""
+    frame_ids = draw(st.lists(st.text(max_size=3), max_size=4, unique=True))
+    rows = []
+    for frame_id in frame_ids:
+        heads = draw(st.lists(_head_rows, max_size=4))
+        ids = draw(st.lists(st.text(max_size=2), min_size=len(heads), max_size=len(heads),
+                            unique=True))
+        row = {"frame_id": frame_id, "heads": [{"id": i, **h} for i, h in zip(ids, heads)]}
+        if draw(st.booleans()):  # else unlabelled
+            row["laeo_pairs"] = [[a, b] for k, a in enumerate(ids) for b in ids[k + 1:]
+                                 if draw(st.booleans())]
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_frame_files())
+def test_read_frames_arrays_hold_the_rows(rows):
+    frames = frame_rows.read(rows)
+    heads = [h for row in rows for h in row["heads"]]
+    nan = [math.nan] * 3
+
+    def column(key, absent, present=lambda h: True):
+        return np.array([h[key] if key in h and present(h) else absent for h in heads],
+                        dtype=np.float64)
+
+    assert len(frames) == len(rows)
+    assert frames.frame_ids.tolist() == [row["frame_id"] for row in rows]
+    assert frames.starts.tolist() == np.cumsum([0] + [len(row["heads"]) for row in rows]).tolist()
+    assert frames.head_ids.tolist() == [h["id"] for h in heads]
+    assert frames.centroids.tolist() == [h["centroid"] for h in heads]
+    assert np.array_equal(frames.poses.reshape(-1, 3), column("pose", nan).reshape(-1, 3),
+                          equal_nan=True)
+    with_pose = column("log_variance", nan, lambda h: "pose" in h).reshape(-1, 3)
+    assert np.array_equal(frames.log_variance.reshape(-1, 3), with_pose, equal_nan=True)
+    assert np.array_equal(frames.keypoints.reshape(-1, 5, 3),
+                          column("keypoints", [nan] * 5).reshape(-1, 5, 3), equal_nan=True)
+    assert frames.labels == tuple(
+        None if "laeo_pairs" not in row
+        else frozenset(tuple(sorted(p)) for p in row["laeo_pairs"])
+        for row in rows
+    )

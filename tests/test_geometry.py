@@ -81,31 +81,6 @@ class TestRotationMatrix:
 
 
 class TestCanonical:
-    def test_in_range_pose_unchanged(self):
-        pose = EulerPose(30.0, -45.0, 12.0)
-        assert pose.canonical() == pose
-
-    def test_ranges(self):
-        rng = np.random.default_rng(4)
-        for pose in random_poses(200, rng, yaw=500, pitch=500, roll=500):
-            c = pose.canonical()
-            assert -180.0 < c.yaw <= 180.0
-            assert abs(c.pitch) <= 90.0
-            assert -180.0 < c.roll <= 180.0
-
-    def test_preserves_rotation(self):
-        rng = np.random.default_rng(5)
-        for pose in random_poses(200, rng, yaw=500, pitch=500, roll=500):
-            assert np.allclose(
-                rotation_matrix(pose), rotation_matrix(pose.canonical()), atol=1e-12
-            )
-
-    def test_double_cover_fold(self):
-        c = EulerPose(10.0, 120.0, 20.0).canonical()
-        assert c.yaw == pytest.approx(170.0)  # -180 - 10 wrapped
-        assert c.pitch == pytest.approx(-60.0)
-        assert c.roll == pytest.approx(-160.0)
-
     def test_as_array(self):
         arr = EulerPose(1.0, 2.0, 3.0).as_array()
         assert arr.dtype == np.float64 and arr.tolist() == [1.0, 2.0, 3.0]

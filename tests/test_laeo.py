@@ -12,28 +12,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headpose.geometry import EulerPose
+from headpose.formats import RecordError
 from headpose.laeo import (
     DEFAULT_DELTA,
     DEFAULT_TAU,
     GATE_MODES,
-    Frame,
-    HeadInstance,
     evaluate_laeo,
     uncertainty_weight,
     _average_precision,
 )
-from headpose.model import PoseEstimate
 
+import frame_rows
 import laeo_reference
 from laeo_reference import brute_force_scores, per_pair_evaluation
 
 
 def head(hid, centroid, yaw, pitch=0.0, roll=0.0, log_var=None):
-    lv = np.asarray(log_var, dtype=np.float64) if log_var is not None else None
-    return HeadInstance(
-        id=hid, centroid=centroid, estimate=PoseEstimate(EulerPose(yaw, pitch, roll), lv)
-    )
+    return frame_rows.head(hid, centroid, pose=(yaw, pitch, roll), log_variance=log_var)
+
+
+def score(rows, tau=DEFAULT_TAU, delta=DEFAULT_DELTA, mode="interval"):
+    """evaluate_laeo of frame rows, read as from a file."""
+    return evaluate_laeo(frame_rows.read(rows), tau, delta, mode=mode)
 
 
 def facing_pair(log_var_a=None, log_var_b=None):
@@ -72,11 +72,24 @@ class TestUncertaintyWeight:
         with pytest.raises(ValueError):
             uncertainty_weight(math.nan, 0.0)
 
+    def test_arrays_gate_element_wise(self):
+        s_yaw = np.array([2.0, 8.0, -1.0, 0.0, 9.0])
+        s_pitch = np.array([4.0, 8.0, -1.0, 14.0, 5.0])
+        for mode in GATE_MODES:
+            expect = [int(uncertainty_weight(a, b, 7.0, mode)) for a, b in zip(s_yaw, s_pitch)]
+            weights = uncertainty_weight(s_yaw, s_pitch, 7.0, mode)
+            assert weights.dtype == np.int64 and weights.tolist() == expect
+        assert uncertainty_weight(np.zeros(0), np.zeros(0), delta=0.0).shape == (0,)
+        with pytest.raises(ValueError, match="non-finite"):
+            uncertainty_weight(np.array([1.0, math.inf]), np.zeros(2))
+        with pytest.raises(ValueError, match="delta"):
+            uncertainty_weight(np.ones(2), np.ones(2), delta=-1.0)
+
 
 def score_two(a, b, tau=DEFAULT_TAU, delta=DEFAULT_DELTA, mode="interval"):
     """The one result of a frame holding heads a and b (ids sorted: a first)."""
-    assert a.id < b.id
-    (_, result, _), = evaluate_laeo([Frame("f", (a, b), frozenset())], tau, delta, mode).results
+    assert a["id"] < b["id"]
+    (_, result, _), = score([frame_rows.frame("f", (a, b))], tau, delta, mode).results
     return result
 
 
@@ -161,7 +174,7 @@ class TestLaeoValue:
         with pytest.raises(ValueError):
             laeo_reference.laeo_value((0.5, 0.5), (2, 0))
         for mode in GATE_MODES:
-            ev = evaluate_laeo(random_frames(np.random.default_rng(2), 20), mode=mode)
+            ev = score(random_frames(np.random.default_rng(2), 20), mode=mode)
             assert {r.weight_a for _, r, _ in ev.results} <= {0, 1}
             assert {r.weight_b for _, r, _ in ev.results} <= {0, 1}
 
@@ -195,16 +208,17 @@ class TestScorePair:
 
 
 class TestFrame:
+    # the reader is the only place that builds Frames, so it owns these checks
     def test_duplicate_ids_rejected(self):
         a = head("x", (0, 0), 10.0)
         b = head("x", (5, 5), 20.0)
-        with pytest.raises(ValueError):
-            Frame("f", (a, b), frozenset())
+        with pytest.raises(RecordError, match="duplicate head ids"):
+            frame_rows.read([frame_rows.frame("f", (a, b))])
 
     def test_labels_must_reference_heads(self):
         a, b = facing_pair()
-        with pytest.raises(ValueError):
-            Frame("f", (a, b), frozenset({frozenset({"a", "zz"})}))
+        with pytest.raises(RecordError, match="not among head ids"):
+            frame_rows.read([frame_rows.frame("f", (a, b), [("a", "zz")])])
 
 
 class TestAveragePrecision:
@@ -228,25 +242,23 @@ def separable_frames(n=5):
     for i in range(n):
         a, b = facing_pair()
         stranger = head("c", (0.0, 30.0), yaw=0.0, pitch=-89.0)  # looks down, away
-        frames.append(
-            Frame(f"f{i}", (a, b, stranger), frozenset({frozenset({"a", "b"})}))
-        )
+        frames.append(frame_rows.frame(f"f{i}", (a, b, stranger), [("a", "b")]))
     return frames
 
 
 class TestEvaluateLaeo:
     def test_separable_frames_are_perfect(self):
-        ev = evaluate_laeo(separable_frames(), tau=0.93)
-        assert ev.precision == 1.0 and ev.recall == 1.0
-        assert ev.f1 == 1.0 and ev.average_precision == 1.0
-        assert ev.n_pairs == 15 and ev.n_positive == 5
+        metrics = score(separable_frames(), tau=0.93).gated
+        assert metrics["precision"] == 1.0 and metrics["recall"] == 1.0
+        assert metrics["f1"] == 1.0 and metrics["average_precision"] == 1.0
+        assert metrics["n_pairs"] == 15 and metrics["n_positive"] == 5
 
     def test_open_below_with_huge_delta_equals_baseline(self):
         rng = np.random.default_rng(0)
         frames = random_frames(rng, 30)
-        gated = evaluate_laeo(frames, tau=0.9, delta=math.inf, mode="open-below")
-        baseline = evaluate_laeo(frames, tau=0.9, mode="off")
-        assert gated.to_dict() == baseline.to_dict()
+        gated = score(frames, tau=0.9, delta=math.inf, mode="open-below")
+        baseline = score(frames, tau=0.9, mode="off")
+        assert gated.gated == baseline.gated
         for (f1, r1, l1), (f2, r2, l2) in zip(gated.results, baseline.results):
             assert f1 == f2 and l1 == l2 and r1.laeo_value == r2.laeo_value
 
@@ -254,7 +266,7 @@ class TestEvaluateLaeo:
         rng = np.random.default_rng(1)
         frames = random_frames(rng, 50)
         for mode, delta in (("interval", 7.0), ("open-below", 2.0), ("off", 7.0)):
-            ev = evaluate_laeo(frames, tau=0.5, delta=delta, mode=mode)
+            ev = score(frames, tau=0.5, delta=delta, mode=mode)
             reference = brute_force_scores(as_plain(frames), delta, mode)
             assert len(ev.results) == len(reference)
             for frame_id, result, _ in ev.results:
@@ -262,15 +274,28 @@ class TestEvaluateLaeo:
                 assert result.laeo_value == pytest.approx(reference[key], abs=1e-12)
 
     def test_single_head_frames_contribute_nothing(self):
-        lone = Frame("solo", (head("a", (0, 0), 30.0),), frozenset())
-        ev = evaluate_laeo([lone], tau=0.9)
-        assert ev.n_pairs == 0 and ev.precision == 0.0
+        lone = frame_rows.frame("solo", (head("a", (0, 0), 30.0),), [])
+        ev = score([lone], tau=0.9)
+        assert ev.n_pairs == 0 and ev.n_heads == 0 and ev.gated["precision"] == 0.0
 
     def test_evaluation_dict_keys(self):
-        d = evaluate_laeo(separable_frames(1)).to_dict()
-        assert list(d.keys()) == [
-            "precision", "recall", "f1", "average_precision", "n_pairs", "n_positive",
-        ]
+        ev = score(separable_frames(1))
+        for block in (ev.gated, ev.baseline):
+            assert list(block.keys()) == [
+                "precision", "recall", "f1", "average_precision", "n_pairs", "n_positive",
+            ]
+
+    def test_unlabelled_frames_stay_out_of_the_metrics(self):
+        a, b = facing_pair()
+        labelled = frame_rows.frame("f0", (a, b), [("a", "b")])
+        unlabelled = frame_rows.frame("f1", (a, b))
+        ev = score([labelled, unlabelled])
+        assert [label for _, _, label in ev.results] == [True, None]
+        assert ev.n_pairs == 2 and ev.gated == score([labelled]).gated
+        assert ev.gated["n_pairs"] == 1 and ev.gated["precision"] == 1.0
+        assert ev.baseline == ev.gated
+        only_unlabelled = score([unlabelled])
+        assert only_unlabelled.gated is None and only_unlabelled.baseline is None
 
 
 _angle = st.floats(-180.0, 180.0, allow_nan=False)
@@ -293,9 +318,11 @@ def _frames(draw):
             head(hid, centroid, pose[0], pose[1], pose[2], log_var)
             for hid, (centroid, pose, log_var) in zip(ids, data)
         )
-        pairs = [frozenset((a, b)) for k, a in enumerate(ids) for b in ids[k + 1:]
-                 if draw(st.booleans())]
-        frames.append(Frame(f"f{f}", heads, frozenset(pairs)))
+        pairs = None
+        if draw(st.booleans()):  # else the frame is unlabelled
+            pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]
+                     if draw(st.booleans())]
+        frames.append(frame_rows.frame(f"f{f}", heads, pairs))
     return frames
 
 
@@ -307,23 +334,24 @@ def as_rows(results):
 class TestArrayPass:
     @settings(max_examples=300, deadline=None)
     @given(
-        frames=_frames(),
+        rows=_frames(),
         tau=st.floats(-1.0, 1.0),
         delta=st.sampled_from([0.5, 2.0, 7.0]),
         mode=st.sampled_from(GATE_MODES),
     )
-    def test_matches_per_pair_oracle(self, frames, tau, delta, mode):
+    def test_matches_per_pair_oracle(self, rows, tau, delta, mode):
+        frames = frame_rows.read(rows)
         try:
-            metrics, results = per_pair_evaluation(frames, tau, delta, mode)
+            metrics, results = per_pair_evaluation(rows, tau, delta, mode)
         except ValueError as e:
             with pytest.raises(ValueError, match=re.escape(str(e))):
                 evaluate_laeo(frames, tau, delta, mode=mode)
             return
         ev = evaluate_laeo(frames, tau, delta, mode=mode)
         assert as_rows(ev.results) == as_rows(results)
-        assert ev.to_dict() == metrics
-        assert ev.baseline == evaluate_laeo(frames, tau, delta, mode="off").to_dict()
-        assert ev.baseline == per_pair_evaluation(frames, tau, delta, "off")[0]
+        assert ev.gated == metrics
+        assert ev.baseline == evaluate_laeo(frames, tau, delta, mode="off").gated
+        assert ev.baseline == per_pair_evaluation(rows, tau, delta, "off")[0]
         weights = {}
         for frame_id, r, _ in results:
             weights[(frame_id, r.pair[0])] = r.weight_a
@@ -333,7 +361,7 @@ class TestArrayPass:
 
 
 def random_frames(rng, n):
-    """Frames with random geometry, some labelled positive, varied variances."""
+    """Frame rows with random geometry, some labelled positive, varied variances."""
     frames = []
     for i in range(n):
         heads = []
@@ -353,24 +381,24 @@ def random_frames(rng, n):
                     log_var=lv,
                 )
             )
-        labels = set()
+        labels = []
         if n_heads >= 2 and rng.uniform() < 0.5:
-            labels.add(frozenset({"h0", "h1"}))
-        frames.append(Frame(f"frame{i}", tuple(heads), frozenset(labels)))
+            labels.append(("h0", "h1"))
+        frames.append(frame_rows.frame(f"frame{i}", heads, labels))
     return frames
 
 
-def as_plain(frames):
-    """Convert Frame objects to the plain tuples the reference scorer eats."""
+def as_plain(rows):
+    """Convert frame rows to the plain tuples the reference scorer eats."""
     out = []
-    for f in frames:
+    for row in rows:
         heads = {}
-        for h in f.heads:
-            lv = h.estimate.log_variance
-            heads[h.id] = (
-                h.centroid,
-                (h.estimate.pose.yaw, h.estimate.pose.pitch),
+        for h in row["heads"]:
+            lv = h.get("log_variance")
+            heads[h["id"]] = (
+                tuple(h["centroid"]),
+                tuple(h["pose"][:2]),
                 tuple(lv) if lv is not None else None,
             )
-        out.append((f.frame_id, heads))
+        out.append((row["frame_id"], heads))
     return out

@@ -57,12 +57,6 @@ class TestBinning:
         with pytest.raises(ValueError):
             b.bin_index(99.1)
 
-    def test_centers_round_trip(self):
-        b = BinningScheme.centered(66, 3.0)
-        assert b.bin_center(0) == -97.5 and b.bin_center(65) == 97.5
-        idx = np.arange(66)
-        assert np.array_equal(b.bin_index(b.bin_center(idx)), idx)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BinningScheme(n_bins=1)

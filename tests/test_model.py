@@ -220,7 +220,6 @@ class TestPredict:
         assert isinstance(est, PoseEstimate)
         assert isinstance(est.pose, EulerPose)
         assert est.log_variance.shape == (3,)
-        assert np.allclose(est.sigma_degrees, np.exp(0.5 * est.log_variance), atol=1e-15)
         raw = m.forward(x1, x2, c).values.data[0]
         assert est.pose.yaw == raw[0] and est.log_variance.tolist() == raw[3:6].tolist()
 
@@ -229,7 +228,7 @@ class TestPredict:
         rng = np.random.default_rng(14)
         x1, x2, c = rand_inputs(rng)
         est = m.predict(NormalizedInput(x1=x1[0], x2=x2[0], c=c[0]))
-        assert est.log_variance is None and est.sigma_degrees is None
+        assert est.log_variance is None
 
     def test_predict_batch(self):
         rng = np.random.default_rng(15)
