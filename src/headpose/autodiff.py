@@ -3,9 +3,10 @@
 Just enough machinery to express the gated keypoint network and its
 losses: each operation builds a node holding its parents and a closure
 producing the parents' gradient contributions; backward() walks the graph
-once in reverse topological order. Element ops accept any shape; the
-structured ops (dense, conv1d, flatten) take batches only, with the batch
-on the leading axis, so a single sample is a batch of one.
+once in reverse topological order. Model weights are Parameters, whose
+data and gradient view the model's flat vectors. Element ops accept any
+shape; the structured ops (dense, conv1d, flatten) take batches only, with
+the batch on the leading axis, so a single sample is a batch of one.
 
 Everything is float64 and deterministic: identical inputs and parameters
 yield bit-identical outputs.
@@ -72,6 +73,20 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
+
+
+class Parameter(Tensor):
+    """A leaf whose data and preset gradient view flat storage; backward()
+    adds into that view (0.0 + c == c) and zero_grad() zeroes it in place."""
+
+    __slots__ = ()
+
+    def __init__(self, data: np.ndarray, grad: np.ndarray):
+        super().__init__(data)
+        self.grad = grad
+
+    def zero_grad(self) -> None:
+        self.grad[...] = 0.0
 
 
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -148,33 +163,24 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Same-padded 1-D cross-correlation of a batch of single-channel sequences.
+    """Width-1 conv, a per-position affine map, of single-channel sequences.
 
-    x: (B, n); w: (k, F) with k odd; b: (F,). Output (B, n, F):
-    out[b, i, f] = sum_j w[j, f] * x_padded[b, i + j] + b[f].
+    x: (B, n); w: (1, F); b: (F,). Output (B, n, F):
+    out[b, i, f] = x[b, i] * w[0, f] + b[f]. Wider kernels are refused.
     """
-    k, nf = w.shape
-    if k % 2 != 1:
-        raise ValueError(f"conv1d kernel must be odd for same padding, got {k}")
+    if w.data.ndim != 2 or w.shape[0] != 1:
+        raise ValueError(f"conv1d supports width-1 kernels only, got weights {w.shape}")
+    nf = w.shape[1]
     if b.shape != (nf,):
         raise ValueError(f"conv1d bias shape {b.shape} != ({nf},)")
     if x.data.ndim != 2:
         raise ValueError(f"conv1d expects a (B, n) batch, got {x.shape}")
-    n = x.shape[1]
-    if k > n:
-        raise ValueError(f"conv1d kernel {k} longer than input {n}")
-    pad = k // 2
-    xpad = np.pad(x.data, ((0, 0), (pad, pad)))
-    # windows[b, i, j] = xpad[b, i + j]
-    windows = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=1)
-    out = windows @ w.data + b.data  # (B, n, F)
+    column = x.data[:, :, None]
+    out = column * w.data[0] + b.data  # (B, n, F)
 
     def vjp(g):
-        gw = np.tensordot(windows, g, axes=([0, 1], [0, 1]))  # (k, F)
-        gxpad = np.zeros_like(xpad)
-        for j in range(k):
-            gxpad[:, j : j + n] += g @ w.data[j]
-        return gxpad[:, pad : pad + n], gw, g.sum(axis=(0, 1))
+        gw = np.tensordot(column, g, axes=([0, 1], [0, 1]))  # (1, F)
+        return g @ w.data[0], gw, g.sum(axis=(0, 1))
 
     return Tensor(out, (x, w, b), vjp)
 

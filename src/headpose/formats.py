@@ -3,8 +3,9 @@
 Data files are line-delimited JSON so they stream and diff cleanly. A
 frames file is read into one columnar `laeo.Frames`, with no object per
 head; every check on frame input lives in its reader. Model files are one
-JSON header line (version, config, tensor layout) followed by the tensors
-as raw little-endian float32 in the documented layout order. All writes
+JSON header line (version, config, tensor layout) followed by the model's
+flat parameter vector as raw little-endian float32, tensors in layout
+order; non-finite values are refused on read and on write. All writes
 go through a temp file in the target directory and a rename, so readers
 never observe partial files.
 
@@ -23,7 +24,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .geometry import EulerPose
 from .keypoints import N_KEYPOINTS, Keypoint, KeypointSet
 from .laeo import Frames
@@ -260,16 +260,22 @@ def read_frames(path: str | Path) -> Frames:
 
 
 def write_model(path: str | Path, model: Model) -> None:
-    layout = parameter_layout(model.config)
+    """Header line, then the flat vector as float32; refuses non-finite values."""
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "model_config": model.config.to_dict(),
-        "tensors": [[name, list(shape)] for name, shape in layout],
+        "tensors": [[name, list(shape)] for name, shape in parameter_layout(model.config)],
     }
-    blob = b"".join(
-        model.params[name].data.astype("<f4").tobytes() for name, _ in layout
-    )
-    atomic_write_bytes(path, json.dumps(header).encode("utf-8") + b"\n" + blob)
+    with np.errstate(over="ignore"):  # values beyond float32 become inf, refused below
+        blob = model.flat.astype("<f4")
+    _require_finite(blob, model, f"{path}: refusing to write")
+    atomic_write_bytes(path, json.dumps(header).encode("utf-8") + b"\n" + blob.tobytes())
+
+
+def _require_finite(values: np.ndarray, model: Model, prefix: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{prefix} non-finite value in tensor {model.parameter_at(bad[0])}")
 
 
 def read_model(path: str | Path) -> Model:
@@ -294,14 +300,9 @@ def read_model(path: str | Path) -> Model:
     declared = [[name, list(shape)] for name, shape in layout]
     if header.get("tensors") != declared:
         raise ValueError(f"{path}: tensor layout does not match the config")
-    total = sum(int(np.prod(shape)) for _, shape in layout)
+    total = sum(math.prod(shape) for _, shape in layout)
     if len(blob) != 4 * total:
         raise ValueError(f"{path}: expected {4 * total} tensor bytes, got {len(blob)}")
-    params = {}
-    offset = 0
-    for name, shape in layout:
-        count = int(np.prod(shape))
-        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        params[name] = ad.Tensor(flat.astype(np.float64).reshape(shape))
-        offset += 4 * count
-    return Model(config, params)
+    model = Model(config, np.frombuffer(blob, dtype="<f4").astype(np.float64))
+    _require_finite(model.flat, model, f"{path}:")
+    return model

@@ -1,11 +1,11 @@
 """Gated keypoint network for head pose regression.
 
 Three five-value input streams (horizontal coordinates, vertical
-coordinates, confidences) each pass through a tiny same-padded conv.
-The confidence stream, squashed by a sigmoid, gates the two coordinate
-streams element-wise, so a low-confidence keypoint contributes little
-regardless of where it sits. The gated features feed a three-layer
-fully connected trunk and a linear head.
+coordinates, confidences) each pass through a width-1 conv, a
+per-position affine map. The confidence stream, squashed by a sigmoid,
+gates the two coordinate streams element-wise, so a low-confidence
+keypoint contributes little regardless of where it sits. The gated
+features feed a three-layer fully connected trunk and a linear head.
 
 Head width follows the training objective: a heteroscedastic head emits
 six values (three angles plus three log-variances), a plain squared-error
@@ -55,8 +55,8 @@ class ModelConfig:
             raise ValueError("width_scale must be > 0")
         if self.n_filters < 1:
             raise ValueError("n_filters must be >= 1")
-        if self.kernel_size % 2 != 1:
-            raise ValueError("kernel_size must be odd (same padding)")
+        if self.kernel_size != 1:
+            raise ValueError(f"kernel_size must be 1 (per-position conv), got {self.kernel_size}")
         if self.init_variance <= 0:
             raise ValueError("init_variance must be > 0")
         if self.loss_kind == "combined" and self.n_bins < 2:
@@ -118,29 +118,40 @@ class NetworkOutput:
 
 
 class Model:
-    """Parameter store plus the forward pass. Build via Model.build()."""
+    """Parameter store plus the forward pass. Build via Model.build().
 
-    def __init__(self, config: ModelConfig, params: dict[str, ad.Tensor]):
-        expected = [name for name, _ in parameter_layout(config)]
-        if list(params.keys()) != expected:
-            raise ValueError("parameter names do not match the layout")
+    `flat` holds every parameter and `flat_grad` every gradient; each tensor
+    in `params` views its slice of both, in parameter_layout order."""
+
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        self._layout = parameter_layout(config)
+        self.offsets = np.cumsum([0] + [math.prod(shape) for _, shape in self._layout])
+        if not isinstance(flat, np.ndarray) or flat.shape != (self.offsets[-1],):
+            raise ValueError(f"expected a vector of {self.offsets[-1]} parameters")
         self.config = config
-        self.params = params
+        self.flat = np.ascontiguousarray(flat, dtype=np.float64)
+        self.flat_grad = np.zeros(self.flat.size)  # calloc: untouched pages until a backward
+        data, grads = self._views(self.flat), self._views(self.flat_grad)
+        self.params = {name: ad.Parameter(data[name], grads[name]) for name in data}
+
+    def _views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: vector[lo:hi].reshape(shape) for (name, shape), lo, hi
+                in zip(self._layout, self.offsets[:-1], self.offsets[1:])}
 
     @staticmethod
     def build(config: ModelConfig, rng: np.random.Generator) -> "Model":
-        std = math.sqrt(config.init_variance)
-        params = {
-            name: ad.Tensor(rng.normal(0.0, std, size=shape))
-            for name, shape in parameter_layout(config)
-        }
-        return Model(config, params)
+        size = sum(math.prod(shape) for _, shape in parameter_layout(config))
+        return Model(config, rng.normal(0.0, math.sqrt(config.init_variance), size=size))
+
+    def parameter_at(self, index: int) -> str:
+        """Name of the parameter holding element `index` of the flat vector."""
+        return self._layout[int(np.searchsorted(self.offsets, index, side="right")) - 1][0]
 
     def parameters(self) -> list[ad.Tensor]:
         return list(self.params.values())
 
     def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.params.values())
+        return self.flat.size
 
     def n_mult_adds(self) -> int:
         """Multiply-accumulate count of one forward pass.
@@ -191,13 +202,14 @@ class Model:
         return out.copy(), None
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
+        """One copy of the flat vector, as name -> view of that copy."""
+        return self._views(self.flat.copy())
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
         for name, t in self.params.items():
             if name not in snapshot or snapshot[name].shape != t.data.shape:
                 raise ValueError(f"snapshot does not match parameter {name}")
-            t.data = snapshot[name].copy()
+            t.data[...] = snapshot[name]
 
 
 def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:

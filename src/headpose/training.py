@@ -5,7 +5,8 @@ indices with the caller's generator, so a fixed seed reproduces the run
 bit for bit. After each epoch the loss is measured on a held-out
 validation split, and the parameters that scored best are restored at the
 end, which matters here because the heteroscedastic objective can start
-oscillating once the variance head sharpens.
+oscillating once the variance head sharpens. Adam updates the model's
+flat parameter vector in place from its flat gradient vector.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .keypoints import stack_normalized
 from .losses import BinningScheme, loss_graph
 from .model import Model
@@ -58,29 +58,31 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators for one parameter list."""
+    """Adam (Kingma & Ba, 2015) as in-place ops on a model's flat vectors."""
 
-    def __init__(self, params: list[ad.Tensor]):
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+    def __init__(self, model: Model):
+        self.m, self.v, self._a, self._b = (np.zeros_like(model.flat) for _ in range(4))
         self.t = 0
 
-    def step(self, params: list[ad.Tensor], config: TrainConfig) -> None:
+    def step(self, model: Model, config: TrainConfig) -> None:
         self.t += 1
         b1, b2 = config.beta1, config.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for i, p in enumerate(params):
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"non-finite gradient at step {self.t}")
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / bias1
-            v_hat = self.v[i] / bias2
-            p.data -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        g, a, b = model.flat_grad, self._a, self._b
+        if not np.isfinite(g).all():
+            name = model.parameter_at(np.flatnonzero(~np.isfinite(g))[0])
+            raise FloatingPointError(f"non-finite gradient in {name} at step {self.t}")
+        # the expression order of b1*m + (1-b1)*g, b2*v + (1-b2)*g*g and
+        # p - lr*(m/bias1) / (sqrt(v/bias2) + eps), op for op
+        self.m *= b1
+        self.m += np.multiply(g, 1.0 - b1, out=a)
+        self.v *= b2
+        self.v += np.multiply(np.multiply(g, 1.0 - b2, out=a), g, out=a)
+        np.sqrt(np.divide(self.v, bias2, out=a), out=a)
+        a += config.epsilon
+        np.multiply(np.divide(self.m, bias1, out=b), config.learning_rate, out=b)
+        model.flat -= np.divide(b, a, out=b)
 
 
 @dataclass
@@ -153,12 +155,12 @@ def train(
             model.config.n_bins, model.config.bin_width_degrees
         )
 
-    params = model.parameters()
-    opt = AdamState(params)
+    opt = AdamState(model)
     history = TrainHistory()
     best_val = np.inf
     best_snapshot: dict[str, np.ndarray] | None = None
     n = len(samples)
+    last_finite = "no finite training loss yet"
 
     for epoch in range(config.n_epochs):
         order = rng.permutation(n)
@@ -169,15 +171,20 @@ def train(
             loss = loss_graph(
                 model.config.loss_kind, out, targets[idx], binning, config.mse_mix
             )
-            if not np.isfinite(loss.data):
+            value = float(loss.data)
+            if not np.isfinite(value):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
+                    f" ({last_finite})"
                 )
-            for p in params:
-                p.zero_grad()
+            last_finite = f"last finite training loss {value:.6g}"
+            model.flat_grad[...] = 0.0
             loss.backward()
-            opt.step(params, config)
-            running += float(loss.data) * len(idx)
+            try:
+                opt.step(model, config)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"{e} ({last_finite})") from e
+            running += value * len(idx)
         history.train_loss.append(running / n)
 
         if val_arrays is not None:

@@ -111,18 +111,16 @@ class TestStructuredOps:
         assert out.shape == (1, 5, 4)
         assert np.allclose(out.data[0], np.outer(x[0], w[0]) + b, atol=1e-15)
 
-    def test_conv1d_width_three_oracle(self):
-        # same padding: edge windows see one zero
+    def test_conv1d_refuses_wider_kernels(self):
+        # only the per-position (width-1) conv exists; a k=3 weight is refused
         x = ad.Tensor([[1.0, 2.0, 3.0, 4.0, 5.0]])
-        w = ad.Tensor(np.ones((3, 1)))
-        b = ad.Tensor(np.zeros(1))
-        out = ad.conv1d(x, w, b)
-        assert out.data[0, :, 0].tolist() == [3.0, 6.0, 9.0, 12.0, 9.0]
+        with pytest.raises(ValueError, match="width-1"):
+            ad.conv1d(x, ad.Tensor(np.ones((3, 1))), ad.Tensor(np.zeros(1)))
 
     def test_conv1d_batched_matches_loop(self):
         rng = np.random.default_rng(6)
         xb = rng.normal(size=(4, 5))
-        w, b = rng.normal(size=(3, 2)), rng.normal(size=2)
+        w, b = rng.normal(size=(1, 2)), rng.normal(size=2)
         out = ad.conv1d(ad.Tensor(xb), ad.Tensor(w), ad.Tensor(b))
         assert out.shape == (4, 5, 2)
         for i in range(4):
@@ -132,7 +130,7 @@ class TestStructuredOps:
     def test_conv1d_gradients(self):
         rng = np.random.default_rng(7)
         x = ad.Tensor(rng.normal(size=(1, 5)))
-        w = ad.Tensor(rng.normal(size=(3, 2)))
+        w = ad.Tensor(rng.normal(size=(1, 2)))
         b = ad.Tensor(rng.normal(size=2))
         check(lambda: ad.tsum(ad.conv1d(x, w, b)), [x, w, b])
         xb = ad.Tensor(rng.normal(size=(4, 5)))
@@ -240,6 +238,20 @@ class TestBackward:
         assert x.grad is not None
         x.zero_grad()
         assert x.grad is None
+
+    def test_parameter_gradient_stays_in_shared_storage(self):
+        rng = np.random.default_rng(9)
+        values, grads = rng.normal(size=6), np.zeros(6)
+        w = ad.Parameter(values[2:6].reshape(2, 2), grads[2:6].reshape(2, 2))
+        plain = ad.Tensor(values[2:6].reshape(2, 2).copy())
+        x = ad.Tensor(rng.normal(size=(3, 2)))
+        for _ in range(2):  # the second pass starts from zero_grad
+            for t in (w, plain):
+                t.zero_grad()
+                ad.tsum(ad.mul(ad.dense(x, t, ad.Tensor(np.zeros(2))), x)).backward()
+            assert np.shares_memory(w.grad, grads) and np.shares_memory(w.data, values)
+            assert np.array_equal(grads[2:6].reshape(2, 2), plain.grad)
+            assert not grads[:2].any()
 
     def test_float64_coercion(self):
         t = ad.Tensor(np.array([1, 2], dtype=np.int32))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -435,20 +437,66 @@ class TestLaeo:
         assert lines[-1]["summary"]["n_heads_gated"] == 0
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_model_estimate_names_head(self, tmp_path, capsys):
-        model = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(0))
-        list(model.params.values())[-1].data[...] = np.nan  # the output bias
-        model_path = tmp_path / "nan.hpm"
-        write_model(model_path, model)
-        samples = generate_dataset(2, np.random.default_rng(1))
+        # read_model refuses non-finite weights, but finite keypoints near the
+        # float range still overflow in normalize and give a NaN estimate
+        model_path = tmp_path / "unc.hpm"
+        write_model(model_path, Model.build(ModelConfig("heteroscedastic"),
+                                            np.random.default_rng(0)))
+        huge = [[1.7e308, 0.0, 1.0], [1.7e308, 1.0, 1.0], [-1.7e308, 2.0, 1.0],
+                [3.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
         frames_path = tmp_path / "kp.jsonl"
         write(frames_path, [frame("k0", (head("a", (0.0, 0.0), pose=(90.0, 0.0, 0.0)),
-                                         head("b", (9.0, 0.0), keypoints=samples[0].keypoints)))])
+                                         head("b", (9.0, 0.0),
+                                              keypoints=KeypointSet.from_triplets(huge))))])
         for gate in ("interval", "off"):
             code, _, err = run(capsys, "laeo", "--frames", str(frames_path),
                                "--model", str(model_path), "--gate", gate)
             assert code == 1
             assert "frame 'k0' head 'b': the model gave a non-finite estimate" in err
+
+
+def write_non_finite_model(path: Path) -> None:
+    """A model file whose last output bias is NaN, as write_model would refuse it."""
+    write_model(path, Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(0)))
+    data = path.read_bytes()
+    path.write_bytes(data[:-4] + np.float32(np.nan).tobytes())
+
+
+@pytest.mark.parametrize("command", ["infer", "eval", "laeo"])
+def test_non_finite_model_file_is_refused(tmp_path, data_file, capsys, command):
+    model_path = tmp_path / "nan.hpm"
+    write_non_finite_model(model_path)
+    argv = {
+        "infer": ["infer", "--data", str(data_file)],
+        "eval": ["eval", "--data", str(data_file), "--report", str(tmp_path / "r.json")],
+        "laeo": ["laeo", "--frames", str(DATA / "laeo_frames_labelled.jsonl")],
+    }[command]
+    code, out, err = run(capsys, *argv, "--model", str(model_path))
+    assert code == 1 and out == ""
+    assert err == f"error: {model_path}: non-finite value in tensor head_b\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+PINS = json.loads((DATA / "train_pins.json").read_text())
+
+
+@pytest.mark.parametrize("loss", sorted(PINS["sha256"]))
+def test_training_output_is_pinned(tmp_path, capsys, loss):
+    # tests/data/train_pins.json holds the SHA-256 of the model and history
+    # files that `train` wrote for these inputs and flags
+    out = tmp_path / f"{loss}.hpm"
+    code, _, err = run(capsys, "train", "--data", str(DATA / PINS["train"]),
+                       "--val", str(DATA / PINS["val"]), "--loss", loss, *PINS["args"],
+                       "--out", str(out))
+    assert code == 0, err
+    digest = {
+        "model": hashlib.sha256(out.read_bytes()).hexdigest(),
+        "history": hashlib.sha256(Path(f"{out}.history.json").read_bytes()).hexdigest(),
+    }
+    assert digest == PINS["sha256"][loss]
+
 
 @pytest.mark.parametrize("kind", ["labelled", "unlabelled"])
 @pytest.mark.parametrize("gate", ["interval", "open-below", "off"])
@@ -537,3 +585,7 @@ class TestParser:
         )
         assert code == 1
         assert err.startswith("error: non-finite") and "epoch" in err and "batch" in err
+        # the message ends with the last finite batch loss of the run
+        last = err.strip().rsplit("last finite training loss ", 1)[1].rstrip(")")
+        assert math.isfinite(float(last))
+        assert not (tmp_path / "m.hpm").exists()

@@ -353,6 +353,27 @@ class TestModelFile:
         with pytest.raises(ValueError, match="not a model file"):
             read_model(path)
 
+    def test_rejects_non_finite_tensor(self, tmp_path):
+        model = self.build("mse", alpha=0.2)
+        path = tmp_path / "m.hpm"
+        write_model(path, model)
+        header, blob = path.read_bytes().split(b"\n", 1)
+        values = np.frombuffer(blob, dtype="<f4").copy()
+        values[model.offsets[8] + 2] = np.nan  # an element of fc1_w
+        path.write_bytes(header + b"\n" + values.tobytes())
+        with pytest.raises(ValueError) as info:
+            read_model(path)
+        assert str(info.value) == f"{path}: non-finite value in tensor fc1_w"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])  # 1e39 overflows float32
+    def test_write_refuses_non_finite_tensor(self, tmp_path, bad):
+        model = self.build("mse", alpha=0.2)
+        model.params["head_b"].data[1] = bad
+        path = tmp_path / "m.hpm"
+        with pytest.raises(ValueError, match="non-finite value in tensor head_b"):
+            write_model(path, model)
+        assert not path.exists()
+
     def test_full_width_file_is_small(self, tmp_path):
         path = tmp_path / "m.hpm"
         write_model(path, self.build())
@@ -407,6 +428,8 @@ def test_bad_value_reports_line(tmp_path, reader, row, word):
         pytest.param(lambda d: {k: v for k, v in d.items() if k != "model_config"},
                      ("model_config",), id="missing-config"),
         pytest.param(lambda d: [1, 2], ("not a model file",), id="header-not-an-object"),
+        pytest.param(lambda d: {**d, "model_config": {**d["model_config"], "kernel_size": 3}},
+                     ("model_config", "kernel_size must be 1"), id="kernel-size-3"),
     ],
 )
 def test_bad_model_header_names_path(tmp_path, edit, words):

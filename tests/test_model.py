@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from headpose.formats import read_model, write_model
 from headpose.geometry import EulerPose
 from headpose.keypoints import NormalizedInput
 from headpose.model import (
@@ -15,6 +16,8 @@ from headpose.model import (
     parameter_layout,
     scaled_width,
 )
+from headpose.synthetic import generate_dataset
+from headpose.training import TrainConfig, train
 
 from autodiff_reference import kink_margin
 
@@ -113,6 +116,11 @@ class TestConfig:
             ModelConfig(loss_kind="combined", n_bins=1)
         with pytest.raises(ValueError):
             ModelConfig(n_filters=0)
+
+    def test_kernel_size_must_be_one(self):
+        # the conv is a per-position affine map; no wider kernel is built
+        with pytest.raises(ValueError, match="kernel_size must be 1"):
+            ModelConfig(kernel_size=3)
 
     def test_dict_round_trip(self):
         cfg = ModelConfig(loss_kind="combined", width_scale=0.6)
@@ -261,6 +269,42 @@ class TestSnapshot:
         del snap["head_b"]
         with pytest.raises(ValueError):
             m.restore(snap)
+
+
+def assert_views_of_flat_vectors(model):
+    for name, t in model.params.items():
+        assert np.shares_memory(t.data, model.flat), name
+        assert np.shares_memory(t.grad, model.flat_grad), name
+    assert model.flat.size == model.flat_grad.size == model.n_parameters()
+
+
+class TestFlatStorage:
+    def test_views_after_build(self):
+        for kind in ("heteroscedastic", "mse", "combined"):
+            assert_views_of_flat_vectors(build(kind, alpha=0.2))
+
+    def test_views_after_read_model(self, tmp_path):
+        path = tmp_path / "m.hpm"
+        write_model(path, build("combined", alpha=0.2))
+        assert_views_of_flat_vectors(read_model(path))
+
+    def test_views_after_restore_and_a_training_step(self):
+        m = build(alpha=0.2, seed=22)
+        snap = m.snapshot()
+        m.flat += 1.0
+        m.restore(snap)
+        assert np.array_equal(m.flat, np.concatenate([snap[n].ravel() for n in m.params]))
+        samples = generate_dataset(8, np.random.default_rng(23))
+        train(m, samples, TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0),
+              np.random.default_rng(24))
+        assert not np.array_equal(m.flat, np.concatenate([snap[n].ravel() for n in m.params]))
+        assert m.flat_grad.any()
+        assert_views_of_flat_vectors(m)
+
+    def test_layout_offsets_name_elements(self):
+        m = build("combined", alpha=0.2)
+        for name, lo, hi in zip(m.params, m.offsets[:-1], m.offsets[1:]):
+            assert m.parameter_at(lo) == m.parameter_at(hi - 1) == name
 
 
 class TestInit:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from headpose import autodiff as ad
+from headpose import training
 from headpose.geometry import EulerPose
 from headpose.keypoints import KeypointSet, normalize
-from headpose.model import Model, ModelConfig
+from headpose.losses import BinningScheme, loss_graph
+from headpose.model import LOSS_KINDS, Model, ModelConfig
 from headpose.synthetic import NoiseModel, Sample, generate_dataset
 from headpose.training import (
     AdamState,
@@ -17,6 +21,8 @@ from headpose.training import (
     prepare_arrays,
     train,
 )
+
+from adam_reference import TensorAdam
 
 
 def small_dataset(n=64, seed=0, noise=NoiseModel()):
@@ -47,40 +53,89 @@ class TestTrainConfig:
         assert TrainConfig(**cfg.to_dict()) == cfg
 
 
+def vector_holder(values):
+    """The flat vectors AdamState reads, for one parameter named w."""
+    flat = np.array(values, dtype=np.float64)
+    return SimpleNamespace(flat=flat, flat_grad=np.zeros_like(flat), parameter_at=lambda i: "w")
+
+
+def batch_loss(model, arrays, idx, binning):
+    x1, x2, c, targets = arrays
+    out = model.forward(x1[idx], x2[idx], c[idx])
+    return loss_graph(model.config.loss_kind, out, targets[idx], binning)
+
+
 class TestAdam:
     def test_first_step_identity(self):
         # with zeroed moments the bias correction cancels: step is
         # -lr * g / (|g| + eps) elementwise
-        w = ad.Tensor(np.array([1.0, -2.0, 3.0]))
+        w = vector_holder([1.0, -2.0, 3.0])
         g = np.array([0.5, -4.0, 1e-12])
-        w.grad = g.copy()
+        w.flat_grad[...] = g
         cfg = TrainConfig(n_epochs=1, learning_rate=0.01)
-        AdamState([w]).step([w], cfg)
+        AdamState(w).step(w, cfg)
         expect = np.array([1.0, -2.0, 3.0]) - 0.01 * g / (np.abs(g) + cfg.epsilon)
-        assert np.array_equal(w.data, expect)
+        assert np.array_equal(w.flat, expect)
 
     def test_moments_accumulate(self):
-        w = ad.Tensor(np.array([0.0]))
+        w = vector_holder([0.0])
         cfg = TrainConfig(n_epochs=1, learning_rate=0.1)
-        opt = AdamState([w])
+        opt = AdamState(w)
         for _ in range(3):
-            w.grad = np.array([1.0])
-            opt.step([w], cfg)
+            w.flat_grad[...] = 1.0
+            opt.step(w, cfg)
         assert opt.t == 3
         # constant gradient: every step is about -lr
-        assert w.data[0] == pytest.approx(-0.3, rel=1e-6)
+        assert w.flat[0] == pytest.approx(-0.3, rel=1e-6)
 
-    def test_skips_missing_gradient(self):
-        w = ad.Tensor(np.array([1.0]))
-        w.grad = None
-        AdamState([w]).step([w], TrainConfig())
-        assert w.data[0] == 1.0
+    def test_every_parameter_gets_a_gradient(self):
+        # why AdamState has no "no gradient" case: under each loss kind,
+        # every parameter is reachable from the loss
+        arrays = prepare_arrays(small_dataset(16, 26))
+        for kind in LOSS_KINDS:
+            m = Model.build(ModelConfig(kind, width_scale=0.2), np.random.default_rng(27))
+            binning = BinningScheme.centered(66, 3.0) if kind == "combined" else None
+            batch_loss(m, arrays, np.arange(16), binning).backward()
+            for name, t in m.params.items():
+                assert t.grad.any(), f"{kind}: {name} got no gradient"
 
     def test_non_finite_gradient_raises(self):
-        w = ad.Tensor(np.array([1.0]))
-        w.grad = np.array([np.nan])
+        w = vector_holder([1.0])
+        w.flat_grad[...] = np.nan
         with pytest.raises(FloatingPointError):
-            AdamState([w]).step([w], TrainConfig())
+            AdamState(w).step(w, TrainConfig())
+
+    def test_non_finite_gradient_names_tensor_and_step(self):
+        m = Model.build(ModelConfig("mse", width_scale=0.2), np.random.default_rng(28))
+        opt = AdamState(m)
+        opt.step(m, TrainConfig())
+        before = m.flat.copy()
+        m.flat_grad[m.offsets[8] + 3] = np.inf  # an element of fc1_w
+        with pytest.raises(FloatingPointError, match="non-finite gradient in fc1_w at step 2"):
+            opt.step(m, TrainConfig())
+        assert np.array_equal(m.flat, before)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_matches_per_tensor_oracle_bit_for_bit(self, kind):
+        arrays = prepare_arrays(small_dataset(64, 29, NoiseModel(1.0, 0.02)))
+        binning = BinningScheme.centered(66, 3.0) if kind == "combined" else None
+        cfg = TrainConfig(learning_rate=0.005)
+        fast, slow = (
+            Model.build(ModelConfig(kind, width_scale=0.2), np.random.default_rng(30))
+            for _ in range(2)
+        )
+        opt, oracle = AdamState(fast), TensorAdam(slow.parameters())
+        order = np.random.default_rng(31)
+        for _ in range(400):
+            idx = order.choice(64, size=16, replace=False)
+            for model in (fast, slow):
+                model.flat_grad[...] = 0.0
+                batch_loss(model, arrays, idx, binning).backward()
+            opt.step(fast, cfg)
+            oracle.step(slow.parameters(), cfg)
+            assert np.array_equal(fast.flat, slow.flat)
+        assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in oracle.m]))
+        assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in oracle.v]))
 
 
 class TestPrepareArrays:
@@ -119,7 +174,6 @@ class TestTrainLoop:
         assert hist.val_loss == [] and hist.best_epoch == 1
 
     def test_parameters_end_at_best_epoch(self):
-        from headpose.losses import loss_graph
         m = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(6))
         val = small_dataset(24, 7)
         hist = train(m, small_dataset(64, 8), TrainConfig(n_epochs=4, batch_size=16),
@@ -146,6 +200,27 @@ class TestTrainLoop:
         cfg = TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0)
         with pytest.raises(FloatingPointError, match="epoch 0"):
             train(m, bad, cfg, np.random.default_rng(0))
+
+    def test_non_finite_gradient_reports_tensor_step_and_last_loss(self, monkeypatch):
+        m = Model.build(ModelConfig("mse", width_scale=0.2), np.random.default_rng(15))
+        fc1 = m.params["fc1_w"]
+        losses = []
+
+        def poisoned(*args):
+            loss = loss_graph(*args)
+            losses.append(float(loss.data))
+            if len(losses) < 3:
+                return loss
+            # a term of value 0 whose gradient into fc1_w is NaN
+            return ad.add(loss, ad.Tensor(0.0, (fc1,), lambda g: (np.full(fc1.shape, np.nan),)))
+
+        monkeypatch.setattr(training, "loss_graph", poisoned)
+        cfg = TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0)
+        with pytest.raises(FloatingPointError) as info:
+            train(m, small_dataset(32, 16), cfg, np.random.default_rng(17))
+        assert str(info.value) == (
+            f"non-finite gradient in fc1_w at step 3 (last finite training loss {losses[2]:.6g})"
+        )
 
     def test_deterministic_for_fixed_seeds(self):
         def run():
