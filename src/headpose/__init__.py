@@ -9,6 +9,7 @@ README for the CLI walk-through.
 
 from __future__ import annotations
 
+from .formats import Dataset
 from .geometry import EulerPose, PlaneVector, angular_error, mae, project_direction
 from .keypoints import Keypoint, KeypointSet, NormalizedInput, normalize
 from .model import Model, ModelConfig, PoseEstimate
@@ -18,6 +19,7 @@ from .training import TrainConfig, TrainHistory, train
 __version__ = "0.1.0"
 
 __all__ = [
+    "Dataset",
     "EulerPose",
     "Keypoint",
     "KeypointSet",

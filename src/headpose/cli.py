@@ -56,8 +56,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _train_one(
     loss_flag: str,
-    samples,
-    val_samples,
+    data: formats.Dataset,
+    val: formats.Dataset | None,
     args: argparse.Namespace,
     seed: int,
 ) -> tuple[Model, TrainHistory]:
@@ -67,17 +67,15 @@ def _train_one(
     train_config = TrainConfig(
         n_epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr
     )
-    history = train(model, samples, train_config, rng, val_samples)
+    history = train(model, data, train_config, rng, val)
     return model, history
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    samples = formats.samples_from_records(formats.read_dataset(args.data))
-    val_samples = None
-    if args.val:
-        val_samples = formats.samples_from_records(formats.read_dataset(args.val))
-    model, history = _train_one(args.loss, samples, val_samples, args, seed)
+    data = formats.read_dataset(args.data)
+    val = formats.read_dataset(args.val) if args.val else None
+    model, history = _train_one(args.loss, data, val, args, seed)
     formats.write_model(args.out, model)
     history_path = args.history or args.out + ".history.json"
     formats.write_json(
@@ -96,10 +94,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_finite(angles: np.ndarray, log_var: np.ndarray | None, name) -> None:
+    """ValueError naming, as name(i), the first row i with a non-finite estimate."""
+    estimates = angles if log_var is None else np.hstack([angles, log_var])
+    bad = np.flatnonzero(~np.isfinite(estimates).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{name(bad[0])}: the model gave a non-finite estimate")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     model = formats.read_model(args.model)
-    samples = formats.samples_from_records(formats.read_dataset(args.data))
-    result = evaluation.evaluate(model, samples)
+    data = formats.read_dataset(args.data)
+    result = evaluation.evaluate(model, data)
+    _require_finite(result.angles, result.log_variance, lambda i: f"record {data.ids[i]!r}")
     formats.write_json(args.report, evaluation.build_report(result))
     print(
         f"mae yaw={result.mae_yaw:.3f} pitch={result.mae_pitch:.3f} "
@@ -111,18 +118,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     model = formats.read_model(args.model)
-    records = formats.read_dataset(args.data)
+    data = formats.read_dataset(args.data)
     try:
-        inputs = normalize([r.keypoints for r in records])
+        inputs = normalize(data.keypoints)
     except UnusableKeypoints as e:
-        raise ValueError(f"record {records[e.index].id!r}: {e}") from e
+        raise ValueError(f"record {data.ids[e.index]!r}: {e}") from e
     angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
-    log_var_rows = log_var.tolist() if log_var is not None else [None] * len(records)
-    lines = [
-        json.dumps({"id": r.id, "yaw": yaw, "pitch": pitch, "roll": roll, "log_variance": lv})
-        for r, (yaw, pitch, roll), lv in zip(records, angles.tolist(), log_var_rows)
-    ]
-    text = "\n".join(lines) + "\n" if lines else ""
+    _require_finite(angles, log_var, lambda i: f"record {data.ids[i]!r}")
+    log_var_rows = log_var.tolist() if log_var is not None else [None] * len(data)
+    text = "".join(
+        json.dumps({"id": i, "yaw": yaw, "pitch": pitch, "roll": roll, "log_variance": lv}) + "\n"
+        for i, (yaw, pitch, roll), lv in zip(data.ids, angles.tolist(), log_var_rows)
+    )
     if args.out:
         formats.atomic_write_bytes(args.out, text.encode("utf-8"))
     else:
@@ -149,10 +156,7 @@ def _with_model_poses(frames: laeo.Frames, model: Model | None) -> laeo.Frames:
     except UnusableKeypoints as e:
         raise ValueError(f"{frames.head_name(batch[e.index])}: {e}") from e
     angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
-    estimates = angles if log_var is None else np.hstack([angles, log_var])
-    bad = np.flatnonzero(~np.isfinite(estimates).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{frames.head_name(batch[bad[0]])}: the model gave a non-finite estimate")
+    _require_finite(angles, log_var, lambda i: frames.head_name(batch[i]))
     poses, log_variance = frames.poses.copy(), frames.log_variance.copy()
     poses[batch] = angles
     log_variance[batch] = np.nan if log_var is None else log_var
@@ -214,22 +218,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
         occlusion_yaw=args.occlusion_yaw,
         drop_fraction=args.drop_fraction,
     )
-    formats.write_dataset(args.out, formats.records_from_samples(samples))
+    formats.write_dataset(args.out, formats.Dataset.from_samples(samples))
     print(f"wrote {len(samples)} samples -> {args.out}")
     return 0
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    samples = formats.samples_from_records(formats.read_dataset(args.data))
-    val_samples = None
-    if args.val:
-        val_samples = formats.samples_from_records(formats.read_dataset(args.val))
-    eval_samples = val_samples if val_samples is not None else samples
+    data = formats.read_dataset(args.data)
+    val = formats.read_dataset(args.val) if args.val else None
     rows = []
     for loss_flag in ABLATE_ORDER:
-        model, _ = _train_one(loss_flag, samples, val_samples, args, seed)
-        result = evaluation.evaluate(model, eval_samples)
+        model, _ = _train_one(loss_flag, data, val, args, seed)
+        result = evaluation.evaluate(model, val if val is not None else data)
         rows.append(
             {
                 "loss": loss_flag,

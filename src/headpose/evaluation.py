@@ -1,8 +1,8 @@
 """Metrics over labelled datasets: MAE, uncertainty studies, group stats.
 
-A model is scored once into a list of per-sample records; every study
-here is a pure function over those records, so reports stay deterministic
-and the studies compose without re-running the network.
+A model is scored once, in one batch, into an `EvalResult` of per-record
+arrays; every study here is a pure function over those arrays, so reports
+stay deterministic and the studies compose without re-running the network.
 """
 
 from __future__ import annotations
@@ -12,35 +12,37 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import EulerPose, angular_error, mae
-from .keypoints import present_count
-from .model import Model, PoseEstimate
-from .synthetic import Sample
+from .formats import Dataset
+from .geometry import mae
+from .model import Model
 from .training import prepare_arrays
 
 
 @dataclass(frozen=True)
-class EvalRecord:
-    """Per-sample outcome; mean_uncertainty averages the 3 log-variances."""
-
-    estimate: PoseEstimate
-    ground_truth: EulerPose
-    present_keypoints: int
-    mean_uncertainty: float | None
-
-    @property
-    def overall_error(self) -> float:
-        err = angular_error(self.estimate.pose, self.ground_truth)
-        return float(np.mean(err))
-
-
-@dataclass(frozen=True)
 class EvalResult:
+    """One scoring pass; row i of every array is record i."""
+
     mae_yaw: float
     mae_pitch: float
     mae_roll: float
     mae_overall: float
-    records: list[EvalRecord]
+    angles: np.ndarray  # (N, 3) predicted yaw, pitch, roll in degrees
+    log_variance: np.ndarray | None  # (N, 3); None for a point-estimate head
+    targets: np.ndarray  # (N, 3) ground truth
+    present: np.ndarray  # (N,) keypoints with confidence > 0
+    overall_error: np.ndarray  # (N,) mean of the three absolute angle errors
+    mean_uncertainty: np.ndarray | None  # (N,) mean of the three log-variances, or None
+
+    @staticmethod
+    def of(angles: np.ndarray, log_variance: np.ndarray | None, targets: np.ndarray,
+           present: np.ndarray) -> "EvalResult":
+        errors = np.abs(angles - targets)
+        mean_uncertainty = None if log_variance is None else log_variance.mean(axis=1)
+        return EvalResult(*mae(errors), angles, log_variance, targets, present,
+                          errors.mean(axis=1), mean_uncertainty)
+
+    def __len__(self) -> int:
+        return len(self.angles)
 
 
 class CurvePoint(NamedTuple):
@@ -49,30 +51,13 @@ class CurvePoint(NamedTuple):
     retained: float
 
 
-def evaluate(model: Model, samples: list[Sample]) -> EvalResult:
-    """Forward every sample and aggregate per-angle mean absolute errors."""
-    if not samples:
+def evaluate(model: Model, data: Dataset) -> EvalResult:
+    """Forward every record in one batch and score it against its pose."""
+    if not len(data):
         raise ValueError("empty dataset")
-    x1, x2, c, targets = prepare_arrays(samples)
+    x1, x2, c, targets = prepare_arrays(data)
     angles, log_var = model.predict_batch(x1, x2, c)
-    records = []
-    for i, sample in enumerate(samples):
-        lv = log_var[i].copy() if log_var is not None else None
-        estimate = PoseEstimate(
-            pose=EulerPose(float(angles[i, 0]), float(angles[i, 1]), float(angles[i, 2])),
-            log_variance=lv,
-        )
-        records.append(
-            EvalRecord(
-                estimate=estimate,
-                ground_truth=sample.pose,
-                present_keypoints=present_count(sample.keypoints),
-                mean_uncertainty=float(lv.mean()) if lv is not None else None,
-            )
-        )
-    errors = np.abs(angles - targets)
-    mae_y, mae_p, mae_r, overall = mae(errors)
-    return EvalResult(mae_y, mae_p, mae_r, overall, records)
+    return EvalResult.of(angles, log_var, targets, (c > 0.0).sum(axis=1))
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> float:
@@ -91,45 +76,40 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     return float((da * db).sum() / denom)
 
 
-def _uncertain_records(records: Sequence[EvalRecord]) -> list[EvalRecord]:
-    missing = [r for r in records if r.mean_uncertainty is None]
-    if missing:
-        raise ValueError("records lack uncertainty (point-estimate head)")
-    return list(records)
+def _require_uncertainty(result: EvalResult) -> None:
+    if result.log_variance is None:
+        raise ValueError("result lacks uncertainty (point-estimate head)")
 
 
 def cumulative_error_curve(
-    records: Sequence[EvalRecord], uncertainty_grid: Sequence[float]
+    result: EvalResult, uncertainty_grid: Sequence[float]
 ) -> list[CurvePoint]:
     """Mean overall error of records at or below each uncertainty threshold.
 
     The grid must be ascending. Thresholds that retain nothing yield a
     None mean error; the retained fraction is non-decreasing by construction.
     """
-    recs = _uncertain_records(records)
+    _require_uncertainty(result)
+    mu, err = result.mean_uncertainty, result.overall_error
     grid = list(uncertainty_grid)
     if any(grid[i] > grid[i + 1] for i in range(len(grid) - 1)):
         raise ValueError("uncertainty grid must be sorted ascending")
-    mu = np.array([r.mean_uncertainty for r in recs])
-    err = np.array([r.overall_error for r in recs])
     points = []
     for u in grid:
         mask = mu <= u
         kept = int(mask.sum())
         mean_error = float(err[mask].mean()) if kept else None
-        points.append(CurvePoint(float(u), mean_error, kept / len(recs)))
+        points.append(CurvePoint(float(u), mean_error, kept / len(mu)))
     return points
 
 
-def uncertainty_cross_correlation(
-    records: Sequence[EvalRecord],
-) -> tuple[float, float, float]:
+def uncertainty_cross_correlation(result: EvalResult) -> tuple[float, float, float]:
     """Pairwise Pearson r between the per-angle log-variance series.
 
     Order: (yaw vs pitch, yaw vs roll, pitch vs roll).
     """
-    recs = _uncertain_records(records)
-    series = np.array([r.estimate.log_variance for r in recs])
+    _require_uncertainty(result)
+    series = result.log_variance
     if series.shape[0] < 2:
         raise ValueError("need at least 2 records")
     return (
@@ -160,26 +140,19 @@ class BoxStats:
         return {"mean": self.mean, "q1": self.q1, "median": self.median, "q3": self.q3}
 
 
-def error_by_keypoint_count(
-    records: Sequence[EvalRecord],
-) -> dict[int, dict[str, BoxStats | None]]:
+def error_by_keypoint_count(result: EvalResult) -> dict[int, dict[str, BoxStats | None]]:
     """Group records by visible-keypoint count; box stats per group.
 
-    Only counts that occur appear as keys. Uncertainty stats are None when
-    the records carry no uncertainty.
+    Only counts that occur appear as keys, ascending. Uncertainty stats are
+    None when the result carries no uncertainty.
     """
-    groups: dict[int, list[EvalRecord]] = {}
-    for r in records:
-        groups.setdefault(r.present_keypoints, []).append(r)
+    mu = result.mean_uncertainty
     out: dict[int, dict[str, BoxStats | None]] = {}
-    for count in sorted(groups):
-        recs = groups[count]
-        errors = [r.overall_error for r in recs]
-        uncertainties = [r.mean_uncertainty for r in recs]
-        has_unc = all(u is not None for u in uncertainties)
+    for count in np.unique(result.present).tolist():
+        group = result.present == count
         out[count] = {
-            "error": BoxStats.of(errors),
-            "uncertainty": BoxStats.of(uncertainties) if has_unc else None,
+            "error": BoxStats.of(result.overall_error[group]),
+            "uncertainty": None if mu is None else BoxStats.of(mu[group]),
         }
     return out
 
@@ -191,7 +164,7 @@ def build_report(result: EvalResult, n_curve_points: int = 21) -> dict:
     timestamps, paths, or unordered collections are included.
     """
     report: dict = {
-        "n_samples": len(result.records),
+        "n_samples": len(result),
         "mae": {
             "yaw": result.mae_yaw,
             "pitch": result.mae_pitch,
@@ -199,24 +172,19 @@ def build_report(result: EvalResult, n_curve_points: int = 21) -> dict:
             "overall": result.mae_overall,
         },
     }
-    has_unc = all(r.mean_uncertainty is not None for r in result.records)
-    if has_unc and len(result.records) >= 2:
-        mu = [r.mean_uncertainty for r in result.records]
-        err = [r.overall_error for r in result.records]
+    mu = result.mean_uncertainty
+    if mu is not None and len(result) >= 2:
         try:
-            r_err = pearson(mu, err)
+            r_err = pearson(mu, result.overall_error)
         except ValueError:
             r_err = None
         try:
-            r_yp, r_yr, r_pr = uncertainty_cross_correlation(result.records)
+            r_yp, r_yr, r_pr = uncertainty_cross_correlation(result)
             cross = {"yaw_pitch": r_yp, "yaw_roll": r_yr, "pitch_roll": r_pr}
         except ValueError:
             cross = None
-        grid = np.linspace(min(mu), max(mu), n_curve_points)
-        curve = [
-            {"threshold": p.threshold, "mean_error": p.mean_error, "retained": p.retained}
-            for p in cumulative_error_curve(result.records, grid)
-        ]
+        grid = np.linspace(mu.min(), mu.max(), n_curve_points)
+        curve = [p._asdict() for p in cumulative_error_curve(result, grid)]
         report["uncertainty"] = {
             "pearson_vs_error": r_err,
             "cross_correlation": cross,
@@ -229,6 +197,6 @@ def build_report(result: EvalResult, n_curve_points: int = 21) -> dict:
             "error": stats["error"].to_dict(),
             "uncertainty": stats["uncertainty"].to_dict() if stats["uncertainty"] else None,
         }
-        for count, stats in error_by_keypoint_count(result.records).items()
+        for count, stats in error_by_keypoint_count(result).items()
     }
     return report

@@ -1,13 +1,14 @@
 """File formats: datasets, LAEO frames, model weights, JSON reports.
 
 Data files are line-delimited JSON so they stream and diff cleanly. A
-frames file is read into one columnar `laeo.Frames`, with no object per
-head; every check on frame input lives in its reader. Model files are one
-JSON header line (version, config, tensor layout) followed by the model's
-flat parameter vector as raw little-endian float32, tensors in layout
-order; non-finite values are refused on read and on write. All writes
-go through a temp file in the target directory and a rename, so readers
-never observe partial files.
+dataset file is read into one columnar `Dataset`, checked as a whole and
+rescanned record by record only to name the first bad line; a frames
+file into one columnar `laeo.Frames`, every check on it in its reader.
+Model files are one JSON header line (version, config, tensor layout)
+followed by the model's flat parameter vector as raw little-endian
+float32, tensors in layout order; non-finite values are refused on read
+and on write. All writes go through a temp file in the target directory
+and a rename, so readers never observe partial files.
 
 Malformed input lines raise RecordError carrying the 1-based line number.
 """
@@ -19,13 +20,13 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import EulerPose
-from .keypoints import N_KEYPOINTS, Keypoint, KeypointSet
+from .keypoints import N_KEYPOINTS
 from .laeo import Frames
 from .model import Model, ModelConfig, parameter_layout
 from .synthetic import Sample
@@ -109,76 +110,122 @@ def _parse_keypoint_rows(raw, line_number: int) -> list[tuple[float, ...]]:
     return rows
 
 
-def _parse_keypoints(raw, line_number: int) -> KeypointSet:
-    return KeypointSet(tuple(Keypoint(*row) for row in _parse_keypoint_rows(raw, line_number)))
-
-
 _POSE = "pose [yaw, pitch, roll]"
 
 
-def _parse_pose(raw, line_number: int) -> EulerPose:
-    return EulerPose(*_parse_numbers(raw, 3, _POSE, line_number))
-
-
 @dataclass(frozen=True)
-class DatasetRecord:
-    """One dataset line; pose is optional so inference data can omit it."""
+class Dataset:
+    """Every record of a dataset file, in file order, as arrays.
 
-    id: str
-    keypoints: KeypointSet
-    pose: EulerPose | None = None
-    meta: dict | None = None
+    Record i has id ids[i] and keypoints[i], its [x1, x2, c] rows in
+    KEYPOINT_NAMES order, and came from line lines[i]. A record without a
+    pose has has_pose[i] False and a NaN poses[i] row.
+    """
 
-    def to_sample(self) -> Sample:
-        if self.pose is None:
-            raise ValueError(f"record {self.id!r} has no ground-truth pose")
-        return Sample(keypoints=self.keypoints, pose=self.pose)
+    ids: tuple[str, ...]
+    keypoints: np.ndarray  # (N, 5, 3) x1, x2 in pixels, c in [0, 1]
+    poses: np.ndarray  # (N, 3) yaw, pitch, roll in degrees
+    has_pose: np.ndarray  # (N,) bool
+    meta: tuple[dict | None, ...]
+    lines: np.ndarray  # (N,) 1-based line numbers
 
-    def to_dict(self) -> dict:
-        row: dict = {
-            "id": self.id,
-            "keypoints": [[p.x1, p.x2, p.c] for p in self.keypoints.points],
-        }
-        if self.pose is not None:
-            row["pose"] = [self.pose.yaw, self.pose.pitch, self.pose.roll]
-        if self.meta is not None:
-            row["meta"] = self.meta
-        return row
+    def __len__(self) -> int:
+        return len(self.ids)
 
+    def targets(self) -> np.ndarray:
+        """The (N, 3) poses; RecordError naming the first record without one."""
+        if not self.has_pose.all():
+            i = int(np.argmin(self.has_pose))
+            reason = f"record {self.ids[i]!r} has no ground-truth pose"
+            raise RecordError(int(self.lines[i]), reason)
+        return self.poses
 
-def records_from_samples(samples: Sequence[Sample], prefix: str = "s") -> list[DatasetRecord]:
-    return [
-        DatasetRecord(id=f"{prefix}{i:06d}", keypoints=s.keypoints, pose=s.pose)
-        for i, s in enumerate(samples)
-    ]
-
-
-def samples_from_records(records: Sequence[DatasetRecord]) -> list[Sample]:
-    return [r.to_sample() for r in records]
-
-
-def write_dataset(path: str | Path, records: Sequence[DatasetRecord]) -> None:
-    write_jsonl(path, (r.to_dict() for r in records))
-
-
-def read_dataset(path: str | Path) -> list[DatasetRecord]:
-    records = []
-    for line_number, obj in _read_lines(path):
-        if "id" not in obj or "keypoints" not in obj:
-            raise RecordError(line_number, "record needs 'id' and 'keypoints'")
-        pose = _parse_pose(obj["pose"], line_number) if "pose" in obj else None
-        meta = obj.get("meta")
-        if meta is not None and not isinstance(meta, dict):
-            raise RecordError(line_number, "'meta' must be an object")
-        records.append(
-            DatasetRecord(
-                id=str(obj["id"]),
-                keypoints=_parse_keypoints(obj["keypoints"], line_number),
-                pose=pose,
-                meta=meta,
-            )
+    @staticmethod
+    def from_samples(samples: Sequence[Sample]) -> "Dataset":
+        """Labelled samples as records with ids s000000, s000001, ..."""
+        n = len(samples)
+        keypoints = [[(p.x1, p.x2, p.c) for p in s.keypoints.points] for s in samples]
+        poses = [(s.pose.yaw, s.pose.pitch, s.pose.roll) for s in samples]
+        return Dataset(
+            tuple(f"s{i:06d}" for i in range(n)),
+            np.array(keypoints, dtype=np.float64).reshape(n, N_KEYPOINTS, 3),
+            np.array(poses, dtype=np.float64).reshape(n, 3),
+            np.ones(n, dtype=bool), (None,) * n, np.arange(1, n + 1),
         )
-    return records
+
+
+def write_dataset(path: str | Path, data: Dataset) -> None:
+    rows = [{"id": i, "keypoints": k} for i, k in zip(data.ids, data.keypoints.tolist())]
+    for row, pose, has_pose, meta in zip(rows, data.poses.tolist(), data.has_pose, data.meta):
+        if has_pose:
+            row["pose"] = pose
+        if meta is not None:
+            row["meta"] = meta
+    write_jsonl(path, rows)
+
+
+def read_dataset(path: str | Path) -> Dataset:
+    """Every record of a dataset file as one `Dataset`.
+
+    Each line is parsed once and the whole file is checked at once. Only
+    when that check fails is the file rescanned record by record, so the
+    RecordError names the first bad line and its reason.
+    """
+    rows = _read_lines(path)
+    data = _dataset_columns(rows)
+    if data is None:
+        for line_number, obj in rows:
+            _check_record(line_number, obj)
+        raise AssertionError(f"{path}: the file check failed but every record passes")
+    return data
+
+
+def _dataset_columns(rows: list[tuple[int, dict]]) -> Dataset | None:
+    """The rows as a Dataset, or None when any of them is malformed."""
+    objs = [obj for _, obj in rows]
+    meta = tuple(obj.get("meta") for obj in objs)
+    has_pose = np.array(["pose" in obj for obj in objs], dtype=bool)
+    poses = np.full((len(objs), 3), np.nan)
+    try:
+        ids = tuple(str(obj["id"]) for obj in objs)
+        keypoints = _number_array([obj["keypoints"] for obj in objs], (N_KEYPOINTS, 3))
+        poses[has_pose] = _number_array([obj["pose"] for obj in objs if "pose" in obj], (3,))
+    except (KeyError, ValueError, TypeError, OverflowError):  # OverflowError: beyond float
+        return None
+    c = keypoints[:, :, 2]
+    meta_ok = all(m is None or isinstance(m, dict) for m in meta)
+    if not (meta_ok and ((c >= 0.0) & (c <= 1.0)).all()):
+        return None
+    lines = np.array([line_number for line_number, _ in rows], dtype=np.intp)
+    return Dataset(ids, keypoints, poses, has_pose, meta, lines)
+
+
+def _number_array(raw: list, shape: tuple[int, ...]) -> np.ndarray:
+    """(len(raw), *shape) floats; ValueError unless every leaf is a finite JSON number.
+
+    Leaf types are checked on the JSON values: np.array takes "1.5", null, true.
+    """
+    values = np.array(raw, dtype=np.float64)
+    if raw and values.shape != (len(raw), *shape):
+        raise ValueError("not a list of equal number arrays")
+    leaves = raw
+    for _ in shape:
+        leaves = chain.from_iterable(leaves)
+    if not {int, float}.issuperset(map(type, leaves)) or not np.isfinite(values).all():
+        raise ValueError("not finite numbers")
+    return values.reshape(len(raw), *shape)
+
+
+def _check_record(line_number: int, obj: dict) -> None:
+    """Raise the RecordError of a malformed dataset record, field by field."""
+    if "id" not in obj or "keypoints" not in obj:
+        raise RecordError(line_number, "record needs 'id' and 'keypoints'")
+    if "pose" in obj:
+        _parse_numbers(obj["pose"], 3, _POSE, line_number)
+    meta = obj.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise RecordError(line_number, "'meta' must be an object")
+    _parse_keypoint_rows(obj["keypoints"], line_number)
 
 
 def read_frames(path: str | Path) -> Frames:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,9 +29,6 @@ class EulerPose:
     yaw: float
     pitch: float
     roll: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.yaw, self.pitch, self.roll], dtype=np.float64)
 
 
 class PlaneVector(NamedTuple):
@@ -92,21 +89,16 @@ def angular_error(pred: EulerPose, gt: EulerPose) -> tuple[float, float, float]:
 
 
 def mae(
-    errors: Iterable[tuple[float, float, float]],
+    errors: Sequence[tuple[float, float, float]] | np.ndarray,
 ) -> tuple[float, float, float, float]:
     """Mean absolute error per angle plus the overall mean of the three.
 
     Raises ValueError on an empty error list.
     """
-    arr = np.asarray(list(errors), dtype=np.float64)
+    arr = np.asarray(errors, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("mae() of an empty error list")
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"expected (n, 3) errors, got shape {arr.shape}")
     per_angle = arr.mean(axis=0)
-    return (
-        float(per_angle[0]),
-        float(per_angle[1]),
-        float(per_angle[2]),
-        float(per_angle.mean()),
-    )
+    return (*per_angle.tolist(), float(per_angle.mean()))

@@ -2,7 +2,8 @@
 
 The network consumes exactly five keypoints in the fixed order
 [nose, left eye, right eye, left ear, right ear] (anatomical left/right).
-A confidence of 0 encodes a missing point.
+A confidence of 0 encodes a missing point. Batches travel as (N, 5, 3)
+arrays of [x1, x2, c] rows; a KeypointSet is the form of one request.
 """
 
 from __future__ import annotations
@@ -80,27 +81,24 @@ def _center_and_scale(v: np.ndarray, present: np.ndarray, count: np.ndarray) -> 
     return np.divide(centered, peak, out=np.zeros_like(centered), where=peak > 0.0)
 
 
-def normalize(raw: KeypointSet | Sequence[KeypointSet] | np.ndarray) -> NormalizedInput:
+def normalize(raw: KeypointSet | np.ndarray) -> NormalizedInput:
     """Center present points on their centroid and scale each axis to peak 1.
 
-    N sets, or an (N, 5, 3) array of [x1, x2, c] rows, give (N, 5) streams
-    in one vectorized pass; one KeypointSet is a batch of one and gives its
-    row as (5,) streams. Missing points (c = 0) are excluded from the
+    An (N, 5, 3) array of [x1, x2, c] rows gives (N, 5) streams in one
+    vectorized pass; one KeypointSet is a batch of one and gives its row
+    as (5,) streams. Missing points (c = 0) are excluded from the
     centroid and peak statistics and come out with zero coordinates.
     Idempotent on its own output; invariant to translation and positive
     uniform scaling of the raw pixel coordinates. Raises UnusableKeypoints
     for the first set whose confidences are all 0.
     """
     single = isinstance(raw, KeypointSet)
-    if isinstance(raw, np.ndarray):
-        if raw.ndim != 3 or raw.shape[1:] != (N_KEYPOINTS, 3):
-            raise ValueError(f"expected an (N, {N_KEYPOINTS}, 3) array, got shape {raw.shape}")
-        kps = raw.astype(np.float64)
+    if single:
+        kps = np.array([[(p.x1, p.x2, p.c) for p in raw.points]], dtype=np.float64)
+    elif raw.ndim != 3 or raw.shape[1:] != (N_KEYPOINTS, 3):
+        raise ValueError(f"expected an (N, {N_KEYPOINTS}, 3) array, got shape {raw.shape}")
     else:
-        sets = [raw] if single else raw
-        kps = np.array(
-            [[(p.x1, p.x2, p.c) for p in s.points] for s in sets], dtype=np.float64
-        ).reshape(-1, N_KEYPOINTS, 3)
+        kps = raw.astype(np.float64)
     c = kps[:, :, 2]
     present = c > 0.0
     count = present.sum(axis=1)
@@ -128,13 +126,3 @@ def drop_keypoints(kps: KeypointSet, keep: int, rng: np.random.Generator) -> Key
         Keypoint(p.x1, p.x2, 0.0) if i in dropped else p for i, p in enumerate(kps.points)
     )
     return KeypointSet(points)
-
-
-def stack_normalized(
-    sets: Sequence[KeypointSet],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize N sets at once into (N, 5) x1, x2 and c arrays."""
-    if not sets:
-        raise ValueError("nothing to stack")
-    normed = normalize(sets)
-    return normed.x1, normed.x2, normed.c

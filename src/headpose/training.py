@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .keypoints import stack_normalized
+from .formats import Dataset
+from .keypoints import normalize
 from .losses import BinningScheme, loss_graph
 from .model import Model
-from .synthetic import Sample
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,11 @@ class TrainHistory:
         }
 
 
-def prepare_arrays(
-    samples: list[Sample],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def prepare_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Normalized input streams plus (N, 3) angle targets in degrees."""
-    x1, x2, c = stack_normalized([s.keypoints for s in samples])
-    targets = np.stack([s.pose.as_array() for s in samples])
-    return x1, x2, c, targets
+    targets = data.targets()
+    inputs = normalize(data.keypoints)
+    return inputs.x1, inputs.x2, inputs.c, targets
 
 
 def _validation_pass(
@@ -126,29 +124,29 @@ def _validation_pass(
 
 def train(
     model: Model,
-    samples: list[Sample],
+    data: Dataset,
     config: TrainConfig,
     rng: np.random.Generator,
-    val_samples: list[Sample] | None = None,
+    val: Dataset | None = None,
 ) -> TrainHistory:
     """Optimize the model in place; parameters end at the best epoch.
 
-    When val_samples is None, the tail val_fraction of a seeded shuffle of
-    `samples` becomes the validation split. With no validation data at all
-    the final epoch's parameters are kept.
+    When val is None, the head val_fraction of a seeded shuffle of `data`
+    becomes the validation split. With no validation data at all the
+    final epoch's parameters are kept.
     """
-    if not samples:
+    if not len(data):
         raise ValueError("no training samples")
-    if val_samples is None and config.val_fraction > 0.0:
-        order = rng.permutation(len(samples))
-        n_val = max(1, int(round(len(samples) * config.val_fraction)))
-        if n_val >= len(samples):
+    arrays = prepare_arrays(data)
+    val_arrays = prepare_arrays(val) if val else None
+    if val is None and config.val_fraction > 0.0:
+        order = rng.permutation(len(data))
+        n_val = max(1, int(round(len(data) * config.val_fraction)))
+        if n_val >= len(data):
             raise ValueError("validation split would consume every sample")
-        val_samples = [samples[i] for i in order[:n_val]]
-        samples = [samples[i] for i in order[n_val:]]
-
-    x1, x2, c, targets = prepare_arrays(samples)
-    val_arrays = prepare_arrays(val_samples) if val_samples else None
+        val_arrays = tuple(a[order[:n_val]] for a in arrays)
+        arrays = tuple(a[order[n_val:]] for a in arrays)
+    x1, x2, c, targets = arrays
     binning = None
     if model.config.loss_kind == "combined":
         binning = BinningScheme.centered(
@@ -159,7 +157,7 @@ def train(
     history = TrainHistory()
     best_val = np.inf
     best_snapshot: dict[str, np.ndarray] | None = None
-    n = len(samples)
+    n = len(targets)
     last_finite = "no finite training loss yet"
 
     for epoch in range(config.n_epochs):

@@ -16,6 +16,10 @@ from headpose.losses import BinningScheme
 from headpose.model import PoseEstimate
 
 
+def as_array(pose: EulerPose) -> np.ndarray:
+    return np.array([pose.yaw, pose.pitch, pose.roll], dtype=np.float64)
+
+
 def heteroscedastic_terms(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-angle loss terms, shape (..., 3), from a six-value head."""
     v = np.asarray(values, dtype=np.float64)
@@ -56,13 +60,13 @@ class LossValue:
 def heteroscedastic_value(estimate: PoseEstimate, target: EulerPose) -> LossValue:
     if estimate.log_variance is None:
         raise ValueError("estimate carries no log-variances")
-    values = np.concatenate([estimate.pose.as_array(), estimate.log_variance])
-    terms = heteroscedastic_terms(values, target.as_array())
+    values = np.concatenate([as_array(estimate.pose), estimate.log_variance])
+    terms = heteroscedastic_terms(values, as_array(target))
     return LossValue(float(terms.sum()), tuple(float(t) for t in terms))
 
 
 def squared_error_value(pose: EulerPose, target: EulerPose) -> LossValue:
-    terms = (target.as_array() - pose.as_array()) ** 2
+    terms = (as_array(target) - as_array(pose)) ** 2
     return LossValue(float(terms.sum()), tuple(float(t) for t in terms))
 
 
@@ -78,9 +82,9 @@ def combined_value(
     n = binning.n_bins
     if z.shape != (3 * n,):
         raise ValueError(f"expected {3 * n} logits, got {z.shape}")
-    q = target.as_array()
+    q = as_array(target)
     idx = binning.bin_index(q)
-    sq = (q - pose.as_array()) ** 2
+    sq = (q - as_array(pose)) ** 2
     terms = []
     for angle in range(3):
         row = z[angle * n : (angle + 1) * n]
@@ -98,8 +102,8 @@ def nll_gap(estimate: PoseEstimate, target: EulerPose) -> float:
     """
     if estimate.log_variance is None:
         raise ValueError("estimate carries no log-variances")
-    values = np.concatenate([estimate.pose.as_array(), estimate.log_variance])
-    q = target.as_array()
+    values = np.concatenate([as_array(estimate.pose), estimate.log_variance])
+    q = as_array(target)
     terms = heteroscedastic_terms(values, q)
     f, s = values[:3], values[3:6]
     sigma_sq = np.exp(s)

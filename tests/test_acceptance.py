@@ -19,9 +19,9 @@ from scipy.optimize import minimize_scalar
 from headpose import autodiff as ad
 from headpose import cli
 from headpose.evaluation import error_by_keypoint_count, evaluate, pearson
-from headpose.formats import read_dataset, read_model, write_model
+from headpose.formats import Dataset, read_dataset, read_model, write_model
 from headpose.geometry import EulerPose
-from headpose.keypoints import normalize
+from headpose.keypoints import KeypointSet, normalize
 from headpose.laeo import evaluate_laeo
 from headpose.losses import BinningScheme, loss_graph
 from headpose.model import Model, ModelConfig, PoseEstimate
@@ -46,8 +46,8 @@ def announce(capsys, number, ok, detail):
 def zero_noise_run():
     """Uncertainty model on clean geometry: 10,000 train / 1,000 val."""
     t0 = time.perf_counter()
-    train_samples = generate_dataset(10_000, np.random.default_rng(41))
-    val_samples = generate_dataset(1_000, np.random.default_rng(42))
+    train_samples = Dataset.from_samples(generate_dataset(10_000, np.random.default_rng(41)))
+    val_samples = Dataset.from_samples(generate_dataset(1_000, np.random.default_rng(42)))
     model = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(43))
     config = TrainConfig(n_epochs=200, batch_size=64, learning_rate=0.001)
     train(model, train_samples, config, np.random.default_rng(44), val_samples)
@@ -63,13 +63,13 @@ def noisy_drop_run():
     the accuracy bar, the heavily dropped split carries the count study.
     """
     t0 = time.perf_counter()
-    train_samples = generate_dataset(
+    train_samples = Dataset.from_samples(generate_dataset(
         10_000, np.random.default_rng(11), NOISE, drop_fraction=0.5
-    )
-    val_clean = generate_dataset(1_000, np.random.default_rng(12), NOISE)
-    val_drop = generate_dataset(
+    ))
+    val_clean = Dataset.from_samples(generate_dataset(1_000, np.random.default_rng(12), NOISE))
+    val_drop = Dataset.from_samples(generate_dataset(
         1_000, np.random.default_rng(13), NOISE, drop_fraction=0.75
-    )
+    ))
     model = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(21))
     config = TrainConfig(n_epochs=100, batch_size=64, learning_rate=0.001, val_fraction=0.0)
     for stage in range(2):
@@ -98,7 +98,8 @@ def test_criterion_2_model_file_size(tmp_path, capsys):
     path = tmp_path / "full.hpm"
     write_model(path, model)
     size = path.stat().st_size
-    x1, x2, c, _ = prepare_arrays(generate_dataset(64, np.random.default_rng(3)))
+    samples = generate_dataset(64, np.random.default_rng(3))
+    x1, x2, c, _ = prepare_arrays(Dataset.from_samples(samples))
     before = model.forward(x1, x2, c).values.data
     after = read_model(path).forward(x1, x2, c).values.data
     drift = float(np.abs(after - before).max())
@@ -156,7 +157,7 @@ def test_criterion_4_gradient_integrity(capsys):
         samples = generate_dataset(
             8, np.random.default_rng(seed), pose_range=PoseRange(10.0, 10.0, 10.0)
         )
-        x1, x2, c, _ = prepare_arrays(samples)
+        x1, x2, c, _ = prepare_arrays(Dataset.from_samples(samples))
         for kind in ("heteroscedastic", "mse", "combined"):
             model = Model.build(ModelConfig(kind), np.random.default_rng(100 + seed))
             base = model.forward(x1, x2, c).values.data
@@ -191,10 +192,7 @@ def test_criterion_5_synthetic_regression(zero_noise_run, noisy_drop_run, capsys
     noisy_model, val_clean, _, noisy_elapsed = noisy_drop_run
     result = evaluate(noisy_model, val_clean)
     noisy_mae = result.mae_overall
-    correlation = pearson(
-        [r.mean_uncertainty for r in result.records],
-        [r.overall_error for r in result.records],
-    )
+    correlation = pearson(result.mean_uncertainty, result.overall_error)
     elapsed = clean_elapsed + noisy_elapsed
     ok = clean_mae < 1.5 and noisy_mae < 5.0 and correlation > 0.3 and elapsed < 900
     announce(
@@ -208,8 +206,7 @@ def test_criterion_5_synthetic_regression(zero_noise_run, noisy_drop_run, capsys
 
 def test_criterion_6_keypoint_count_study(noisy_drop_run, capsys):
     model, _, val_drop, _ = noisy_drop_run
-    records = evaluate(model, val_drop).records
-    groups = error_by_keypoint_count(records)
+    groups = error_by_keypoint_count(evaluate(model, val_drop))
     counts_seen = sorted(k for k in groups if k in (2, 3, 4, 5))
     has_range = {2, 5} <= set(counts_seen)
     unc_sparse = groups[2]["uncertainty"].median
@@ -337,13 +334,15 @@ def test_criterion_9_determinism(tmp_path, capsys):
         ) == 0
         frames_file = tmp_path / "frames.jsonl"
         if run == 0:
-            records = read_dataset(val_file)[:20]
+            keypoints = read_dataset(val_file).keypoints[:20]
             frame_rows.write(frames_file, [
                 frame_rows.frame(
                     f"fr{i}",
                     (
-                        frame_rows.head("a", (0.0, 0.0), keypoints=records[2 * i].keypoints),
-                        frame_rows.head("b", (25.0, 5.0), keypoints=records[2 * i + 1].keypoints),
+                        frame_rows.head("a", (0.0, 0.0),
+                                        keypoints=KeypointSet.from_triplets(keypoints[2 * i])),
+                        frame_rows.head("b", (25.0, 5.0),
+                                        keypoints=KeypointSet.from_triplets(keypoints[2 * i + 1])),
                     ),
                     [("a", "b")] if i % 2 == 0 else [],
                 )

@@ -12,7 +12,7 @@ import pytest
 
 from headpose import cli
 from headpose.evaluation import evaluate
-from headpose.formats import read_dataset, read_model, samples_from_records, write_model
+from headpose.formats import Dataset, read_dataset, read_model, write_model
 from headpose.keypoints import Keypoint, KeypointSet, normalize
 from headpose.model import Model, ModelConfig
 from headpose.synthetic import generate_dataset
@@ -56,9 +56,9 @@ class TestSynth:
         code, stdout, _ = run(capsys, "synth", "--n", "7", "--seed", "1", "--out", str(out))
         assert code == 0
         assert "wrote 7 samples" in stdout
-        records = read_dataset(out)
-        assert len(records) == 7
-        assert all(r.pose is not None for r in records)
+        data = read_dataset(out)
+        assert len(data) == 7
+        assert data.has_pose.all()
 
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         a, b, c = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "c.jsonl"))
@@ -74,8 +74,8 @@ class TestSynth:
             capsys, "synth", "--n", "40", "--seed", "2", "--out", str(out),
             "--yaw-range", "10", "--pitch-range", "5", "--roll-range", "1",
         )
-        for r in read_dataset(out):
-            assert abs(r.pose.yaw) <= 10 and abs(r.pose.pitch) <= 5 and abs(r.pose.roll) <= 1
+        poses = np.abs(read_dataset(out).poses)
+        assert (poses <= [10, 5, 1]).all()
 
     def test_bad_noise_flag_exits_nonzero(self, tmp_path, capsys):
         code, _, err = run(
@@ -201,12 +201,11 @@ class TestInfer:
         code, out, err = run(capsys, "infer", "--model", str(unc_model), "--data", str(data_file))
         assert code == 0, err
         rows = [json.loads(line) for line in out.splitlines()]
-        result = evaluate(read_model(unc_model), samples_from_records(read_dataset(data_file)))
-        assert len(rows) == len(result.records) == 12
-        for row, record in zip(rows, result.records):
-            pose = record.estimate.pose
-            assert (row["yaw"], row["pitch"], row["roll"]) == (pose.yaw, pose.pitch, pose.roll)
-            assert row["log_variance"] == record.estimate.log_variance.tolist()
+        result = evaluate(read_model(unc_model), read_dataset(data_file))
+        assert len(rows) == len(result) == 12
+        for row, angles, log_var in zip(rows, result.angles, result.log_variance):
+            assert [row["yaw"], row["pitch"], row["roll"]] == angles.tolist()
+            assert row["log_variance"] == log_var.tolist()
 
     def test_empty_file_gives_no_rows(self, tmp_path, unc_model, capsys):
         empty = tmp_path / "none.jsonl"
@@ -340,7 +339,7 @@ class TestLaeo:
         samples = generate_dataset(7, np.random.default_rng(4))
         sizes = (2, 3, 2)
         model = read_model(unc_model)
-        inputs = normalize([s.keypoints for s in samples])
+        inputs = normalize(Dataset.from_samples(samples).keypoints)
         angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
         with_keypoints, with_estimates = [], []
         k = 0
@@ -479,6 +478,47 @@ def test_non_finite_model_file_is_refused(tmp_path, data_file, capsys, command):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_non_finite_estimate_names_record(tmp_path, capsys, command):
+    # finite keypoints near the float range overflow in normalize; the NaN
+    # estimate they give is refused, not printed as `NaN` or averaged in
+    model_path = tmp_path / "unc.hpm"
+    write_model(model_path, Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(0)))
+    good = {"id": "ok", "keypoints": [[0, 0, 1], [1, 0, 1], [2, 1, 1], [3, 0, 1], [4, 2, 1]],
+            "pose": [0, 0, 0]}
+    huge = {"id": "huge", "keypoints": [[1.7e308, 0.0, 1.0], [1.7e308, 1.0, 1.0],
+                                        [-1.7e308, 2.0, 1.0], [3.0, 1.0, 1.0], [0.0, 0.0, 1.0]],
+            "pose": [0, 0, 0]}
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps(good) + "\n" + json.dumps(huge) + "\n")
+    out = tmp_path / "out"
+    flag = "--out" if command == "infer" else "--report"
+    code, stdout, err = run(capsys, command, "--model", str(model_path), "--data", str(data),
+                            flag, str(out))
+    assert code == 1 and stdout == ""
+    assert err == "error: record 'huge': the model gave a non-finite estimate\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_record_without_pose_names_its_line(tmp_path, unc_model, capsys, command):
+    labelled = {"id": "l", "keypoints": [[0, 0, 1], [1, 0, 1], [2, 1, 1], [3, 0, 1], [4, 2, 1]],
+                "pose": [0, 0, 0]}
+    unlabelled = {"id": "u", "keypoints": labelled["keypoints"]}
+    data = tmp_path / "d.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n\n" for r in (labelled, labelled, unlabelled)))
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", str(data), "--epochs", "1", "--out", str(out)],
+        "eval": ["eval", "--model", str(unc_model), "--data", str(data), "--report", str(out)],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == "error: line 5: record 'u' has no ground-truth pose\n"
+    assert not out.exists()
+
+
 PINS = json.loads((DATA / "train_pins.json").read_text())
 
 
@@ -496,6 +536,21 @@ def test_training_output_is_pinned(tmp_path, capsys, loss):
         "history": hashlib.sha256(Path(f"{out}.history.json").read_bytes()).hexdigest(),
     }
     assert digest == PINS["sha256"][loss]
+
+
+@pytest.mark.parametrize("loss", ["unc", "mse"])
+def test_score_output_is_pinned(tmp_path, capsys, loss):
+    # tests/data holds a labelled file with missing keypoints (its last line
+    # has integer values and meta), a small model per head kind, and the
+    # `eval` report and `infer` rows that the CLI wrote for them
+    model, data = str(DATA / f"score_pin_{loss}.hpm"), str(DATA / "score_pin.jsonl")
+    report, rows = tmp_path / "report.json", tmp_path / "rows.jsonl"
+    code, _, err = run(capsys, "eval", "--model", model, "--data", data, "--report", str(report))
+    assert code == 0, err
+    code, _, err = run(capsys, "infer", "--model", model, "--data", data, "--out", str(rows))
+    assert code == 0, err
+    assert report.read_bytes() == (DATA / f"score_pin_{loss}_report.json").read_bytes()
+    assert rows.read_bytes() == (DATA / f"score_pin_{loss}_infer.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["labelled", "unlabelled"])

@@ -9,7 +9,7 @@ import pytest
 
 from headpose.evaluation import (
     BoxStats,
-    EvalRecord,
+    EvalResult,
     build_report,
     cumulative_error_curve,
     error_by_keypoint_count,
@@ -17,20 +17,25 @@ from headpose.evaluation import (
     pearson,
     uncertainty_cross_correlation,
 )
-from headpose.geometry import EulerPose
-from headpose.model import Model, ModelConfig, PoseEstimate
+from headpose.formats import Dataset
+from headpose.model import Model, ModelConfig
 from headpose.synthetic import generate_dataset
 from headpose.training import prepare_arrays
 
 
-def record(pose, truth, count=5, log_var=None):
-    lv = np.asarray(log_var, dtype=np.float64) if log_var is not None else None
-    return EvalRecord(
-        estimate=PoseEstimate(EulerPose(*pose), lv),
-        ground_truth=EulerPose(*truth),
-        present_keypoints=count,
-        mean_uncertainty=float(lv.mean()) if lv is not None else None,
+def result(poses, truths, counts=None, log_vars=None):
+    """An EvalResult of hand-made rows; counts default to 5 keypoints each."""
+    n = len(poses)
+    return EvalResult.of(
+        np.array(poses, dtype=np.float64).reshape(n, 3),
+        None if log_vars is None else np.array(log_vars, dtype=np.float64).reshape(n, 3),
+        np.array(truths, dtype=np.float64).reshape(n, 3),
+        np.array([5] * n if counts is None else counts),
     )
+
+
+def dataset(n, seed, **kwargs):
+    return Dataset.from_samples(generate_dataset(n, np.random.default_rng(seed), **kwargs))
 
 
 class TestPearson:
@@ -69,43 +74,51 @@ class TestBoxStats:
 
 class TestRecords:
     def test_overall_error_is_mean_absolute(self):
-        r = record((10, 20, 30), (13, 14, 30))
-        assert r.overall_error == pytest.approx((3 + 6 + 0) / 3)
+        r = result([(10, 20, 30), (0, 0, 0)], [(13, 14, 30), (1, -2, 3)])
+        assert r.overall_error.tolist() == pytest.approx([(3 + 6 + 0) / 3, (1 + 2 + 3) / 3])
+        assert r.mae_overall == pytest.approx((3 + 6 + 0 + 1 + 2 + 3) / 6)
+        assert r.mean_uncertainty is None
+
+    def test_mean_uncertainty_averages_log_variances(self):
+        r = result([(0, 0, 0)] * 2, [(0, 0, 0)] * 2, log_vars=[(1, 2, 6), (0, 0, -3)])
+        assert r.mean_uncertainty.tolist() == [3.0, -1.0]
 
 
 class TestEvaluate:
     def test_against_manual_recompute(self):
-        samples = generate_dataset(12, np.random.default_rng(0))
+        data = dataset(12, 0, drop_fraction=0.5)
         model = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(1))
-        result = evaluate(model, samples)
-        x1, x2, c, targets = prepare_arrays(samples)
+        scored = evaluate(model, data)
+        x1, x2, c, targets = prepare_arrays(data)
         angles, log_var = model.predict_batch(x1, x2, c)
         expect = np.abs(angles - targets).mean(axis=0)
-        assert result.mae_yaw == pytest.approx(expect[0], abs=1e-12)
-        assert result.mae_overall == pytest.approx(expect.mean(), abs=1e-12)
-        assert len(result.records) == 12
-        for i, r in enumerate(result.records):
-            assert r.mean_uncertainty == pytest.approx(log_var[i].mean(), abs=1e-12)
+        assert scored.mae_yaw == pytest.approx(expect[0], abs=1e-12)
+        assert scored.mae_overall == pytest.approx(expect.mean(), abs=1e-12)
+        assert len(scored) == 12
+        assert np.array_equal(scored.angles, angles)
+        assert np.array_equal(scored.targets, data.poses)
+        for i in range(12):
+            assert scored.mean_uncertainty[i] == pytest.approx(log_var[i].mean(), abs=1e-12)
+            assert scored.present[i] == np.count_nonzero(data.keypoints[i, :, 2])
 
     def test_point_estimate_records_lack_uncertainty(self):
-        samples = generate_dataset(6, np.random.default_rng(2))
         model = Model.build(ModelConfig("mse"), np.random.default_rng(3))
-        result = evaluate(model, samples)
-        assert all(r.mean_uncertainty is None for r in result.records)
+        scored = evaluate(model, dataset(6, 2))
+        assert scored.log_variance is None and scored.mean_uncertainty is None
 
     def test_empty_dataset_raises(self):
         model = Model.build(ModelConfig("mse"), np.random.default_rng(4))
         with pytest.raises(ValueError):
-            evaluate(model, [])
+            evaluate(model, Dataset.from_samples([]))
 
 
 class TestCurve:
     def make_records(self):
-        return [
-            record((1, 0, 0), (0, 0, 0), log_var=[1.0, 1.0, 1.0]),     # err 1/3, mu 1
-            record((0, 30, 0), (0, 0, 0), log_var=[2.0, 2.0, 2.0]),    # err 10,  mu 2
-            record((0, 0, 300), (0, 0, 0), log_var=[3.0, 3.0, 3.0]),   # err 100, mu 3
-        ]
+        return result(
+            [(1, 0, 0), (0, 30, 0), (0, 0, 300)],  # err 1/3, 10, 100
+            [(0, 0, 0)] * 3,
+            log_vars=[[1.0] * 3, [2.0] * 3, [3.0] * 3],  # mu 1, 2, 3
+        )
 
     def test_hand_computed_points(self):
         pts = cumulative_error_curve(self.make_records(), [1.0, 2.0, 3.0])
@@ -124,7 +137,7 @@ class TestCurve:
 
     def test_requires_uncertainty(self):
         with pytest.raises(ValueError):
-            cumulative_error_curve([record((0, 0, 0), (0, 0, 0))], [1.0])
+            cumulative_error_curve(result([(0, 0, 0)], [(0, 0, 0)]), [1.0])
 
     def test_retained_non_decreasing(self):
         pts = cumulative_error_curve(self.make_records(), np.linspace(0, 4, 9))
@@ -136,8 +149,9 @@ class TestCrossCorrelation:
     def test_matches_column_pearson(self):
         rng = np.random.default_rng(5)
         lvs = rng.normal(size=(20, 3))
-        records = [record((0, 0, 0), (0, 0, 0), log_var=lv) for lv in lvs]
-        r_yp, r_yr, r_pr = uncertainty_cross_correlation(records)
+        r_yp, r_yr, r_pr = uncertainty_cross_correlation(
+            result([(0, 0, 0)] * 20, [(0, 0, 0)] * 20, log_vars=lvs)
+        )
         assert r_yp == pytest.approx(pearson(lvs[:, 0], lvs[:, 1]), abs=1e-12)
         assert r_yr == pytest.approx(pearson(lvs[:, 0], lvs[:, 2]), abs=1e-12)
         assert r_pr == pytest.approx(pearson(lvs[:, 1], lvs[:, 2]), abs=1e-12)
@@ -145,28 +159,25 @@ class TestCrossCorrelation:
 
 class TestGroups:
     def test_grouping_by_count(self):
-        records = [
-            record((1, 1, 1), (0, 0, 0), count=5, log_var=[1, 1, 1]),
-            record((2, 2, 2), (0, 0, 0), count=5, log_var=[2, 2, 2]),
-            record((9, 9, 9), (0, 0, 0), count=2, log_var=[5, 5, 5]),
-        ]
-        groups = error_by_keypoint_count(records)
-        assert sorted(groups.keys()) == [2, 5]
+        groups = error_by_keypoint_count(result(
+            [(1, 1, 1), (9, 9, 9), (2, 2, 2)], [(0, 0, 0)] * 3, counts=[5, 2, 5],
+            log_vars=[[1] * 3, [5] * 3, [2] * 3],
+        ))
+        assert list(groups.keys()) == [2, 5]
         assert groups[5]["error"].median == pytest.approx(1.5)
         assert groups[2]["error"].mean == pytest.approx(9.0)
         assert groups[5]["uncertainty"].median == pytest.approx(1.5)
 
     def test_uncertainty_none_without_variances(self):
-        groups = error_by_keypoint_count([record((1, 1, 1), (0, 0, 0), count=4)])
+        groups = error_by_keypoint_count(result([(1, 1, 1)], [(0, 0, 0)], counts=[4]))
         assert groups[4]["uncertainty"] is None
         assert groups[4]["error"] is not None
 
 
 class TestReport:
     def build(self, kind="heteroscedastic"):
-        samples = generate_dataset(16, np.random.default_rng(6), drop_fraction=0.5)
         model = Model.build(ModelConfig(kind), np.random.default_rng(7))
-        return build_report(evaluate(model, samples))
+        return build_report(evaluate(model, dataset(16, 6, drop_fraction=0.5)))
 
     def test_key_order(self):
         report = self.build()

@@ -80,12 +80,6 @@ class TestRotationMatrix:
         assert np.allclose(rotation_matrix(EulerPose(0, 0, 0)), np.eye(3), atol=1e-15)
 
 
-class TestCanonical:
-    def test_as_array(self):
-        arr = EulerPose(1.0, 2.0, 3.0).as_array()
-        assert arr.dtype == np.float64 and arr.tolist() == [1.0, 2.0, 3.0]
-
-
 class TestErrors:
     def test_plain_absolute_difference(self):
         err = angular_error(EulerPose(10, -5, 3), EulerPose(4, 5, 3))

@@ -13,7 +13,6 @@ from headpose.keypoints import (
     drop_keypoints,
     normalize,
     present_count,
-    stack_normalized,
 )
 
 
@@ -41,6 +40,11 @@ def loop_normalize(s):
             out[present] = centered / peak
         axes.append(out)
     return axes[0], axes[1], c
+
+
+def stack(sets):
+    """(N, 5, 3) array of the sets' [x1, x2, c] rows, the batch form of normalize."""
+    return np.array([[(p.x1, p.x2, p.c) for p in s.points] for s in sets]).reshape(-1, 5, 3)
 
 
 def sparse_sets(n, seed):
@@ -117,12 +121,12 @@ class TestNormalize:
     def test_batch_names_first_unusable_set(self):
         ghost = kps([(1, 2)] * 5, conf=[0.0] * 5)
         with pytest.raises(UnusableKeypoints) as info:
-            normalize([spread(0), spread(1), ghost, spread(2), ghost])
+            normalize(stack([spread(0), spread(1), ghost, spread(2), ghost]))
         assert info.value.index == 2
 
     def test_batch_matches_per_set_loop_bit_for_bit(self):
         sets = sparse_sets(500, seed=1000)
-        batch = normalize(sets)
+        batch = normalize(stack(sets))
         for i, s in enumerate(sets):
             x1, x2, c = loop_normalize(s)
             assert np.array_equal(batch.x1[i], x1)
@@ -131,7 +135,7 @@ class TestNormalize:
 
     def test_single_set_equals_its_batch_row(self):
         sets = sparse_sets(200, seed=100)
-        batch = normalize(sets)
+        batch = normalize(stack(sets))
         assert batch.x1.shape == batch.x2.shape == batch.c.shape == (200, 5)
         for i, s in enumerate(sets):
             one = normalize(s)
@@ -141,7 +145,7 @@ class TestNormalize:
             assert np.array_equal(one.c, batch.c[i])
 
     def test_empty_batch(self):
-        n = normalize([])
+        n = normalize(stack([]))
         assert n.x1.shape == n.x2.shape == n.c.shape == (0, 5)
 
     def test_degenerate_axis_goes_to_zero(self):
@@ -178,18 +182,3 @@ class TestDrop:
         b = drop_keypoints(s, 2, np.random.default_rng(42))
         assert a == b
 
-
-class TestStack:
-    def test_matches_per_sample_normalize(self):
-        sets = [spread(i) for i in range(4)]
-        x1, x2, c = stack_normalized(sets)
-        assert x1.shape == x2.shape == c.shape == (4, 5)
-        for i, s in enumerate(sets):
-            n = normalize(s)
-            assert np.array_equal(x1[i], n.x1)
-            assert np.array_equal(x2[i], n.x2)
-            assert np.array_equal(c[i], n.c)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            stack_normalized([])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from headpose.formats import read_model, write_model
+from headpose.formats import Dataset, read_model, write_model
 from headpose.geometry import EulerPose
 from headpose.keypoints import NormalizedInput
 from headpose.model import (
@@ -294,7 +294,7 @@ class TestFlatStorage:
         m.flat += 1.0
         m.restore(snap)
         assert np.array_equal(m.flat, np.concatenate([snap[n].ravel() for n in m.params]))
-        samples = generate_dataset(8, np.random.default_rng(23))
+        samples = Dataset.from_samples(generate_dataset(8, np.random.default_rng(23)))
         train(m, samples, TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0),
               np.random.default_rng(24))
         assert not np.array_equal(m.flat, np.concatenate([snap[n].ravel() for n in m.params]))

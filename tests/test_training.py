@@ -9,6 +9,7 @@ import pytest
 
 from headpose import autodiff as ad
 from headpose import training
+from headpose.formats import Dataset
 from headpose.geometry import EulerPose
 from headpose.keypoints import KeypointSet, normalize
 from headpose.losses import BinningScheme, loss_graph
@@ -25,8 +26,12 @@ from headpose.training import (
 from adam_reference import TensorAdam
 
 
-def small_dataset(n=64, seed=0, noise=NoiseModel()):
+def small_samples(n=64, seed=0, noise=NoiseModel()):
     return generate_dataset(n, np.random.default_rng(seed), noise=noise)
+
+
+def small_dataset(n=64, seed=0, noise=NoiseModel()):
+    return Dataset.from_samples(small_samples(n, seed, noise))
 
 
 class TestTrainConfig:
@@ -140,8 +145,8 @@ class TestAdam:
 
 class TestPrepareArrays:
     def test_shapes_and_targets(self):
-        samples = small_dataset(8, seed=1)
-        x1, x2, c, targets = prepare_arrays(samples)
+        samples = small_samples(8, seed=1)
+        x1, x2, c, targets = prepare_arrays(Dataset.from_samples(samples))
         assert x1.shape == x2.shape == c.shape == (8, 5)
         assert targets.shape == (8, 3)
         for i, s in enumerate(samples):
@@ -164,7 +169,7 @@ class TestTrainLoop:
     def test_explicit_validation_set(self):
         m = Model.build(ModelConfig("mse"), np.random.default_rng(2))
         hist = train(m, small_dataset(32, 3), TrainConfig(n_epochs=2, batch_size=16),
-                     np.random.default_rng(3), val_samples=small_dataset(16, 4))
+                     np.random.default_rng(3), val=small_dataset(16, 4))
         assert len(hist.val_loss) == 2
 
     def test_no_validation_keeps_last_epoch(self):
@@ -177,7 +182,7 @@ class TestTrainLoop:
         m = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(6))
         val = small_dataset(24, 7)
         hist = train(m, small_dataset(64, 8), TrainConfig(n_epochs=4, batch_size=16),
-                     np.random.default_rng(9), val_samples=val)
+                     np.random.default_rng(9), val=val)
         x1, x2, c, t = prepare_arrays(val)
         now = float(loss_graph("heteroscedastic", m.forward(x1, x2, c), t).data)
         assert now == pytest.approx(hist.best_val_loss, abs=1e-12)
@@ -185,7 +190,7 @@ class TestTrainLoop:
     def test_empty_dataset_raises(self):
         m = Model.build(ModelConfig("mse"), np.random.default_rng(10))
         with pytest.raises(ValueError):
-            train(m, [], TrainConfig(), np.random.default_rng(0))
+            train(m, Dataset.from_samples([]), TrainConfig(), np.random.default_rng(0))
 
     def test_split_cannot_eat_everything(self):
         m = Model.build(ModelConfig("mse"), np.random.default_rng(11))
@@ -195,11 +200,11 @@ class TestTrainLoop:
 
     def test_non_finite_loss_reports_position(self):
         m = Model.build(ModelConfig("mse"), np.random.default_rng(13))
-        bad = small_dataset(8, 14)
+        bad = small_samples(8, 14)
         bad[0] = Sample(bad[0].keypoints, EulerPose(np.inf, 0.0, 0.0))
         cfg = TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0)
         with pytest.raises(FloatingPointError, match="epoch 0"):
-            train(m, bad, cfg, np.random.default_rng(0))
+            train(m, Dataset.from_samples(bad), cfg, np.random.default_rng(0))
 
     def test_non_finite_gradient_reports_tensor_step_and_last_loss(self, monkeypatch):
         m = Model.build(ModelConfig("mse", width_scale=0.2), np.random.default_rng(15))
@@ -234,6 +239,23 @@ class TestTrainLoop:
         for name in snap_a:
             assert np.array_equal(snap_a[name], snap_b[name])
 
+    def test_split_equals_explicit_validation_set(self):
+        # the split normalizes every record once and then takes rows; that
+        # is the run given the same rows as two datasets, bit for bit
+        samples = small_samples(40, 30, NoiseModel(1.0, 0.02))
+        cfg = TrainConfig(n_epochs=2, batch_size=8)
+        split_model, given_model = (
+            Model.build(ModelConfig("heteroscedastic", width_scale=0.2),
+                        np.random.default_rng(31)) for _ in range(2)
+        )
+        split = train(split_model, Dataset.from_samples(samples), cfg, np.random.default_rng(32))
+        rng = np.random.default_rng(32)
+        order = rng.permutation(40)
+        rows = [Dataset.from_samples([samples[i] for i in part]) for part in np.split(order, [4])]
+        given = train(given_model, rows[1], cfg, rng, val=rows[0])
+        assert split.to_dict() == given.to_dict()
+        assert np.array_equal(split_model.flat, given_model.flat)
+
     def test_all_losses_reduce_training_loss(self):
         data = small_dataset(96, 23)
         for kind in ("heteroscedastic", "mse", "combined"):
@@ -259,11 +281,11 @@ class TestConvergence:
                 nz = normalize(kp)
                 pose = a_map @ np.concatenate([nz.x1, nz.x2])
                 out.append(Sample(kp, EulerPose(*pose)))
-            return out
+            return Dataset.from_samples(out)
 
         m = Model.build(ModelConfig("mse"), np.random.default_rng(0))
         cfg = TrainConfig(n_epochs=200, batch_size=32, val_fraction=0.0)
-        hist = train(m, make(512, 1), cfg, np.random.default_rng(1), val_samples=make(200, 2))
+        hist = train(m, make(512, 1), cfg, np.random.default_rng(1), val=make(200, 2))
         best = hist.val_mae[hist.best_epoch]
         assert float(np.mean(best)) < 1.0
 
