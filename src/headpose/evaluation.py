@@ -17,6 +17,8 @@ from .geometry import mae
 from .model import Model
 from .training import prepare_arrays
 
+N_CURVE_POINTS = 21  # thresholds of the report's cumulative error curve
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -157,7 +159,7 @@ def error_by_keypoint_count(result: EvalResult) -> dict[int, dict[str, BoxStats 
     return out
 
 
-def build_report(result: EvalResult, n_curve_points: int = 21) -> dict:
+def build_report(result: EvalResult) -> dict:
     """Plot-ready report dict with a fixed key order.
 
     Serializing this with the same inputs yields byte-identical text; no
@@ -183,7 +185,7 @@ def build_report(result: EvalResult, n_curve_points: int = 21) -> dict:
             cross = {"yaw_pitch": r_yp, "yaw_roll": r_yr, "pitch_roll": r_pr}
         except ValueError:
             cross = None
-        grid = np.linspace(mu.min(), mu.max(), n_curve_points)
+        grid = np.linspace(mu.min(), mu.max(), N_CURVE_POINTS)
         curve = [p._asdict() for p in cumulative_error_curve(result, grid)]
         report["uncertainty"] = {
             "pearson_vs_error": r_err,

@@ -7,8 +7,9 @@ file into one columnar `laeo.Frames`, every check on it in its reader.
 Model files are one JSON header line (version, config, tensor layout)
 followed by the model's flat parameter vector as raw little-endian
 float32, tensors in layout order; non-finite values are refused on read
-and on write. All writes go through a temp file in the target directory
-and a rename, so readers never observe partial files.
+and on write, as they are when writing a dataset. All writes go through
+a temp file in the target directory and a rename, so readers never
+observe partial files.
 
 Malformed input lines raise RecordError carrying the 1-based line number.
 """
@@ -44,15 +45,19 @@ class RecordError(Exception):
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write through a temp file beside `path`; an OSError names `path`."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.errno is not None:
+            raise OSError(e.errno, e.strerror, str(path)) from e
         raise
 
 
@@ -155,6 +160,12 @@ class Dataset:
 
 
 def write_dataset(path: str | Path, data: Dataset) -> None:
+    """One JSON line per record; refuses non-finite keypoints or poses."""
+    finite = np.isfinite(data.keypoints).all(axis=(1, 2))
+    finite &= ~data.has_pose | np.isfinite(data.poses).all(axis=1)
+    if not finite.all():
+        record = data.ids[int(np.argmin(finite))]
+        raise ValueError(f"{path}: refusing to write non-finite value in record {record!r}")
     rows = [{"id": i, "keypoints": k} for i, k in zip(data.ids, data.keypoints.tolist())]
     for row, pose, has_pose, meta in zip(rows, data.poses.tolist(), data.has_pose, data.meta):
         if has_pose:

@@ -9,7 +9,7 @@ Three interchangeable objectives, matched to the head widths in model.py:
   0.5 * s for doing so.
 * mse: plain summed squared error over the three angles.
 * combined: per-angle cross entropy against a binned version of the target
-  plus a weighted squared-error term on the continuous head.
+  plus the summed squared error of the continuous head.
 
 Each graph builder takes a batch of network outputs, (B, ...) with B >= 1,
 and returns the batch-mean scalar ready for backward().
@@ -17,43 +17,23 @@ and returns the batch-mean scalar ready for backward().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-from .model import NetworkOutput
+from .model import BIN_WIDTH_DEGREES, N_BINS, NetworkOutput
+
+# N_BINS bins of BIN_WIDTH_DEGREES, centred on zero: [-99, 99] degrees.
+BIN_LO_DEGREES = -0.5 * N_BINS * BIN_WIDTH_DEGREES
+BIN_HI_DEGREES = BIN_LO_DEGREES + N_BINS * BIN_WIDTH_DEGREES
 
 
-@dataclass(frozen=True)
-class BinningScheme:
-    """Uniform angle bins; the top edge folds into the last bin."""
-
-    n_bins: int = 66
-    width_degrees: float = 3.0
-    lo_degrees: float = -99.0
-
-    def __post_init__(self) -> None:
-        if self.n_bins < 2 or self.width_degrees <= 0:
-            raise ValueError("need at least 2 bins of positive width")
-
-    @property
-    def hi_degrees(self) -> float:
-        return self.lo_degrees + self.n_bins * self.width_degrees
-
-    def bin_index(self, angles_degrees) -> np.ndarray:
-        a = np.asarray(angles_degrees, dtype=np.float64)
-        if np.any(a < self.lo_degrees) or np.any(a > self.hi_degrees):
-            raise ValueError(
-                f"angle outside [{self.lo_degrees}, {self.hi_degrees}] degrees"
-            )
-        idx = np.floor((a - self.lo_degrees) / self.width_degrees).astype(np.int64)
-        return np.minimum(idx, self.n_bins - 1)
-
-    @staticmethod
-    def centered(n_bins: int, width_degrees: float) -> "BinningScheme":
-        lo = -0.5 * n_bins * width_degrees
-        return BinningScheme(n_bins=n_bins, width_degrees=width_degrees, lo_degrees=lo)
+def bin_index(angles_degrees) -> np.ndarray:
+    """The bin of each angle; the top edge folds into the last bin."""
+    a = np.asarray(angles_degrees, dtype=np.float64)
+    if np.any(a < BIN_LO_DEGREES) or np.any(a > BIN_HI_DEGREES):
+        raise ValueError(f"angle outside [{BIN_LO_DEGREES}, {BIN_HI_DEGREES}] degrees")
+    idx = np.floor((a - BIN_LO_DEGREES) / BIN_WIDTH_DEGREES).astype(np.int64)
+    return np.minimum(idx, N_BINS - 1)
 
 
 def heteroscedastic_loss_graph(output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
@@ -76,44 +56,30 @@ def mse_loss_graph(output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
     return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / values.shape[0])
 
 
-def combined_loss_graph(
-    output: NetworkOutput,
-    targets: np.ndarray,
-    binning: BinningScheme,
-    mse_mix: float = 1.0,
-) -> ad.Tensor:
+def combined_loss_graph(output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
     if output.logits is None:
         raise ValueError("combined loss needs the bin-logits head")
     values, logits = output.values, output.logits
-    n = binning.n_bins
-    if logits.shape[-1] != 3 * n:
-        raise ValueError(f"expected {3 * n} logits, got {logits.shape[-1]}")
+    if logits.shape[-1] != 3 * N_BINS:
+        raise ValueError(f"expected {3 * N_BINS} logits, got {logits.shape[-1]}")
     q = np.asarray(targets, dtype=np.float64)
     total: ad.Tensor | None = None
     for angle in range(3):
-        rows = ad.slice_last(logits, angle * n, (angle + 1) * n)
-        ce = ad.cross_entropy_logits(rows, binning.bin_index(q[:, angle]))
+        rows = ad.slice_last(logits, angle * N_BINS, (angle + 1) * N_BINS)
+        ce = ad.cross_entropy_logits(rows, bin_index(q[:, angle]))
         ce_sum = ad.tsum(ce)
         total = ce_sum if total is None else ad.add(total, ce_sum)
     diff = ad.sub(values, ad.Tensor(q))
-    total = ad.add(total, ad.scale(ad.tsum(ad.mul(diff, diff)), mse_mix))
+    total = ad.add(total, ad.tsum(ad.mul(diff, diff)))
     return ad.scale(total, 1.0 / values.shape[0])
 
 
-def loss_graph(
-    kind: str,
-    output: NetworkOutput,
-    targets: np.ndarray,
-    binning: BinningScheme | None = None,
-    mse_mix: float = 1.0,
-) -> ad.Tensor:
+def loss_graph(kind: str, output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
     """Dispatch to the builder matching the model's loss kind."""
     if kind == "heteroscedastic":
         return heteroscedastic_loss_graph(output, targets)
     if kind == "mse":
         return mse_loss_graph(output, targets)
     if kind == "combined":
-        if binning is None:
-            raise ValueError("combined loss needs a binning scheme")
-        return combined_loss_graph(output, targets, binning, mse_mix)
+        return combined_loss_graph(output, targets)
     raise ValueError(f"unknown loss kind {kind!r}")

@@ -13,7 +13,9 @@ head emits the three angles, and the combined classification head emits
 the three angles plus one row of bin logits per angle.
 
 The fully connected widths scale with a single multiplier so the same
-topology covers the full-size and reduced variants.
+topology covers the full-size and reduced variants. The loss kind and
+that multiplier are the only settings; the rest of the architecture is
+the module constants below.
 """
 
 from __future__ import annotations
@@ -30,6 +32,22 @@ from .keypoints import N_KEYPOINTS, NormalizedInput
 LOSS_KINDS = ("heteroscedastic", "mse", "combined")
 
 FC_BASE = (250, 200, 150)
+N_FILTERS = 5  # per conv stream
+LEAKY_SLOPE = 0.01
+N_BINS = 66  # per angle, for the combined head
+BIN_WIDTH_DEGREES = 3.0
+INIT_VARIANCE = 0.05  # of the normal every parameter starts from
+
+# The fixed architecture as model files record it, in header order; the
+# conv is per-position, so its kernel size is 1.
+FIXED_CONFIG = {
+    "n_filters": N_FILTERS,
+    "kernel_size": 1,
+    "leaky_slope": LEAKY_SLOPE,
+    "n_bins": N_BINS,
+    "bin_width_degrees": BIN_WIDTH_DEGREES,
+    "init_variance": INIT_VARIANCE,
+}
 
 
 def scaled_width(base: int, multiplier: float) -> int:
@@ -41,26 +59,12 @@ def scaled_width(base: int, multiplier: float) -> int:
 class ModelConfig:
     loss_kind: str = "heteroscedastic"
     width_scale: float = 1.0
-    n_filters: int = 5
-    kernel_size: int = 1
-    leaky_slope: float = 0.01
-    n_bins: int = 66
-    bin_width_degrees: float = 3.0
-    init_variance: float = 0.05
 
     def __post_init__(self) -> None:
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if self.width_scale <= 0:
             raise ValueError("width_scale must be > 0")
-        if self.n_filters < 1:
-            raise ValueError("n_filters must be >= 1")
-        if self.kernel_size != 1:
-            raise ValueError(f"kernel_size must be 1 (per-position conv), got {self.kernel_size}")
-        if self.init_variance <= 0:
-            raise ValueError("init_variance must be > 0")
-        if self.loss_kind == "combined" and self.n_bins < 2:
-            raise ValueError("combined head needs at least 2 bins")
 
     @property
     def fc_widths(self) -> tuple[int, int, int]:
@@ -73,23 +77,15 @@ class ModelConfig:
 
     @property
     def n_aux_outputs(self) -> int:
-        return 3 * self.n_bins if self.loss_kind == "combined" else 0
+        return 3 * N_BINS if self.loss_kind == "combined" else 0
 
     def to_dict(self) -> dict:
-        return {
-            "loss_kind": self.loss_kind,
-            "width_scale": self.width_scale,
-            "n_filters": self.n_filters,
-            "kernel_size": self.kernel_size,
-            "leaky_slope": self.leaky_slope,
-            "n_bins": self.n_bins,
-            "bin_width_degrees": self.bin_width_degrees,
-            "init_variance": self.init_variance,
-        }
+        return {"loss_kind": self.loss_kind, "width_scale": self.width_scale, **FIXED_CONFIG}
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        """Missing keys take defaults; unknown keys and bad values raise ValueError."""
+        """Missing keys take defaults; unknown keys, bad values and a fixed
+        key that does not hold its constant raise ValueError."""
         defaults = ModelConfig().to_dict()
         for key, value in d.items():
             if key not in defaults:
@@ -98,7 +94,9 @@ class ModelConfig:
             allowed = (int, float) if kind is float else (kind,)  # type(True) is bool
             if type(value) not in allowed or (kind is float and not -math.inf < value < math.inf):
                 raise ValueError(f"{key}={value!r} is not a valid {kind.__name__}")
-        return ModelConfig(**d)
+            if key in FIXED_CONFIG and value != FIXED_CONFIG[key]:
+                raise ValueError(f"{key} must be {FIXED_CONFIG[key]}, got {value}")
+        return ModelConfig(**{k: v for k, v in d.items() if k not in FIXED_CONFIG})
 
 
 @dataclass(frozen=True)
@@ -131,17 +129,16 @@ class Model:
         self.config = config
         self.flat = np.ascontiguousarray(flat, dtype=np.float64)
         self.flat_grad = np.zeros(self.flat.size)  # calloc: untouched pages until a backward
-        data, grads = self._views(self.flat), self._views(self.flat_grad)
-        self.params = {name: ad.Parameter(data[name], grads[name]) for name in data}
-
-    def _views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: vector[lo:hi].reshape(shape) for (name, shape), lo, hi
-                in zip(self._layout, self.offsets[:-1], self.offsets[1:])}
+        self.params = {
+            name: ad.Parameter(self.flat[lo:hi].reshape(shape),
+                               self.flat_grad[lo:hi].reshape(shape))
+            for (name, shape), lo, hi in zip(self._layout, self.offsets[:-1], self.offsets[1:])
+        }
 
     @staticmethod
     def build(config: ModelConfig, rng: np.random.Generator) -> "Model":
         size = sum(math.prod(shape) for _, shape in parameter_layout(config))
-        return Model(config, rng.normal(0.0, math.sqrt(config.init_variance), size=size))
+        return Model(config, rng.normal(0.0, math.sqrt(INIT_VARIANCE), size=size))
 
     def parameter_at(self, index: int) -> str:
         """Name of the parameter holding element `index` of the flat vector."""
@@ -160,9 +157,9 @@ class Model:
         and all activation work are excluded.
         """
         cfg = self.config
-        total = 3 * N_KEYPOINTS * cfg.kernel_size * cfg.n_filters
+        total = 3 * N_KEYPOINTS * N_FILTERS
         w0, w1, w2 = cfg.fc_widths
-        total += 2 * N_KEYPOINTS * cfg.n_filters * w0 + w0 * w1 + w1 * w2
+        total += 2 * N_KEYPOINTS * N_FILTERS * w0 + w0 * w1 + w1 * w2
         total += w2 * (cfg.n_pose_outputs + cfg.n_aux_outputs)
         return total
 
@@ -173,13 +170,12 @@ class Model:
         alike; a single sample is a batch of one.
         """
         p = self.params
-        slope = self.config.leaky_slope
-        a1 = ad.leaky_relu(ad.conv1d(ad.Tensor(x1), p["conv_x1_w"], p["conv_x1_b"]), slope)
-        a2 = ad.leaky_relu(ad.conv1d(ad.Tensor(x2), p["conv_x2_w"], p["conv_x2_b"]), slope)
+        a1 = ad.leaky_relu(ad.conv1d(ad.Tensor(x1), p["conv_x1_w"], p["conv_x1_b"]), LEAKY_SLOPE)
+        a2 = ad.leaky_relu(ad.conv1d(ad.Tensor(x2), p["conv_x2_w"], p["conv_x2_b"]), LEAKY_SLOPE)
         gate = ad.sigmoid(ad.conv1d(ad.Tensor(c), p["conv_c_w"], p["conv_c_b"]))
         h = ad.concat([ad.flatten(ad.mul(a1, gate)), ad.flatten(ad.mul(a2, gate))])
         for i in range(3):
-            h = ad.leaky_relu(ad.dense(h, p[f"fc{i}_w"], p[f"fc{i}_b"]), slope)
+            h = ad.leaky_relu(ad.dense(h, p[f"fc{i}_w"], p[f"fc{i}_b"]), LEAKY_SLOPE)
         values = ad.dense(h, p["head_w"], p["head_b"])
         logits = None
         if self.config.loss_kind == "combined":
@@ -201,26 +197,27 @@ class Model:
             return out[:, :3].copy(), out[:, 3:6].copy()
         return out.copy(), None
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """One copy of the flat vector, as name -> view of that copy."""
-        return self._views(self.flat.copy())
+    def snapshot(self) -> np.ndarray:
+        """A copy of the flat parameter vector."""
+        return self.flat.copy()
 
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        for name, t in self.params.items():
-            if name not in snapshot or snapshot[name].shape != t.data.shape:
-                raise ValueError(f"snapshot does not match parameter {name}")
-            t.data[...] = snapshot[name]
+    def restore(self, snapshot: np.ndarray) -> None:
+        """Copy a snapshot back into the flat vector, under every view."""
+        if snapshot.shape != self.flat.shape:
+            raise ValueError(
+                f"snapshot of shape {snapshot.shape} does not match {self.flat.size} parameters"
+            )
+        self.flat[...] = snapshot
 
 
 def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) order; serialization relies on it."""
-    k, nf = config.kernel_size, config.n_filters
     w0, w1, w2 = config.fc_widths
     layout: list[tuple[str, tuple[int, ...]]] = []
     for stream in ("x1", "x2", "c"):
-        layout.append((f"conv_{stream}_w", (k, nf)))
-        layout.append((f"conv_{stream}_b", (nf,)))
-    trunk_in = 2 * N_KEYPOINTS * nf
+        layout.append((f"conv_{stream}_w", (1, N_FILTERS)))  # width-1 kernel
+        layout.append((f"conv_{stream}_b", (N_FILTERS,)))
+    trunk_in = 2 * N_KEYPOINTS * N_FILTERS
     for i, (w_in, w_out) in enumerate(zip((trunk_in, w0, w1), (w0, w1, w2))):
         layout.append((f"fc{i}_w", (w_in, w_out)))
         layout.append((f"fc{i}_b", (w_out,)))

@@ -39,6 +39,9 @@ CANONICAL_HEAD = np.array(
     ]
 )
 
+PIXELS_PER_UNIT = 100.0  # image size of the eye-to-eye distance
+MIN_KEEP = 2  # keypoints that drop_augment always leaves present
+
 LEFT_EAR = KEYPOINT_NAMES.index("left_ear")
 RIGHT_EAR = KEYPOINT_NAMES.index("right_ear")
 
@@ -87,20 +90,19 @@ class Sample:
     pose: EulerPose
 
 
-def project_head(pose: EulerPose, scale: float = 100.0) -> np.ndarray:
+def project_head(pose: EulerPose) -> np.ndarray:
     """Rotate the canonical head and project to pixels, shape (5, 2)."""
     rotated = CANONICAL_HEAD @ rotation_matrix(pose).T
-    return rotated[:, :2] * scale
+    return rotated[:, :2] * PIXELS_PER_UNIT
 
 
 def generate_sample(
     pose: EulerPose,
     rng: np.random.Generator,
     noise: NoiseModel = NoiseModel(),
-    scale: float = 100.0,
     occlusion_yaw: float = 60.0,
 ) -> Sample:
-    points_2d = project_head(pose, scale=scale)
+    points_2d = project_head(pose)
     sigma = noise.sigma(pose.yaw)
     if sigma > 0:
         points_2d = points_2d + rng.normal(0.0, sigma, size=points_2d.shape)
@@ -119,14 +121,12 @@ def generate_sample(
     return Sample(keypoints=KeypointSet(tuple(points)), pose=pose)
 
 
-def drop_augment(
-    sample: Sample, rng: np.random.Generator, min_keep: int = 2
-) -> Sample:
-    """Zero the confidence of a random subset, keeping at least min_keep."""
+def drop_augment(sample: Sample, rng: np.random.Generator) -> Sample:
+    """Zero the confidence of a random subset, keeping at least MIN_KEEP."""
     present = present_count(sample.keypoints)
-    if present <= min_keep:
+    if present <= MIN_KEEP:
         return sample
-    keep = int(rng.integers(min_keep, present))
+    keep = int(rng.integers(MIN_KEEP, present))
     return Sample(
         keypoints=drop_keypoints(sample.keypoints, keep, rng), pose=sample.pose
     )
@@ -137,10 +137,8 @@ def generate_dataset(
     rng: np.random.Generator,
     noise: NoiseModel = NoiseModel(),
     pose_range: PoseRange = PoseRange(),
-    scale: float = 100.0,
     occlusion_yaw: float = 60.0,
     drop_fraction: float = 0.0,
-    min_keep: int = 2,
 ) -> list[Sample]:
     """n labelled samples; drop_fraction of them lose extra keypoints."""
     if n < 1:
@@ -150,13 +148,9 @@ def generate_dataset(
     samples = []
     for _ in range(n):
         sample = generate_sample(
-            pose_range.sample(rng),
-            rng,
-            noise=noise,
-            scale=scale,
-            occlusion_yaw=occlusion_yaw,
+            pose_range.sample(rng), rng, noise=noise, occlusion_yaw=occlusion_yaw
         )
         if drop_fraction > 0.0 and rng.uniform() < drop_fraction:
-            sample = drop_augment(sample, rng, min_keep=min_keep)
+            sample = drop_augment(sample, rng)
         samples.append(sample)
     return samples

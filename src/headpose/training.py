@@ -15,10 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import Dataset
-from .keypoints import normalize
-from .losses import BinningScheme, loss_graph
+from .formats import Dataset, RecordError
+from .keypoints import UnusableKeypoints, normalize
+from .losses import loss_graph
 from .model import Model
+
+# Adam's moment decay rates and denominator guard, at the defaults of
+# Kingma & Ba (2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -26,35 +32,15 @@ class TrainConfig:
     n_epochs: int = 100
     batch_size: int = 64
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     val_fraction: float = 0.1
-    mse_mix: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_epochs < 1 or self.batch_size < 1:
             raise ValueError("n_epochs and batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must be in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_epochs": self.n_epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "val_fraction": self.val_fraction,
-            "mse_mix": self.mse_mix,
-        }
 
 
 class AdamState:
@@ -66,7 +52,7 @@ class AdamState:
 
     def step(self, model: Model, config: TrainConfig) -> None:
         self.t += 1
-        b1, b2 = config.beta1, config.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         g, a, b = model.flat_grad, self._a, self._b
@@ -80,7 +66,7 @@ class AdamState:
         self.v *= b2
         self.v += np.multiply(np.multiply(g, 1.0 - b2, out=a), g, out=a)
         np.sqrt(np.divide(self.v, bias2, out=a), out=a)
-        a += config.epsilon
+        a += ADAM_EPSILON
         np.multiply(np.divide(self.m, bias1, out=b), config.learning_rate, out=b)
         model.flat -= np.divide(b, a, out=b)
 
@@ -105,19 +91,24 @@ class TrainHistory:
 
 
 def prepare_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized input streams plus (N, 3) angle targets in degrees."""
+    """Normalized input streams plus (N, 3) angle targets in degrees.
+
+    RecordError names the line and id of the first record without a pose,
+    else of the first whose confidences are all zero.
+    """
     targets = data.targets()
-    inputs = normalize(data.keypoints)
+    try:
+        inputs = normalize(data.keypoints)
+    except UnusableKeypoints as e:
+        raise RecordError(int(data.lines[e.index]), f"record {data.ids[e.index]!r}: {e}") from e
     return inputs.x1, inputs.x2, inputs.c, targets
 
 
-def _validation_pass(
-    model: Model, arrays, binning, mse_mix: float
-) -> tuple[float, list[float]]:
+def _validation_pass(model: Model, arrays) -> tuple[float, list[float]]:
     """Loss plus per-angle MAE on a held-out split, one forward pass."""
     x1, x2, c, targets = arrays
     out = model.forward(x1, x2, c)
-    loss = float(loss_graph(model.config.loss_kind, out, targets, binning, mse_mix).data)
+    loss = float(loss_graph(model.config.loss_kind, out, targets).data)
     per_angle = np.abs(out.values.data[..., :3] - targets).mean(axis=0)
     return loss, [float(v) for v in per_angle]
 
@@ -147,16 +138,11 @@ def train(
         val_arrays = tuple(a[order[:n_val]] for a in arrays)
         arrays = tuple(a[order[n_val:]] for a in arrays)
     x1, x2, c, targets = arrays
-    binning = None
-    if model.config.loss_kind == "combined":
-        binning = BinningScheme.centered(
-            model.config.n_bins, model.config.bin_width_degrees
-        )
 
     opt = AdamState(model)
     history = TrainHistory()
     best_val = np.inf
-    best_snapshot: dict[str, np.ndarray] | None = None
+    best_snapshot: np.ndarray | None = None
     n = len(targets)
     last_finite = "no finite training loss yet"
 
@@ -166,9 +152,7 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             out = model.forward(x1[idx], x2[idx], c[idx])
-            loss = loss_graph(
-                model.config.loss_kind, out, targets[idx], binning, config.mse_mix
-            )
+            loss = loss_graph(model.config.loss_kind, out, targets[idx])
             value = float(loss.data)
             if not np.isfinite(value):
                 raise FloatingPointError(
@@ -186,7 +170,7 @@ def train(
         history.train_loss.append(running / n)
 
         if val_arrays is not None:
-            val, per_angle = _validation_pass(model, val_arrays, binning, config.mse_mix)
+            val, per_angle = _validation_pass(model, val_arrays)
             history.val_loss.append(val)
             history.val_mae.append(per_angle)
             if val < best_val:

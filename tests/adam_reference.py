@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from headpose import autodiff as ad
-from headpose.training import TrainConfig
+from headpose.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, TrainConfig
 
 
 class TensorAdam:
@@ -22,7 +22,7 @@ class TensorAdam:
 
     def step(self, params: list[ad.Tensor], config: TrainConfig) -> None:
         self.t += 1
-        b1, b2 = config.beta1, config.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for i, p in enumerate(params):
@@ -35,4 +35,4 @@ class TensorAdam:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / bias1
             v_hat = self.v[i] / bias2
-            p.data -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+            p.data -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from headpose.geometry import EulerPose
-from headpose.losses import BinningScheme
+from headpose.losses import bin_index
+from headpose.model import N_BINS
 from headpose.model import PoseEstimate
 
 
@@ -70,26 +71,20 @@ def squared_error_value(pose: EulerPose, target: EulerPose) -> LossValue:
     return LossValue(float(terms.sum()), tuple(float(t) for t in terms))
 
 
-def combined_value(
-    pose: EulerPose,
-    logits: np.ndarray,
-    target: EulerPose,
-    binning: BinningScheme,
-    mse_mix: float = 1.0,
-) -> LossValue:
-    """Per-angle cross entropy on binned targets plus weighted squared error."""
+def combined_value(pose: EulerPose, logits: np.ndarray, target: EulerPose) -> LossValue:
+    """Per-angle cross entropy on binned targets plus squared error."""
     z = np.asarray(logits, dtype=np.float64)
-    n = binning.n_bins
+    n = N_BINS
     if z.shape != (3 * n,):
         raise ValueError(f"expected {3 * n} logits, got {z.shape}")
     q = as_array(target)
-    idx = binning.bin_index(q)
+    idx = bin_index(q)
     sq = (q - as_array(pose)) ** 2
     terms = []
     for angle in range(3):
         row = z[angle * n : (angle + 1) * n]
         lse = float(np.log(np.exp(row - row.max()).sum()) + row.max())
-        terms.append(lse - float(row[idx[angle]]) + mse_mix * float(sq[angle]))
+        terms.append(lse - float(row[idx[angle]]) + float(sq[angle]))
     return LossValue(float(sum(terms)), tuple(terms))
 
 

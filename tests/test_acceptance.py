@@ -23,7 +23,7 @@ from headpose.formats import Dataset, read_dataset, read_model, write_model
 from headpose.geometry import EulerPose
 from headpose.keypoints import KeypointSet, normalize
 from headpose.laeo import evaluate_laeo
-from headpose.losses import BinningScheme, loss_graph
+from headpose.losses import loss_graph
 from headpose.model import Model, ModelConfig, PoseEstimate
 from headpose.synthetic import NoiseModel, PoseRange, generate_dataset
 from headpose.training import TrainConfig, prepare_arrays, train
@@ -150,7 +150,6 @@ def test_criterion_3_loss_correctness(capsys):
 
 
 def test_criterion_4_gradient_integrity(capsys):
-    binning = BinningScheme.centered(66, 3.0)
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(5):
@@ -164,7 +163,7 @@ def test_criterion_4_gradient_integrity(capsys):
             targets = base[:, :3] + np.random.default_rng(1000 + seed).normal(0.0, 0.3, (8, 3))
 
             def build() -> ad.Tensor:
-                return loss_graph(kind, model.forward(x1, x2, c), targets, binning)
+                return loss_graph(kind, model.forward(x1, x2, c), targets)
 
             worst = max(
                 worst,

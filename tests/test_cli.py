@@ -85,6 +85,16 @@ class TestSynth:
         assert err.startswith("error:")
         assert not (tmp_path / "x.jsonl").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_keypoints_are_not_written(self, tmp_path, capsys):
+        # noise this wide overflows the keypoints, which JSON would spell Infinity
+        out = tmp_path / "x.jsonl"
+        code, stdout, err = run(capsys, "synth", "--n", "5", "--noise", "1e308,1e308",
+                                "--seed", "0", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {out}: refusing to write non-finite value in record 's000000'\n"
+        assert not list(tmp_path.iterdir())
+
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         flagged = tmp_path / "flagged.jsonl"
         from_env = tmp_path / "env.jsonl"
@@ -517,6 +527,40 @@ def test_record_without_pose_names_its_line(tmp_path, unc_model, capsys, command
     assert code == 1
     assert err == "error: line 5: record 'u' has no ground-truth pose\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train-val", "eval", "ablate"])
+def test_record_without_usable_keypoints_names_its_line(tmp_path, unc_model, capsys, command):
+    good = {"id": "a", "keypoints": [[0, 0, 1], [1, 0, 1], [2, 1, 1], [3, 0, 1], [4, 2, 1]],
+            "pose": [0, 0, 0]}
+    blind = {"id": "b", "keypoints": [[0, 0, 0], [1, 0, 0], [2, 1, 0], [3, 0, 0], [4, 2, 0]],
+             "pose": [0, 0, 0]}
+    bad, fine = tmp_path / "bad.jsonl", tmp_path / "fine.jsonl"
+    bad.write_text(json.dumps(good) + "\n" + json.dumps(blind) + "\n")
+    fine.write_text(json.dumps(good) + "\n" + json.dumps(good) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", str(bad), "--epochs", "1", "--out", str(out)],
+        "train-val": ["train", "--data", str(fine), "--val", str(bad), "--epochs", "1",
+                      "--out", str(out)],
+        "eval": ["eval", "--model", str(unc_model), "--data", str(bad), "--report", str(out)],
+        "ablate": ["ablate", "--data", str(bad), "--epochs", "1", "--out", str(out)],
+    }[command]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err == "error: line 2: record 'b': no usable keypoints: all confidences are zero\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_missing_output_directory_names_the_requested_path(tmp_path, unc_model, data_file,
+                                                           capsys, command):
+    target = tmp_path / "absent" / "out.json"
+    flag = "--report" if command == "eval" else "--out"
+    code, stdout, err = run(capsys, command, "--model", str(unc_model), "--data", str(data_file),
+                            flag, str(target))
+    assert code == 1 and stdout == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
 
 PINS = json.loads((DATA / "train_pins.json").read_text())

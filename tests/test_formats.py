@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from headpose.formats import (
     write_json,
     write_model,
 )
-from headpose.model import Model, ModelConfig, parameter_layout
+from headpose.model import FIXED_CONFIG, Model, ModelConfig, parameter_layout
 from headpose.synthetic import generate_dataset
 
 import dataset_reference
@@ -42,6 +43,20 @@ class TestAtomicWrite:
         atomic_write_bytes(target, b"second")
         assert target.read_bytes() == b"second"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_missing_directory_names_the_requested_path(self, tmp_path):
+        target = tmp_path / "absent" / "r.json"
+        with pytest.raises(FileNotFoundError) as info:
+            atomic_write_bytes(target, b"data")
+        assert info.value.filename == str(target)
+        assert str(info.value) == f"[Errno 2] No such file or directory: '{target}'"
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write_bytes(tmp_path / "taken", b"data")
+        assert info.value.filename == str(tmp_path / "taken")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_write_json_pretty_with_newline(self, tmp_path):
         target = tmp_path / "r.json"
@@ -88,6 +103,18 @@ class TestDatasetRoundTrip:
             loaded.targets()
         assert info.value.line_number == 1
         assert info.value.reason == "record 's000000' has no ground-truth pose"
+
+    @pytest.mark.parametrize("field, bad", [("keypoints", np.inf), ("keypoints", np.nan),
+                                            ("poses", -np.inf)])
+    def test_write_refuses_non_finite_values(self, tmp_path, field, bad):
+        data = Dataset.from_samples(generate_dataset(3, np.random.default_rng(5)))
+        values = getattr(data, field).copy()
+        values[1].flat[2] = bad
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(ValueError) as info:
+            write_dataset(path, dataclasses.replace(data, **{field: values}))
+        assert str(info.value) == f"{path}: refusing to write non-finite value in record 's000001'"
+        assert not path.exists() and not list(tmp_path.iterdir())
 
     def test_meta_passes_through(self, tmp_path):
         data = Dataset.from_samples(generate_dataset(1, np.random.default_rng(4)))
@@ -377,6 +404,13 @@ class TestModelFile:
             write_model(path, model)
         assert not path.exists()
 
+    @pytest.mark.parametrize("name", ["score_pin_unc.hpm", "score_pin_mse.hpm"])
+    def test_committed_files_rewrite_byte_identical(self, tmp_path, name):
+        committed = Path(__file__).parent / "data" / name
+        path = tmp_path / name
+        write_model(path, read_model(committed))
+        assert path.read_bytes() == committed.read_bytes()
+
     def test_full_width_file_is_small(self, tmp_path):
         path = tmp_path / "m.hpm"
         write_model(path, self.build())
@@ -445,6 +479,36 @@ def test_bad_model_header_names_path(tmp_path, edit, words):
     assert str(path) in str(info.value)
     for word in words:
         assert word in str(info.value)
+
+
+def _rewrite_config(path: Path, edit) -> None:
+    header, blob = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc["model_config"] = edit(doc["model_config"])
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + blob)
+
+
+@pytest.mark.parametrize("key", list(FIXED_CONFIG))
+def test_fixed_header_key_must_hold_its_constant(tmp_path, key):
+    path = tmp_path / "m.hpm"
+    write_model(path, Model.build(ModelConfig("combined", width_scale=0.2),
+                                  np.random.default_rng(0)))
+    _rewrite_config(path, lambda config: {**config, key: FIXED_CONFIG[key] + 1})
+    with pytest.raises(ValueError) as info:
+        read_model(path)
+    expect = f"{key} must be {FIXED_CONFIG[key]}, got {FIXED_CONFIG[key] + 1}"
+    assert str(info.value) == f"{path}: bad model_config ({expect})"
+
+
+@pytest.mark.parametrize("key", list(FIXED_CONFIG))
+def test_fixed_header_key_may_be_omitted(tmp_path, key):
+    path = tmp_path / "m.hpm"
+    model = Model.build(ModelConfig("combined", width_scale=0.2), np.random.default_rng(0))
+    write_model(path, model)
+    _rewrite_config(path, lambda config: {k: v for k, v in config.items() if k != key})
+    loaded = read_model(path)
+    assert loaded.config == model.config
+    assert np.array_equal(loaded.flat, model.flat.astype("<f4"))
 
 
 # Random JSON lines, most of them shaped like dataset or frame records so

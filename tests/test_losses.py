@@ -14,7 +14,9 @@ from scipy.optimize import minimize_scalar
 from headpose import autodiff as ad
 from headpose.geometry import EulerPose
 from headpose.losses import (
-    BinningScheme,
+    BIN_HI_DEGREES,
+    BIN_LO_DEGREES,
+    bin_index,
     combined_loss_graph,
     heteroscedastic_loss_graph,
     loss_graph,
@@ -40,28 +42,21 @@ def het_values(pose, log_var):
 
 class TestBinning:
     def test_centered_layout(self):
-        b = BinningScheme.centered(66, 3.0)
-        assert b.lo_degrees == -99.0 and b.hi_degrees == 99.0
+        # 66 bins of 3 degrees, centred on zero
+        assert BIN_LO_DEGREES == -99.0 and BIN_HI_DEGREES == 99.0
 
     def test_bin_index_values(self):
-        b = BinningScheme.centered(66, 3.0)
-        assert b.bin_index(-99.0) == 0
-        assert b.bin_index(0.0) == 33
-        assert b.bin_index(98.9) == 65
-        assert b.bin_index(99.0) == 65  # top edge folds into the last bin
+        assert bin_index(-99.0) == 0
+        assert bin_index(0.0) == 33
+        assert bin_index(98.9) == 65
+        assert bin_index(99.0) == 65  # top edge folds into the last bin
+        assert bin_index([-99.0, -96.0, 2.9, 3.0]).tolist() == [0, 1, 33, 34]
 
     def test_outside_range_raises(self):
-        b = BinningScheme.centered(66, 3.0)
         with pytest.raises(ValueError):
-            b.bin_index(-99.1)
+            bin_index(-99.1)
         with pytest.raises(ValueError):
-            b.bin_index(99.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BinningScheme(n_bins=1)
-        with pytest.raises(ValueError):
-            BinningScheme(width_degrees=0.0)
+            bin_index(99.1)
 
 
 class TestHeteroscedastic:
@@ -140,21 +135,20 @@ class TestPerSampleValues:
         assert lv.per_angle == (1.0, 4.0, 9.0) and lv.total == 14.0
 
     def test_combined_value_uniform_logits(self):
-        b = BinningScheme.centered(66, 3.0)
-        lv = combined_value(EulerPose(0, 0, 0), np.zeros(198), EulerPose(0, 0, 0), b, mse_mix=0.0)
+        # an exact pose leaves only the cross entropy of uniform logits
+        lv = combined_value(EulerPose(0, 0, 0), np.zeros(198), EulerPose(0, 0, 0))
         for term in lv.per_angle:
             assert term == pytest.approx(math.log(66.0), abs=1e-12)
 
     def test_combined_value_adds_weighted_mse(self):
-        b = BinningScheme.centered(66, 3.0)
-        base = combined_value(EulerPose(0, 0, 0), np.zeros(198), EulerPose(1, 2, 3), b, mse_mix=0.0)
-        mixed = combined_value(EulerPose(0, 0, 0), np.zeros(198), EulerPose(1, 2, 3), b, mse_mix=2.0)
-        assert mixed.total == pytest.approx(base.total + 2.0 * 14.0, abs=1e-12)
+        # uniform logits cost log 66 per angle in any bin; the squared
+        # error of (1, 2, 3) adds 14 at weight one
+        lv = combined_value(EulerPose(0, 0, 0), np.zeros(198), EulerPose(1, 2, 3))
+        assert lv.total == pytest.approx(3 * math.log(66.0) + 14.0, abs=1e-12)
 
     def test_combined_value_validates_logit_count(self):
-        b = BinningScheme.centered(66, 3.0)
         with pytest.raises(ValueError):
-            combined_value(EulerPose(0, 0, 0), np.zeros(10), EulerPose(0, 0, 0), b)
+            combined_value(EulerPose(0, 0, 0), np.zeros(10), EulerPose(0, 0, 0))
 
 
 def batch_output(kind, rng, batch=8):
@@ -189,12 +183,10 @@ class TestGraphs:
         rng = np.random.default_rng(6)
         out = batch_output("combined", rng)
         targets = rng.uniform(-60, 60, size=(8, 3))
-        binning = BinningScheme.centered(66, 3.0)
-        g = combined_loss_graph(out, targets, binning, mse_mix=1.0)
+        g = combined_loss_graph(out, targets)
         per_sample = [
             combined_value(
-                EulerPose(*out.values.data[i]), out.logits.data[i], EulerPose(*targets[i]),
-                binning, mse_mix=1.0,
+                EulerPose(*out.values.data[i]), out.logits.data[i], EulerPose(*targets[i])
             ).total
             for i in range(8)
         ]
@@ -223,9 +215,8 @@ class TestGraphs:
 
     def test_combined_needs_logits_and_batch(self):
         rng = np.random.default_rng(9)
-        binning = BinningScheme.centered(66, 3.0)
         with pytest.raises(ValueError):
-            combined_loss_graph(batch_output("mse", rng), np.zeros((8, 3)), binning)
+            combined_loss_graph(batch_output("mse", rng), np.zeros((8, 3)))
         # an unbatched sample is refused before any loss sees it
         m = Model.build(ModelConfig("combined"), np.random.default_rng(97))
         with pytest.raises(ValueError, match="batch"):
@@ -240,8 +231,10 @@ class TestGraphs:
         assert float(a.data) == float(b.data)
         with pytest.raises(ValueError):
             loss_graph("nope", out, targets)
-        with pytest.raises(ValueError):
-            loss_graph("combined", batch_output("combined", rng), targets, binning=None)
+        comb = batch_output("combined", rng)
+        assert float(loss_graph("combined", comb, targets).data) == float(
+            combined_loss_graph(comb, targets).data
+        )
 
     def test_graphs_backpropagate(self):
         rng = np.random.default_rng(11)

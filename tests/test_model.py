@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from headpose.geometry import EulerPose
 from headpose.keypoints import NormalizedInput
 from headpose.model import (
     FC_BASE,
+    FIXED_CONFIG,
+    LEAKY_SLOPE,
     Model,
     ModelConfig,
     PoseEstimate,
@@ -38,7 +42,7 @@ def rand_inputs(rng, batch=1):
 def numpy_forward(model, x1, x2, c):
     """Independent re-implementation of the forward pass for one sample."""
     p = {k: t.data for k, t in model.params.items()}
-    slope = model.config.leaky_slope
+    slope = LEAKY_SLOPE
 
     def conv_k1(x, w, b):  # kernel size 1: per-position affine
         return np.outer(x, w[0]) + b
@@ -108,23 +112,33 @@ class TestConfig:
             ModelConfig(loss_kind="nope")
         with pytest.raises(ValueError):
             ModelConfig(width_scale=0.0)
-        with pytest.raises(ValueError):
-            ModelConfig(kernel_size=2)
-        with pytest.raises(ValueError):
-            ModelConfig(init_variance=0.0)
-        with pytest.raises(ValueError):
-            ModelConfig(loss_kind="combined", n_bins=1)
-        with pytest.raises(ValueError):
-            ModelConfig(n_filters=0)
 
     def test_kernel_size_must_be_one(self):
         # the conv is a per-position affine map; no wider kernel is built
-        with pytest.raises(ValueError, match="kernel_size must be 1"):
-            ModelConfig(kernel_size=3)
+        with pytest.raises(ValueError, match="^kernel_size must be 1, got 3$"):
+            ModelConfig.from_dict({"kernel_size": 3})
+
+    def test_only_the_loss_and_width_are_settable(self):
+        names = [f.name for f in dataclasses.fields(ModelConfig)]
+        assert names == ["loss_kind", "width_scale"]
 
     def test_dict_round_trip(self):
         cfg = ModelConfig(loss_kind="combined", width_scale=0.6)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_dict_records_the_fixed_architecture(self):
+        # model files still carry all eight keys, in this order
+        assert ModelConfig("mse", 0.2).to_dict() == {
+            "loss_kind": "mse", "width_scale": 0.2, "n_filters": 5, "kernel_size": 1,
+            "leaky_slope": 0.01, "n_bins": 66, "bin_width_degrees": 3.0, "init_variance": 0.05,
+        }
+        assert list(ModelConfig().to_dict())[2:] == list(FIXED_CONFIG)
+
+    @pytest.mark.parametrize("key", list(FIXED_CONFIG))
+    def test_from_dict_refuses_a_changed_fixed_key(self, key):
+        changed = FIXED_CONFIG[key] * 2
+        with pytest.raises(ValueError, match=f"^{key} must be {FIXED_CONFIG[key]}, got {changed}$"):
+            ModelConfig.from_dict({**ModelConfig().to_dict(), key: changed})
 
     def test_head_sizes(self):
         assert ModelConfig("heteroscedastic").n_pose_outputs == 6
@@ -254,21 +268,24 @@ class TestSnapshot:
         for t in m.parameters():
             t.data += 1.0
         m.restore(snap)
-        for name, t in m.params.items():
-            assert np.array_equal(t.data, snap[name])
+        assert np.array_equal(m.flat, snap)
+        for name, lo, hi in zip(m.params, m.offsets[:-1], m.offsets[1:]):
+            assert np.array_equal(m.params[name].data.ravel(), snap[lo:hi])
 
     def test_snapshot_is_a_copy(self):
         m = build(seed=17)
         snap = m.snapshot()
         m.parameters()[0].data += 1.0
-        assert not np.array_equal(m.parameters()[0].data, snap["conv_x1_w"])
+        assert not np.shares_memory(snap, m.flat)
+        assert not np.array_equal(m.parameters()[0].data.ravel(), snap[:5])
 
     def test_restore_validates(self):
         m = build(seed=18)
-        snap = m.snapshot()
-        del snap["head_b"]
-        with pytest.raises(ValueError):
-            m.restore(snap)
+        before = m.flat.copy()
+        for bad in (m.snapshot()[:-1], build("mse", seed=18).snapshot()):
+            with pytest.raises(ValueError, match="snapshot"):
+                m.restore(bad)
+        assert np.array_equal(m.flat, before)
 
 
 def assert_views_of_flat_vectors(model):
@@ -293,11 +310,11 @@ class TestFlatStorage:
         snap = m.snapshot()
         m.flat += 1.0
         m.restore(snap)
-        assert np.array_equal(m.flat, np.concatenate([snap[n].ravel() for n in m.params]))
+        assert np.array_equal(m.flat, snap)
         samples = Dataset.from_samples(generate_dataset(8, np.random.default_rng(23)))
         train(m, samples, TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0),
               np.random.default_rng(24))
-        assert not np.array_equal(m.flat, np.concatenate([snap[n].ravel() for n in m.params]))
+        assert not np.array_equal(m.flat, snap)
         assert m.flat_grad.any()
         assert_views_of_flat_vectors(m)
 

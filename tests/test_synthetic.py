@@ -11,6 +11,8 @@ from headpose.keypoints import present_count
 from headpose.synthetic import (
     CANONICAL_HEAD,
     LEFT_EAR,
+    MIN_KEEP,
+    PIXELS_PER_UNIT,
     RIGHT_EAR,
     NoiseModel,
     PoseRange,
@@ -41,12 +43,9 @@ class TestHeadModel:
 
 class TestProjection:
     def test_identity_pose_is_scaled_head(self):
-        pts = project_head(EulerPose(0, 0, 0), scale=100.0)
+        pts = project_head(EulerPose(0, 0, 0))
+        assert PIXELS_PER_UNIT == 100.0
         assert np.allclose(pts, CANONICAL_HEAD[:, :2] * 100.0, atol=1e-12)
-
-    def test_scale_is_linear(self):
-        pose = EulerPose(20, -10, 5)
-        assert np.allclose(project_head(pose, 50.0) * 2, project_head(pose, 100.0), atol=1e-12)
 
     def test_mirror_symmetry(self):
         # negating yaw and roll mirrors the image and swaps left/right points
@@ -165,8 +164,8 @@ class TestDropAugment:
         rng = np.random.default_rng(9)
         base = generate_sample(EulerPose(0, 0, 0), rng)
         for _ in range(100):
-            out = drop_augment(base, rng, min_keep=2)
-            assert 2 <= present_count(out.keypoints) <= 4
+            out = drop_augment(base, rng)
+            assert MIN_KEEP == 2 <= present_count(out.keypoints) <= 4
 
     def test_pose_preserved(self):
         rng = np.random.default_rng(10)
@@ -176,10 +175,10 @@ class TestDropAugment:
     def test_no_op_at_min(self):
         rng = np.random.default_rng(11)
         base = generate_sample(EulerPose(0, 0, 0), rng)
-        two = drop_augment(drop_augment(base, rng, min_keep=2), rng, min_keep=2)
-        while present_count(two.keypoints) > 2:
-            two = drop_augment(two, rng, min_keep=2)
-        assert drop_augment(two, rng, min_keep=2) is two
+        two = drop_augment(drop_augment(base, rng), rng)
+        while present_count(two.keypoints) > MIN_KEEP:
+            two = drop_augment(two, rng)
+        assert drop_augment(two, rng) is two
 
 
 class TestGenerateDataset:
