@@ -1,9 +1,8 @@
 """Command-line surface for the pose pipeline.
 
 Subcommands: synth (make data), train, eval, infer, laeo, ablate. Every
-command is deterministic for a fixed --seed; HEADPOSE_SEED overrides the
-default seed when the flag is omitted. Data errors exit non-zero with the
-offending file and line.
+command is deterministic for a fixed --seed, whose default is 0. Data
+errors exit non-zero with the offending file and line.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -25,14 +23,6 @@ from .training import TrainConfig, TrainHistory, train
 
 LOSS_BY_FLAG = {"unc": "heteroscedastic", "mse": "mse", "comb": "combined"}
 ABLATE_ORDER = ("mse", "comb", "unc")
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("HEADPOSE_SEED", "0"))
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    return _default_seed() if args.seed is None else args.seed
 
 
 def _finite_float(text: str) -> float:
@@ -51,7 +41,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=_finite_float, default=0.001)
     p.add_argument("--alpha", type=_finite_float, default=1.0, help="width multiplier")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _train_one(
@@ -59,10 +49,9 @@ def _train_one(
     data: formats.Dataset,
     val: formats.Dataset | None,
     args: argparse.Namespace,
-    seed: int,
 ) -> tuple[Model, TrainHistory]:
     config = ModelConfig(loss_kind=LOSS_BY_FLAG[loss_flag], width_scale=args.alpha)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     model = Model.build(config, rng)
     train_config = TrainConfig(
         n_epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr
@@ -72,16 +61,15 @@ def _train_one(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     data = formats.read_dataset(args.data)
     val = formats.read_dataset(args.val) if args.val else None
-    model, history = _train_one(args.loss, data, val, args, seed)
+    model, history = _train_one(args.loss, data, val, args)
     formats.write_model(args.out, model)
     history_path = args.history or args.out + ".history.json"
     formats.write_json(
         history_path,
         {
-            "seed": seed,
+            "seed": args.seed,
             "loss": args.loss,
             "model_config": model.config.to_dict(),
             "history": history.to_dict(),
@@ -102,11 +90,26 @@ def _require_finite(angles: np.ndarray, log_var: np.ndarray | None, name) -> Non
         raise ValueError(f"{name(bad[0])}: the model gave a non-finite estimate")
 
 
+def _estimate(model: Model, keypoints: np.ndarray, name) -> tuple[np.ndarray, np.ndarray | None]:
+    """The model's angles and log-variances for (N, 5, 3) keypoints, in one batch.
+
+    Raises ValueError naming, as name(i), the first row i whose keypoints
+    are unusable or whose estimate is not finite.
+    """
+    try:
+        inputs = normalize(keypoints)
+    except UnusableKeypoints as e:
+        raise ValueError(f"{name(e.index)}: {e}") from e
+    angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
+    _require_finite(angles, log_var, name)
+    return angles, log_var
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     model = formats.read_model(args.model)
     data = formats.read_dataset(args.data)
     result = evaluation.evaluate(model, data)
-    _require_finite(result.angles, result.log_variance, lambda i: f"record {data.ids[i]!r}")
+    _require_finite(result.angles, result.log_variance, data.record_name)
     formats.write_json(args.report, evaluation.build_report(result))
     print(
         f"mae yaw={result.mae_yaw:.3f} pitch={result.mae_pitch:.3f} "
@@ -119,21 +122,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_infer(args: argparse.Namespace) -> int:
     model = formats.read_model(args.model)
     data = formats.read_dataset(args.data)
-    try:
-        inputs = normalize(data.keypoints)
-    except UnusableKeypoints as e:
-        raise ValueError(f"record {data.ids[e.index]!r}: {e}") from e
-    angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
-    _require_finite(angles, log_var, lambda i: f"record {data.ids[i]!r}")
+    angles, log_var = _estimate(model, data.keypoints, data.record_name)
     log_var_rows = log_var.tolist() if log_var is not None else [None] * len(data)
-    text = "".join(
-        json.dumps({"id": i, "yaw": yaw, "pitch": pitch, "roll": roll, "log_variance": lv}) + "\n"
+    formats.write_jsonl(args.out, (
+        {"id": i, "yaw": yaw, "pitch": pitch, "roll": roll, "log_variance": lv}
         for i, (yaw, pitch, roll), lv in zip(data.ids, angles.tolist(), log_var_rows)
-    )
-    if args.out:
-        formats.atomic_write_bytes(args.out, text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
+    ))
     return 0
 
 
@@ -151,12 +145,8 @@ def _with_model_poses(frames: laeo.Frames, model: Model | None) -> laeo.Frames:
             raise ValueError(f"{frames.head_name(missing[0])} has keypoints only; pass --model")
         return frames
     batch = np.flatnonzero(~np.isnan(frames.keypoints[:, 0, 0]))
-    try:
-        inputs = normalize(frames.keypoints[batch])
-    except UnusableKeypoints as e:
-        raise ValueError(f"{frames.head_name(batch[e.index])}: {e}") from e
-    angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
-    _require_finite(angles, log_var, lambda i: frames.head_name(batch[i]))
+    angles, log_var = _estimate(model, frames.keypoints[batch],
+                                lambda i: frames.head_name(batch[i]))
     poses, log_variance = frames.poses.copy(), frames.log_variance.copy()
     poses[batch] = angles
     log_variance[batch] = np.nan if log_var is None else log_var
@@ -168,12 +158,8 @@ def cmd_laeo(args: argparse.Namespace) -> int:
     model = formats.read_model(args.model) if args.model else None
     frames = _with_model_poses(frames, model)
     scored = laeo.evaluate_laeo(frames, args.tau, args.delta, mode=args.gate)
-    lines = []
-    for frame_id, result, label in scored.results:
-        row = {"frame_id": frame_id}
-        row.update(result.to_dict())
-        row["label"] = label
-        lines.append(json.dumps(row))
+    rows = [{"frame_id": frame_id, **result._asdict(), "label": label}
+            for frame_id, result, label in scored.results]
     summary = {
         "summary": {
             "tau": args.tau,
@@ -186,13 +172,9 @@ def cmd_laeo(args: argparse.Namespace) -> int:
             "baseline": scored.baseline,
         }
     }
-    lines.append(json.dumps(summary))
-    text = "\n".join(lines) + "\n"
+    formats.write_jsonl(args.out, rows + [summary])
     if args.out:
-        formats.atomic_write_bytes(args.out, text.encode("utf-8"))
         print(json.dumps(summary))
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -208,8 +190,7 @@ def _parse_noise(text: str) -> NoiseModel:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     samples = generate_dataset(
         args.n,
         rng,
@@ -224,12 +205,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     data = formats.read_dataset(args.data)
     val = formats.read_dataset(args.val) if args.val else None
     rows = []
     for loss_flag in ABLATE_ORDER:
-        model, _ = _train_one(loss_flag, data, val, args, seed)
+        model, _ = _train_one(loss_flag, data, val, args)
         result = evaluation.evaluate(model, val if val is not None else data)
         rows.append(
             {
@@ -250,7 +230,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     if args.out:
         formats.write_json(
             args.out,
-            {"seed": seed, "epochs": args.epochs, "alpha": args.alpha, "rows": rows},
+            {"seed": args.seed, "epochs": args.epochs, "alpha": args.alpha, "rows": rows},
         )
     return 0
 
@@ -296,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic labelled dataset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--noise", default="0,0", help="base_sigma,yaw_gain (pixels, pixels/deg)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--yaw-range", type=_finite_float, default=75.0)
     p.add_argument("--pitch-range", type=_finite_float, default=60.0)

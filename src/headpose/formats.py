@@ -11,14 +11,18 @@ and on write, as they are when writing a dataset. All writes go through
 a temp file in the target directory and a rename, so readers never
 observe partial files.
 
-Malformed input lines raise RecordError carrying the 1-based line number.
+Malformed input lines raise RecordError carrying the file and the 1-based
+line number; `Dataset` and `laeo.Frames` keep both, so errors found after
+reading name them too.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from itertools import chain
@@ -36,12 +40,23 @@ MODEL_FORMAT_VERSION = 1
 
 
 class RecordError(Exception):
-    """A data file line that cannot be parsed or fails validation."""
+    """A data file line that cannot be parsed or fails validation.
 
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
+    It reads "path: line N: reason". The parsers below a reader raise it
+    without the path, which the reader sets on the way out.
+    """
+
+    def __init__(self, line_number: int, reason: str, path: str | None = None):
         self.line_number = line_number
         self.reason = reason
+        self.path = path
+
+    def __str__(self) -> str:
+        return f"{_where(self.path, self.line_number)}: {self.reason}"
+
+
+def _where(path: str | None, line_number: int) -> str:
+    return f"line {line_number}" if path is None else f"{path}: line {line_number}"
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -66,9 +81,13 @@ def write_json(path: str | Path, obj) -> None:
     atomic_write_bytes(path, (json.dumps(obj, indent=2) + "\n").encode("utf-8"))
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+def write_jsonl(path: str | Path | None, rows: Iterable[dict]) -> None:
+    """One JSON line per row, written atomically to path, or to stdout when path is None."""
     text = "".join(json.dumps(row) + "\n" for row in rows)
-    atomic_write_bytes(path, text.encode("utf-8"))
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _read_lines(path: str | Path) -> list[tuple[int, dict]]:
@@ -123,8 +142,9 @@ class Dataset:
     """Every record of a dataset file, in file order, as arrays.
 
     Record i has id ids[i] and keypoints[i], its [x1, x2, c] rows in
-    KEYPOINT_NAMES order, and came from line lines[i]. A record without a
-    pose has has_pose[i] False and a NaN poses[i] row.
+    KEYPOINT_NAMES order, and came from line lines[i] of the file at path,
+    which is None for records that were never read from a file. A record
+    without a pose has has_pose[i] False and a NaN poses[i] row.
     """
 
     ids: tuple[str, ...]
@@ -133,16 +153,21 @@ class Dataset:
     has_pose: np.ndarray  # (N,) bool
     meta: tuple[dict | None, ...]
     lines: np.ndarray  # (N,) 1-based line numbers
+    path: str | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def record_name(self, i: int) -> str:
+        """Where record i is, as in "data.jsonl: line 2: record 'b'"."""
+        return f"{_where(self.path, self.lines[i])}: record {self.ids[i]!r}"
 
     def targets(self) -> np.ndarray:
         """The (N, 3) poses; RecordError naming the first record without one."""
         if not self.has_pose.all():
             i = int(np.argmin(self.has_pose))
             reason = f"record {self.ids[i]!r} has no ground-truth pose"
-            raise RecordError(int(self.lines[i]), reason)
+            raise RecordError(int(self.lines[i]), reason, self.path)
         return self.poses
 
     @staticmethod
@@ -175,6 +200,21 @@ def write_dataset(path: str | Path, data: Dataset) -> None:
     write_jsonl(path, rows)
 
 
+def _names_its_file(reader):
+    """The reader, setting its path on every RecordError it raises."""
+
+    @functools.wraps(reader)
+    def read(path: str | Path):
+        try:
+            return reader(path)
+        except RecordError as e:
+            e.path = str(path)
+            raise
+
+    return read
+
+
+@_names_its_file
 def read_dataset(path: str | Path) -> Dataset:
     """Every record of a dataset file as one `Dataset`.
 
@@ -183,7 +223,7 @@ def read_dataset(path: str | Path) -> Dataset:
     RecordError names the first bad line and its reason.
     """
     rows = _read_lines(path)
-    data = _dataset_columns(rows)
+    data = _dataset_columns(rows, str(path))
     if data is None:
         for line_number, obj in rows:
             _check_record(line_number, obj)
@@ -191,7 +231,7 @@ def read_dataset(path: str | Path) -> Dataset:
     return data
 
 
-def _dataset_columns(rows: list[tuple[int, dict]]) -> Dataset | None:
+def _dataset_columns(rows: list[tuple[int, dict]], path: str) -> Dataset | None:
     """The rows as a Dataset, or None when any of them is malformed."""
     objs = [obj for _, obj in rows]
     meta = tuple(obj.get("meta") for obj in objs)
@@ -208,7 +248,7 @@ def _dataset_columns(rows: list[tuple[int, dict]]) -> Dataset | None:
     if not (meta_ok and ((c >= 0.0) & (c <= 1.0)).all()):
         return None
     lines = np.array([line_number for line_number, _ in rows], dtype=np.intp)
-    return Dataset(ids, keypoints, poses, has_pose, meta, lines)
+    return Dataset(ids, keypoints, poses, has_pose, meta, lines, path)
 
 
 def _number_array(raw: list, shape: tuple[int, ...]) -> np.ndarray:
@@ -239,6 +279,7 @@ def _check_record(line_number: int, obj: dict) -> None:
     _parse_keypoint_rows(obj["keypoints"], line_number)
 
 
+@_names_its_file
 def read_frames(path: str | Path) -> Frames:
     """Every frame of a frames file as one `laeo.Frames`, heads in file order.
 
@@ -247,6 +288,7 @@ def read_frames(path: str | Path) -> Frames:
     within a frame, and a label pair names two of the frame's heads.
     """
     frame_ids: list[str] = []
+    lines: list[int] = []
     seen: set[str] = set()
     starts = [0]
     labels: list[frozenset[tuple[str, str]] | None] = []
@@ -296,6 +338,7 @@ def read_frames(path: str | Path) -> Frames:
                     raise RecordError(line_number, f"pair [{a}, {b}] not among head ids")
                 pairs.add((a, b) if a < b else (b, a))
         frame_ids.append(frame_id)
+        lines.append(line_number)
         starts.append(len(head_ids))
         labels.append(None if pairs is None else frozenset(pairs))
 
@@ -306,7 +349,9 @@ def read_frames(path: str | Path) -> Frames:
         return out
 
     return Frames(
+        path=str(path),
         frame_ids=np.array(frame_ids, dtype=object),
+        lines=np.array(lines, dtype=np.intp),
         starts=np.array(starts, dtype=np.intp),
         head_ids=np.array(head_ids, dtype=object),
         centroids=np.array(centroids, dtype=np.float64).reshape(-1, 2),

@@ -71,9 +71,6 @@ def rotation_matrix(pose: EulerPose) -> np.ndarray:
     return rpitch @ ryaw @ rroll
 
 
-FORWARD = np.array([0.0, 0.0, -1.0])
-
-
 def angular_error(pred: EulerPose, gt: EulerPose) -> tuple[float, float, float]:
     """Per-angle absolute error in degrees, plain difference (no wraparound).
 

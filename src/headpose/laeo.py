@@ -35,7 +35,7 @@ Heads whose estimates carry no variances always weigh 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,14 +51,16 @@ DEFAULT_TAU = 0.93
 class Frames:
     """Every head of every frame, in file order, as arrays.
 
-    Frame f holds heads starts[f]:starts[f + 1]. A head has a pose,
-    keypoints or both; the rows of what it lacks are NaN, as are the
-    log-variances of a head without them. labels[f] is None for a frame
-    without labels, else the set of its mutual-gaze pairs, each an id
-    tuple in sorted order.
+    Frame f came from line lines[f] of the file at path and holds heads
+    starts[f]:starts[f + 1]. A head has a pose, keypoints or both; the
+    rows of what it lacks are NaN, as are the log-variances of a head
+    without them. labels[f] is None for a frame without labels, else the
+    set of its mutual-gaze pairs, each an id tuple in sorted order.
     """
 
+    path: str
     frame_ids: np.ndarray  # (F,) str objects
+    lines: np.ndarray  # (F,) 1-based line numbers
     starts: np.ndarray  # (F + 1,) head offsets
     head_ids: np.ndarray  # (H,) str objects
     centroids: np.ndarray  # (H, 2) pixels
@@ -70,14 +72,19 @@ class Frames:
     def __len__(self) -> int:
         return len(self.frame_ids)
 
+    def frame_name(self, f: int) -> str:
+        """Where frame f is, as in "frames.jsonl: line 3: frame 'f'"."""
+        return f"{self.path}: line {self.lines[f]}: frame {self.frame_ids[f]!r}"
+
     def head_name(self, h: int) -> str:
-        """The frame and id of head index h, as in "frame 'f' head 'a'"."""
+        """Where head index h is, as in "frames.jsonl: line 3: frame 'f' head 'a'"."""
         f = int(np.searchsorted(self.starts, h, side="right")) - 1
-        return f"frame {self.frame_ids[f]!r} head {self.head_ids[h]!r}"
+        return f"{self.frame_name(f)} head {self.head_ids[h]!r}"
 
 
-@dataclass(frozen=True)
-class LaeoResult:
+class LaeoResult(NamedTuple):
+    """One scored pair; `_asdict()` gives the fields of its `laeo` output row."""
+
     pair: tuple[str, str]
     cos_a: float
     cos_b: float
@@ -85,17 +92,6 @@ class LaeoResult:
     weight_b: int
     laeo_value: float
     is_laeo: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "cos_a": self.cos_a,
-            "cos_b": self.cos_b,
-            "weight_a": self.weight_a,
-            "weight_b": self.weight_b,
-            "laeo_value": self.laeo_value,
-            "is_laeo": self.is_laeo,
-        }
 
 
 def uncertainty_weight(
@@ -175,42 +171,13 @@ class LaeoEvaluation:
     baseline: dict | None
 
 
-def _average_precision(ranked_labels: Sequence[bool]) -> float:
-    """All-points interpolated AP over a ranked boolean label list."""
-    n_pos = sum(ranked_labels)
-    if n_pos == 0:
-        return 0.0
-    precisions = []
-    recalls = []
-    tp = 0
-    for i, lab in enumerate(ranked_labels, start=1):
-        if lab:
-            tp += 1
-        precisions.append(tp / i)
-        recalls.append(tp / n_pos)
-    # precision envelope: best precision at any recall >= r
-    env = precisions[:]
-    for i in range(len(env) - 2, -1, -1):
-        env[i] = max(env[i], env[i + 1])
-    ap = 0.0
-    prev_recall = 0.0
-    for p, r in zip(env, recalls):
-        if r > prev_recall:
-            ap += (r - prev_recall) * p
-            prev_recall = r
-    return ap
-
-
-def _metrics(
-    keys: list[tuple[str, tuple[str, str]]],
-    labels: np.ndarray,
-    values: np.ndarray,
-    tau: float,
-) -> dict:
+def _metrics(frame_rank: np.ndarray, labels: np.ndarray, values: np.ndarray,
+             tau: float) -> dict:
     """Precision/recall/F1 of values >= tau and AP of the values, against the labels.
 
-    AP ranks pairs by value, ties broken by frame and head ids for
-    determinism.
+    AP is all-points interpolated. It ranks pairs by value, ties broken by
+    frame_rank, the rank of each pair's frame id, and then by pair order,
+    which within a frame is the order of the sorted id pairs.
     """
     hits = values >= tau
     tp = int(np.count_nonzero(hits & labels))
@@ -219,16 +186,26 @@ def _metrics(
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    rank_keys = [(-v, frame_id, pair) for v, (frame_id, pair) in zip(values.tolist(), keys)]
-    ranked = sorted(range(len(keys)), key=rank_keys.__getitem__)
-    label_list = labels.tolist()
+    n_positive = int(np.count_nonzero(labels))
+    ranked = labels[np.lexsort((np.arange(len(labels)), frame_rank, -values))]
+    average_precision = 0.0
+    if n_positive:
+        hits_so_far = np.cumsum(ranked)
+        # precision envelope: best precision at any recall >= this one
+        precisions = hits_so_far / np.arange(1, len(ranked) + 1)
+        envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+        # recall rises only at a positive; np.cumsum adds the steps in rank
+        # order, as a running sum does, where np.sum would pair them up
+        recalls = hits_so_far[ranked] / n_positive
+        steps = np.diff(recalls, prepend=0.0) * envelope[ranked]
+        average_precision = float(np.cumsum(steps)[-1])
     return {
         "precision": precision,
         "recall": recall,
         "f1": f1,
-        "average_precision": _average_precision([label_list[k] for k in ranked]),
-        "n_pairs": len(keys),
-        "n_positive": int(np.count_nonzero(labels)),
+        "average_precision": average_precision,
+        "n_pairs": len(labels),
+        "n_positive": n_positive,
     }
 
 
@@ -285,8 +262,9 @@ def evaluate_laeo(
     u_norm = np.sqrt(_row_dots(u, u))
     shared = np.flatnonzero(u_norm == 0.0)
     if shared.size:
-        a, b = pairs[shared[0]]
-        raise ValueError(f"frame {frame_ids[shared[0]]!r}: heads {a}, {b} share a centroid")
+        k = shared[0]
+        a, b = pairs[k]
+        raise ValueError(f"{frames.frame_name(pair_frame[k])}: heads {a}, {b} share a centroid")
     gaze = np.array(
         [project_direction(EulerPose(*pose)) for pose in frames.poses[heads].tolist()],
         dtype=np.float64,
@@ -309,19 +287,15 @@ def evaluate_laeo(
     labels = [None if pos is None else pair in pos for pos, pair in zip(known, pairs)]
     gated = baseline = None
     if any(pos is not None for pos in frames.labels):
-        keep = [k for k, label in enumerate(labels) if label is not None]
-        keys = [(frame_ids[k], pairs[k]) for k in keep]
-        label_arr = np.array([labels[k] for k in keep], dtype=bool)
-        gated = _metrics(keys, label_arr, values[keep], tau)
-        baseline = _metrics(keys, label_arr, baseline_values[keep], tau)
+        keep = np.flatnonzero([label is not None for label in labels])
+        label_arr = np.array([labels[k] for k in keep.tolist()], dtype=bool)
+        frame_rank = np.unique(frames.frame_ids, return_inverse=True)[1][pair_frame[keep]]
+        gated = _metrics(frame_rank, label_arr, values[keep], tau)
+        baseline = _metrics(frame_rank, label_arr, baseline_values[keep], tau)
 
-    results = [
-        (frame_id, LaeoResult(pair, ca, cb, wa, wb, v, v >= tau), label)
-        for frame_id, pair, ca, cb, wa, wb, v, label in zip(
-            frame_ids, pairs, cos_a.tolist(), cos_b.tolist(), w_a.tolist(), w_b.tolist(),
-            values.tolist(), labels,
-        )
-    ]
+    fields = zip(pairs, cos_a.tolist(), cos_b.tolist(), w_a.tolist(), w_b.tolist(),
+                 values.tolist(), (values >= tau).tolist())
+    results = list(zip(frame_ids, map(LaeoResult._make, fields), labels))
     return LaeoEvaluation(
         n_pairs=len(pairs),
         n_heads=len(heads),

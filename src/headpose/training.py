@@ -100,7 +100,8 @@ def prepare_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     try:
         inputs = normalize(data.keypoints)
     except UnusableKeypoints as e:
-        raise RecordError(int(data.lines[e.index]), f"record {data.ids[e.index]!r}: {e}") from e
+        reason = f"record {data.ids[e.index]!r}: {e}"
+        raise RecordError(int(data.lines[e.index]), reason, data.path) from e
     return inputs.x1, inputs.x2, inputs.c, targets
 
 

@@ -1,6 +1,6 @@
 """Mutual-gaze oracles for the array scorer in `headpose.laeo`.
 
-Two independent references:
+Three independent references:
 
 * A brute-force scorer (`gaze_2d` ... `brute_force_scores`) that recomputes
   pair scores from first principles: gaze direction from the pose angles
@@ -10,6 +10,9 @@ Two independent references:
   that scored one pair at a time before the array pass replaced it. It
   uses the same numpy calls per pair, so the array pass must match it bit
   for bit.
+* List metrics (`average_precision`, `metrics`) that rank pairs with a
+  tuple sort and walk Python lists, as the package did before its metrics
+  became array operations; the arrays must match them bit for bit.
 
 Both give a head whose projected gaze has zero length a cosine of 0 toward
 every other head, as the package does. The per-pair path reads frames as
@@ -25,13 +28,7 @@ import math
 import numpy as np
 
 from headpose.geometry import EulerPose, project_direction
-from headpose.laeo import (
-    DEFAULT_DELTA,
-    DEFAULT_TAU,
-    LaeoResult,
-    _average_precision,
-    uncertainty_weight,
-)
+from headpose.laeo import DEFAULT_DELTA, DEFAULT_TAU, LaeoResult, uncertainty_weight
 
 
 def gaze_2d(yaw_deg: float, pitch_deg: float) -> tuple[float, float]:
@@ -144,6 +141,55 @@ def score_pair(
     )
 
 
+def average_precision(ranked_labels: list[bool]) -> float:
+    """All-points interpolated AP over a ranked boolean label list."""
+    n_pos = sum(ranked_labels)
+    if n_pos == 0:
+        return 0.0
+    precisions = []
+    recalls = []
+    tp = 0
+    for i, lab in enumerate(ranked_labels, start=1):
+        if lab:
+            tp += 1
+        precisions.append(tp / i)
+        recalls.append(tp / n_pos)
+    # precision envelope: best precision at any recall >= r
+    env = precisions[:]
+    for i in range(len(env) - 2, -1, -1):
+        env[i] = max(env[i], env[i + 1])
+    ap = 0.0
+    prev_recall = 0.0
+    for p, r in zip(env, recalls):
+        if r > prev_recall:
+            ap += (r - prev_recall) * p
+            prev_recall = r
+    return ap
+
+
+def metrics(keys: list, labels: list[bool], values: list[float], tau: float) -> dict:
+    """Precision/recall/F1 of values >= tau and AP of the values, against the labels.
+
+    AP ranks by value, ties broken by keys[k], a (frame_id, pair) tuple.
+    """
+    hits = [v >= tau for v in values]
+    tp = sum(1 for hit, lab in zip(hits, labels) if hit and lab)
+    fp = sum(1 for hit, lab in zip(hits, labels) if hit and not lab)
+    fn = sum(1 for hit, lab in zip(hits, labels) if not hit and lab)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    ranked = sorted(range(len(keys)), key=lambda k: (-values[k], keys[k]))
+    return {
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "average_precision": average_precision([labels[k] for k in ranked]),
+        "n_pairs": len(keys),
+        "n_positive": sum(labels),
+    }
+
+
 def per_pair_evaluation(
     rows: list[dict], tau: float, delta: float, mode: str
 ) -> tuple[dict | None, list[tuple[str, LaeoResult, bool | None]]]:
@@ -166,19 +212,9 @@ def per_pair_evaluation(
     if all("laeo_pairs" not in row for row in rows):
         return None, scored
     labelled = [e for e in scored if e[2] is not None]
-    tp = sum(1 for _, r, lab in labelled if r.is_laeo and lab)
-    fp = sum(1 for _, r, lab in labelled if r.is_laeo and not lab)
-    fn = sum(1 for _, r, lab in labelled if not r.is_laeo and lab)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    ranked = sorted(labelled, key=lambda e: (-e[1].laeo_value, e[0], e[1].pair))
-    metrics = {
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
-        "average_precision": _average_precision([lab for _, _, lab in ranked]),
-        "n_pairs": len(labelled),
-        "n_positive": sum(1 for _, _, lab in labelled if lab),
-    }
-    return metrics, scored
+    return metrics(
+        [(frame_id, r.pair) for frame_id, r, _ in labelled],
+        [lab for _, _, lab in labelled],
+        [r.laeo_value for _, r, _ in labelled],
+        tau,
+    ), scored

@@ -95,14 +95,9 @@ class TestSynth:
         assert err == f"error: {out}: refusing to write non-finite value in record 's000000'\n"
         assert not list(tmp_path.iterdir())
 
-    def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
-        flagged = tmp_path / "flagged.jsonl"
-        from_env = tmp_path / "env.jsonl"
-        run(capsys, "synth", "--n", "5", "--seed", "9", "--out", str(flagged))
+    def test_default_seed_is_zero(self, tmp_path, capsys, monkeypatch):
+        # the seed comes from --seed alone: the environment cannot change it
         monkeypatch.setenv("HEADPOSE_SEED", "9")
-        run(capsys, "synth", "--n", "5", "--out", str(from_env))
-        assert flagged.read_bytes() == from_env.read_bytes()
-        monkeypatch.delenv("HEADPOSE_SEED")
         default = tmp_path / "default.jsonl"
         zero = tmp_path / "zero.jsonl"
         run(capsys, "synth", "--n", "5", "--out", str(default))
@@ -152,7 +147,7 @@ class TestTrain:
             capsys, "train", "--data", str(bad), "--epochs", "1", "--out", str(tmp_path / "m")
         )
         assert code == 1
-        assert "error: line 3" in err
+        assert f"error: {bad}: line 3" in err
 
 
 class TestEval:
@@ -335,7 +330,8 @@ class TestLaeo:
         write(frames_path, [frame("k0", heads)])
         code, _, err = run(capsys, "laeo", "--frames", str(frames_path))
         assert code == 1
-        assert "frame 'k0' head 'a' has keypoints only; pass --model" in err
+        assert err == (f"error: {frames_path}: line 1: frame 'k0' head 'a' has keypoints only; "
+                       "pass --model\n")
         code, out, err = run(
             capsys, "laeo", "--frames", str(frames_path), "--model", str(unc_model)
         )
@@ -389,7 +385,8 @@ class TestLaeo:
             capsys, "laeo", "--frames", str(frames_path), "--model", str(unc_model)
         )
         assert code == 1
-        assert "'k1'" in err and "'ghost'" in err and "confidences are zero" in err
+        assert err == (f"error: {frames_path}: line 2: frame 'k1' head 'ghost': "
+                       "no usable keypoints: all confidences are zero\n")
 
 
     def test_unlabelled_frame_in_labelled_file_is_not_scored(self, tmp_path, capsys):
@@ -507,7 +504,7 @@ def test_non_finite_estimate_names_record(tmp_path, capsys, command):
     code, stdout, err = run(capsys, command, "--model", str(model_path), "--data", str(data),
                             flag, str(out))
     assert code == 1 and stdout == ""
-    assert err == "error: record 'huge': the model gave a non-finite estimate\n"
+    assert err == f"error: {data}: line 2: record 'huge': the model gave a non-finite estimate\n"
     assert not out.exists()
 
 
@@ -525,11 +522,12 @@ def test_record_without_pose_names_its_line(tmp_path, unc_model, capsys, command
     }[command]
     code, _, err = run(capsys, *argv)
     assert code == 1
-    assert err == "error: line 5: record 'u' has no ground-truth pose\n"
+    assert err == f"error: {data}: line 5: record 'u' has no ground-truth pose\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "train-val", "eval", "ablate"])
+@pytest.mark.parametrize("command",
+                         ["train", "train-val", "train-fine-val", "eval", "infer", "ablate"])
 def test_record_without_usable_keypoints_names_its_line(tmp_path, unc_model, capsys, command):
     good = {"id": "a", "keypoints": [[0, 0, 1], [1, 0, 1], [2, 1, 1], [3, 0, 1], [4, 2, 1]],
             "pose": [0, 0, 0]}
@@ -543,12 +541,17 @@ def test_record_without_usable_keypoints_names_its_line(tmp_path, unc_model, cap
         "train": ["train", "--data", str(bad), "--epochs", "1", "--out", str(out)],
         "train-val": ["train", "--data", str(fine), "--val", str(bad), "--epochs", "1",
                       "--out", str(out)],
+        "train-fine-val": ["train", "--data", str(bad), "--val", str(fine), "--epochs", "1",
+                           "--out", str(out)],
         "eval": ["eval", "--model", str(unc_model), "--data", str(bad), "--report", str(out)],
+        "infer": ["infer", "--model", str(unc_model), "--data", str(bad), "--out", str(out)],
         "ablate": ["ablate", "--data", str(bad), "--epochs", "1", "--out", str(out)],
     }[command]
     code, stdout, err = run(capsys, *argv)
     assert code == 1 and stdout == ""
-    assert err == "error: line 2: record 'b': no usable keypoints: all confidences are zero\n"
+    # the file is named: with --data and --val, either may hold the bad record
+    assert err == (f"error: {bad}: line 2: record 'b': "
+                   "no usable keypoints: all confidences are zero\n")
     assert not out.exists()
 
 

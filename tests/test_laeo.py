@@ -17,9 +17,9 @@ from headpose.laeo import (
     DEFAULT_DELTA,
     DEFAULT_TAU,
     GATE_MODES,
+    _metrics,
     evaluate_laeo,
     uncertainty_weight,
-    _average_precision,
 )
 
 import frame_rows
@@ -200,8 +200,8 @@ class TestScorePair:
         assert result.weight_a == 0 and result.weight_b == 1
         assert result.laeo_value == pytest.approx(result.cos_b)
 
-    def test_to_dict_keys(self):
-        d = score_two(*facing_pair()).to_dict()
+    def test_asdict_keys(self):
+        d = score_two(*facing_pair())._asdict()
         assert list(d.keys()) == [
             "pair", "cos_a", "cos_b", "weight_a", "weight_b", "laeo_value", "is_laeo",
         ]
@@ -221,20 +221,90 @@ class TestFrame:
             frame_rows.read([frame_rows.frame("f", (a, b), [("a", "zz")])])
 
 
+def average_precision(ranked_labels):
+    """AP of `_metrics` on pairs valued in the given rank order, checked against the oracle."""
+    n = len(ranked_labels)
+    values = -np.arange(n, dtype=np.float64)
+    ap = _metrics(np.zeros(n, dtype=np.intp), np.array(ranked_labels, dtype=bool), values,
+                  DEFAULT_TAU)["average_precision"]
+    assert ap == laeo_reference.average_precision(ranked_labels)
+    return ap
+
+
 class TestAveragePrecision:
     def test_hand_computed_case(self):
         # ranked [hit, miss, hit]: envelope precisions 1 and 2/3
-        assert _average_precision([True, False, True]) == pytest.approx(5.0 / 6.0)
+        assert average_precision([True, False, True]) == pytest.approx(5.0 / 6.0)
 
     def test_perfect_ranking(self):
-        assert _average_precision([True, True, False, False]) == 1.0
+        assert average_precision([True, True, False, False]) == 1.0
 
     def test_no_positives(self):
-        assert _average_precision([False, False]) == 0.0
+        assert average_precision([False, False]) == 0.0
 
     def test_worst_ranking(self):
         # single positive ranked last among 4
-        assert _average_precision([False, False, False, True]) == pytest.approx(0.25)
+        assert average_precision([False, False, False, True]) == pytest.approx(0.25)
+
+
+# few distinct values, so ranks tie; both signed zeros
+_pair_value = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, DEFAULT_TAU]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _ranked_pairs(draw):
+    """(keys, labels, values) of labelled pairs, in the order `evaluate_laeo` gives them.
+
+    Frame ids come out of sorted order, and within a frame the id pairs
+    are sorted, as they are from the scorer.
+    """
+    frame_ids = draw(st.lists(st.text("abz0", min_size=1, max_size=3), max_size=6, unique=True))
+    keys = []
+    for frame_id in frame_ids:
+        ids = sorted(draw(st.lists(st.text("xy", min_size=1, max_size=2), min_size=2,
+                                   max_size=4, unique=True)))
+        keys += [(frame_id, (a, b)) for k, a in enumerate(ids) for b in ids[k + 1:]]
+    labels = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    values = draw(st.lists(_pair_value, min_size=len(keys), max_size=len(keys)))
+    return keys, labels, values
+
+
+class TestMetrics:
+    @settings(max_examples=500, deadline=None)
+    @given(pairs=_ranked_pairs(), tau=_pair_value)
+    def test_arrays_match_list_oracle_bit_for_bit(self, pairs, tau):
+        keys, labels, values = pairs
+        _, frame_rank = np.unique(np.array([f for f, _ in keys], dtype=object),
+                                  return_inverse=True)
+        got = _metrics(frame_rank, np.array(labels, dtype=bool),
+                       np.array(values, dtype=np.float64), tau)
+        # json.dumps spells every float exactly, -0.0 included, and refuses numpy ints
+        assert json.dumps(got) == json.dumps(laeo_reference.metrics(keys, labels, values, tau))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.text("fgh9", min_size=1, max_size=3),  # frame ids, out of sorted order
+        st.permutations("abc"),  # head ids at the three places, so the scorer sorts them
+        st.lists(st.sampled_from([(90.0, 0.0), (-90.0, 0.0), (0.0, 0.0), (45.0, 10.0)]),
+                 min_size=2, max_size=3),  # few poses, so pair values tie across frames
+        st.sampled_from([None, (1.0, 1.0, 0.0), (10.0, 10.0, 0.0)]),
+        st.none() | st.lists(st.booleans(), min_size=3, max_size=3),  # None: unlabelled
+    ), max_size=8, unique_by=lambda r: r[0]), mode=st.sampled_from(GATE_MODES))
+    def test_tied_frames_match_per_pair_oracle(self, rows, mode):
+        places = ((0.0, 0.0), (10.0, 0.0), (0.0, 10.0))
+        frames = []
+        for frame_id, ids, poses, log_var, marks in rows:
+            heads = [head(hid, place, yaw, pitch, log_var=log_var)
+                     for hid, place, (yaw, pitch) in zip(ids, places, poses)]
+            pairs = None
+            if marks is not None:
+                present = sorted(h["id"] for h in heads)
+                all_pairs = [(a, b) for k, a in enumerate(present) for b in present[k + 1:]]
+                pairs = [pair for pair, mark in zip(all_pairs, marks) if mark]
+            frames.append(frame_rows.frame(frame_id, heads, pairs))
+        ev = score(frames, tau=0.5, mode=mode)
+        assert ev.gated == per_pair_evaluation(frames, 0.5, DEFAULT_DELTA, mode)[0]
+        assert ev.baseline == per_pair_evaluation(frames, 0.5, DEFAULT_DELTA, "off")[0]
 
 
 def separable_frames(n=5):
@@ -328,7 +398,7 @@ def _frames(draw):
 
 def as_rows(results):
     """Results as the CLI writes them, so -0.0 and 0.0 differ."""
-    return [(f, json.dumps(r.to_dict()), label) for f, r, label in results]
+    return [(f, json.dumps(r._asdict()), label) for f, r, label in results]
 
 
 class TestArrayPass:
