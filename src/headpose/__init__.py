@@ -5,40 +5,52 @@ angle from normalized keypoint coordinates and confidences. The
 uncertainty feeds a mutual-gaze (LAEO) detector that discards unreliable
 heads. Everything runs on numpy with an in-package autodiff; see the
 README for the CLI walk-through.
+
+The names below resolve on first use (PEP 562), so importing the package,
+or one command of its CLI, loads only the modules that are run.
 """
 
 from __future__ import annotations
 
-from .formats import Dataset
-from .geometry import EulerPose, PlaneVector, angular_error, mae, project_direction
-from .keypoints import Keypoint, KeypointSet, NormalizedInput, normalize
-from .model import Model, ModelConfig, PoseEstimate
-from .synthetic import NoiseModel, PoseRange, Sample, generate_dataset, generate_sample
-from .training import TrainConfig, TrainHistory, train
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dataset",
-    "EulerPose",
-    "Keypoint",
-    "KeypointSet",
-    "Model",
-    "ModelConfig",
-    "NoiseModel",
-    "NormalizedInput",
-    "PlaneVector",
-    "PoseEstimate",
-    "PoseRange",
-    "Sample",
-    "TrainConfig",
-    "TrainHistory",
-    "angular_error",
-    "generate_dataset",
-    "generate_sample",
-    "mae",
-    "normalize",
-    "project_direction",
-    "train",
-    "__version__",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    "Dataset": "formats",
+    "EulerPose": "geometry",
+    "Keypoint": "keypoints",
+    "KeypointSet": "keypoints",
+    "Model": "model",
+    "ModelConfig": "model",
+    "NoiseModel": "synthetic",
+    "NormalizedInput": "keypoints",
+    "PlaneVector": "geometry",
+    "PoseEstimate": "model",
+    "PoseRange": "synthetic",
+    "Sample": "synthetic",
+    "TrainConfig": "training",
+    "TrainHistory": "training",
+    "angular_error": "geometry",
+    "generate_dataset": "synthetic",
+    "generate_sample": "synthetic",
+    "mae": "geometry",
+    "normalize": "keypoints",
+    "project_direction": "geometry",
+    "train": "training",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,23 +3,46 @@
 Subcommands: synth (make data), train, eval, infer, laeo, ablate. Every
 command is deterministic for a fixed --seed, whose default is 0. Data
 errors exit non-zero with the offending file and line.
+
+Each command imports the modules it runs when it starts, so `laeo` loads
+no training code and `infer` no training or scoring code.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import evaluation, formats, laeo
+from . import formats
 from .keypoints import UnusableKeypoints, normalize
-from .model import Model, ModelConfig
-from .synthetic import NoiseModel, PoseRange, generate_dataset
-from .training import TrainConfig, TrainHistory, train
+from .laeo_settings import DEFAULT_DELTA, DEFAULT_TAU, GATE_MODES
+
+if TYPE_CHECKING:
+    from .laeo import Frames
+    from .model import Model
+    from .synthetic import NoiseModel
+    from .training import TrainHistory
+
+# Functions of other modules that the commands call as attributes of this
+# module, resolved on first use; the benchmark's tracer replaces them here.
+_LAZY = {"generate_dataset": ".synthetic", "train": ".training"}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name], __package__), name)
+    globals()[name] = value
+    return value
+
 
 LOSS_BY_FLAG = {"unc": "heteroscedastic", "mse": "mse", "comb": "combined"}
 ABLATE_ORDER = ("mse", "comb", "unc")
@@ -50,13 +73,16 @@ def _train_one(
     val: formats.Dataset | None,
     args: argparse.Namespace,
 ) -> tuple[Model, TrainHistory]:
+    from .model import Model, ModelConfig
+    from .training import TrainConfig
+
     config = ModelConfig(loss_kind=LOSS_BY_FLAG[loss_flag], width_scale=args.alpha)
     rng = np.random.default_rng(args.seed)
     model = Model.build(config, rng)
     train_config = TrainConfig(
         n_epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr
     )
-    history = train(model, data, train_config, rng, val)
+    history = _cli.train(model, data, train_config, rng, val)
     return model, history
 
 
@@ -106,6 +132,8 @@ def _estimate(model: Model, keypoints: np.ndarray, name) -> tuple[np.ndarray, np
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation
+
     model = formats.read_model(args.model)
     data = formats.read_dataset(args.data)
     result = evaluation.evaluate(model, data)
@@ -123,15 +151,11 @@ def cmd_infer(args: argparse.Namespace) -> int:
     model = formats.read_model(args.model)
     data = formats.read_dataset(args.data)
     angles, log_var = _estimate(model, data.keypoints, data.record_name)
-    log_var_rows = log_var.tolist() if log_var is not None else [None] * len(data)
-    formats.write_jsonl(args.out, (
-        {"id": i, "yaw": yaw, "pitch": pitch, "roll": roll, "log_variance": lv}
-        for i, (yaw, pitch, roll), lv in zip(data.ids, angles.tolist(), log_var_rows)
-    ))
+    formats.write_text(args.out, formats.infer_lines(data.ids, angles, log_var))
     return 0
 
 
-def _with_model_poses(frames: laeo.Frames, model: Model | None) -> laeo.Frames:
+def _with_model_poses(frames: Frames, model: Model | None) -> Frames:
     """Frames whose keypoint heads carry the model's pose and log-variances.
 
     With a model, the keypoint heads of all frames go through one
@@ -154,12 +178,12 @@ def _with_model_poses(frames: laeo.Frames, model: Model | None) -> laeo.Frames:
 
 
 def cmd_laeo(args: argparse.Namespace) -> int:
+    from . import laeo
+
     frames = formats.read_frames(args.frames)
     model = formats.read_model(args.model) if args.model else None
     frames = _with_model_poses(frames, model)
     scored = laeo.evaluate_laeo(frames, args.tau, args.delta, mode=args.gate)
-    rows = [{"frame_id": frame_id, **result._asdict(), "label": label}
-            for frame_id, result, label in scored.results]
     summary = {
         "summary": {
             "tau": args.tau,
@@ -172,13 +196,16 @@ def cmd_laeo(args: argparse.Namespace) -> int:
             "baseline": scored.baseline,
         }
     }
-    formats.write_jsonl(args.out, rows + [summary])
+    summary_line = json.dumps(summary) + "\n"
+    formats.write_text(args.out, formats.laeo_lines(scored.results) + summary_line)
     if args.out:
-        print(json.dumps(summary))
+        sys.stdout.write(summary_line)
     return 0
 
 
 def _parse_noise(text: str) -> NoiseModel:
+    from .synthetic import NoiseModel
+
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("--noise expects 'base_sigma,yaw_gain'")
@@ -190,8 +217,10 @@ def _parse_noise(text: str) -> NoiseModel:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synthetic import PoseRange
+
     rng = np.random.default_rng(args.seed)
-    samples = generate_dataset(
+    samples = _cli.generate_dataset(
         args.n,
         rng,
         noise=_parse_noise(args.noise),
@@ -205,6 +234,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
+    from . import evaluation
+
     data = formats.read_dataset(args.data)
     val = formats.read_dataset(args.val) if args.val else None
     rows = []
@@ -267,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laeo", help="score mutual gaze over head-pair frames")
     p.add_argument("--frames", required=True)
     p.add_argument("--model", default=None, help="needed when frames carry raw keypoints")
-    p.add_argument("--tau", type=_finite_float, default=laeo.DEFAULT_TAU)
-    p.add_argument("--delta", type=_finite_float, default=laeo.DEFAULT_DELTA)
-    p.add_argument("--gate", choices=laeo.GATE_MODES, default="interval")
+    p.add_argument("--tau", type=_finite_float, default=DEFAULT_TAU)
+    p.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA)
+    p.add_argument("--gate", choices=GATE_MODES, default="interval")
     p.add_argument("--out", default=None, help="write pair results here instead of stdout")
     p.set_defaults(func=cmd_laeo)
 

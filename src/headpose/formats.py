@@ -1,15 +1,15 @@
 """File formats: datasets, LAEO frames, model weights, JSON reports.
 
 Data files are line-delimited JSON so they stream and diff cleanly. A
-dataset file is read into one columnar `Dataset`, checked as a whole and
-rescanned record by record only to name the first bad line; a frames
-file into one columnar `laeo.Frames`, every check on it in its reader.
-Model files are one JSON header line (version, config, tensor layout)
-followed by the model's flat parameter vector as raw little-endian
-float32, tensors in layout order; non-finite values are refused on read
-and on write, as they are when writing a dataset. All writes go through
-a temp file in the target directory and a rename, so readers never
-observe partial files.
+dataset file is read into one columnar `Dataset` and a frames file into
+one columnar `laeo.Frames`; each is checked as a whole and rescanned
+record by record only to name the first bad line. Model files are one
+JSON header line (version, config, tensor layout) followed by the
+model's flat parameter vector as raw little-endian float32, tensors in
+layout order; non-finite values are refused on read and on write, as
+they are when writing a dataset. The `infer` and `laeo` rows have one
+formatter each. All writes go through a temp file in the target
+directory and a rename, so readers never observe partial files.
 
 Malformed input lines raise RecordError carrying the file and the 1-based
 line number; `Dataset` and `laeo.Frames` keep both, so errors found after
@@ -26,15 +26,18 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .keypoints import N_KEYPOINTS
-from .laeo import Frames
-from .model import Model, ModelConfig, parameter_layout
-from .synthetic import Sample
+
+if TYPE_CHECKING:
+    from .laeo import Frames, LaeoResult
+    from .model import Model
+    from .synthetic import Sample
 
 MODEL_FORMAT_VERSION = 1
 
@@ -81,13 +84,58 @@ def write_json(path: str | Path, obj) -> None:
     atomic_write_bytes(path, (json.dumps(obj, indent=2) + "\n").encode("utf-8"))
 
 
-def write_jsonl(path: str | Path | None, rows: Iterable[dict]) -> None:
-    """One JSON line per row, written atomically to path, or to stdout when path is None."""
-    text = "".join(json.dumps(row) + "\n" for row in rows)
+def write_text(path: str | Path | None, text: str) -> None:
+    """Text written atomically to path, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
     else:
         atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_jsonl(path: str | Path | None, rows: Iterable[dict]) -> None:
+    """One JSON line per row, written as write_text writes."""
+    write_text(path, "".join(json.dumps(row) + "\n" for row in rows))
+
+
+# The two row kinds the scoring commands write in bulk are formatted here
+# rather than by json.dumps, which builds and walks a dict per row. Their
+# bytes are json.dumps's: its key order and separators, float.__repr__
+# for floats, and its escaper for strings.
+_JSON_LITERAL = {True: "true", False: "false", None: "null"}
+
+
+def _json_float(x: float) -> str:
+    """A float as json.dumps writes it, NaN and the infinities included."""
+    if x - x == 0.0:  # finite
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_floats(values: list[float] | None) -> str:
+    """A list of floats, or None, as json.dumps writes it."""
+    return "null" if values is None else f"[{', '.join(map(_json_float, values))}]"
+
+
+def infer_lines(ids: Sequence[str], angles: np.ndarray, log_var: np.ndarray | None) -> str:
+    """The `infer` rows: id, yaw, pitch, roll and the log-variances or null."""
+    variances = [None] * len(ids) if log_var is None else log_var.tolist()
+    return "".join(
+        f'{{"id": {_json_string(i)}, "yaw": {_json_float(yaw)}, "pitch": {_json_float(pitch)}, '
+        f'"roll": {_json_float(roll)}, "log_variance": {_json_floats(lv)}}}\n'
+        for i, (yaw, pitch, roll), lv in zip(ids, angles.tolist(), variances)
+    )
+
+
+def laeo_lines(results: Iterable[tuple[str, LaeoResult, bool | None]]) -> str:
+    """The `laeo` pair rows: the frame id, the result's fields in order, the label."""
+    return "".join(
+        f'{{"frame_id": {_json_string(frame_id)}, '
+        f'"pair": [{_json_string(a)}, {_json_string(b)}], '
+        f'"cos_a": {_json_float(cos_a)}, "cos_b": {_json_float(cos_b)}, '
+        f'"weight_a": {w_a}, "weight_b": {w_b}, "laeo_value": {_json_float(value)}, '
+        f'"is_laeo": {_JSON_LITERAL[is_laeo]}, "label": {_JSON_LITERAL[label]}}}\n'
+        for frame_id, ((a, b), cos_a, cos_b, w_a, w_b, value, is_laeo), label in results
+    )
 
 
 def _read_lines(path: str | Path) -> list[tuple[int, dict]]:
@@ -285,85 +333,127 @@ def read_frames(path: str | Path) -> Frames:
 
     A head needs an id, a centroid, and keypoints or a pose; log_variance
     is read only beside a pose. Frame ids are unique in the file, head ids
-    within a frame, and a label pair names two of the frame's heads.
+    within a frame, and a label pair names two of the frame's heads. As in
+    `read_dataset`, the whole file is checked at once and rescanned frame
+    by frame only to name the first bad line and its reason.
     """
-    frame_ids: list[str] = []
-    lines: list[int] = []
-    seen: set[str] = set()
-    starts = [0]
-    labels: list[frozenset[tuple[str, str]] | None] = []
-    head_ids: list[str] = []
-    centroids: list[tuple[float, ...]] = []
-    poses: dict[int, tuple[float, ...]] = {}  # by head index; absent heads stay NaN
-    log_variance: dict[int, tuple[float, ...]] = {}
-    keypoints: dict[int, list[tuple[float, ...]]] = {}
-    for line_number, obj in _read_lines(path):
-        if "frame_id" not in obj or "heads" not in obj:
-            raise RecordError(line_number, "frame needs 'frame_id' and 'heads'")
-        frame_id = str(obj["frame_id"])
-        if frame_id in seen:
-            raise RecordError(line_number, f"duplicate frame_id {frame_id!r}")
-        seen.add(frame_id)
-        if not isinstance(obj["heads"], list):
-            raise RecordError(line_number, "'heads' must be a list")
-        for raw in obj["heads"]:
-            if not isinstance(raw, dict) or "id" not in raw or "centroid" not in raw:
-                raise RecordError(line_number, "head needs 'id' and 'centroid'")
-            h = len(head_ids)
-            centroids.append(_parse_numbers(raw["centroid"], 2, "centroid [x, y]", line_number))
-            if "keypoints" in raw:
-                keypoints[h] = _parse_keypoint_rows(raw["keypoints"], line_number)
-            if "pose" in raw:
-                poses[h] = _parse_numbers(raw["pose"], 3, _POSE, line_number)
-                if raw.get("log_variance") is not None:
-                    log_variance[h] = _parse_numbers(
-                        raw["log_variance"], 3, "log_variance", line_number
-                    )
-            elif h not in keypoints:
-                raise RecordError(line_number, "head needs 'keypoints' or 'pose'")
-            head_ids.append(str(raw["id"]))
-        ids = set(head_ids[starts[-1]:])
-        if len(ids) != len(head_ids) - starts[-1]:
-            raise RecordError(line_number, "duplicate head ids")
-        pairs = None
-        if "laeo_pairs" in obj:
-            pairs = set()
-            if not isinstance(obj["laeo_pairs"], list):
-                raise RecordError(line_number, "'laeo_pairs' must be a list")
-            for pair in obj["laeo_pairs"]:
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise RecordError(line_number, "laeo pair must be [idA, idB]")
-                a, b = str(pair[0]), str(pair[1])
-                if a == b or a not in ids or b not in ids:
-                    raise RecordError(line_number, f"pair [{a}, {b}] not among head ids")
-                pairs.add((a, b) if a < b else (b, a))
-        frame_ids.append(frame_id)
-        lines.append(line_number)
-        starts.append(len(head_ids))
-        labels.append(None if pairs is None else frozenset(pairs))
+    rows = _read_lines(path)
+    frames = _frames_columns(rows, str(path))
+    if frames is None:
+        seen: set[str] = set()
+        for line_number, obj in rows:
+            _check_frame(line_number, obj, seen)
+        raise AssertionError(f"{path}: the file check failed but every frame passes")
+    return frames
 
-    def rows(values: dict[int, tuple], shape: tuple[int, ...]) -> np.ndarray:
-        out = np.full((len(head_ids), *shape), np.nan)
-        if values:
-            out[list(values)] = list(values.values())
+
+def _frames_columns(rows: list[tuple[int, dict]], path: str) -> Frames | None:
+    """The rows as Frames, or None when any of them is malformed."""
+    from .laeo import Frames
+
+    objs = [obj for _, obj in rows]
+    try:
+        frame_ids = [str(obj["frame_id"]) for obj in objs]
+        frame_heads = [obj["heads"] for obj in objs]
+    except KeyError:
+        return None
+    if len(set(frame_ids)) != len(frame_ids) or not all(
+            isinstance(heads, list) for heads in frame_heads):
+        return None
+    heads = list(chain.from_iterable(frame_heads))
+    if not all(isinstance(raw, dict) and "id" in raw and "centroid" in raw
+               and ("pose" in raw or "keypoints" in raw) for raw in heads):
+        return None
+    with_pose = [h for h, raw in enumerate(heads) if "pose" in raw]
+    with_keypoints = [h for h, raw in enumerate(heads) if "keypoints" in raw]
+    with_variance = [h for h in with_pose if heads[h].get("log_variance") is not None]
+    head_ids = [str(raw["id"]) for raw in heads]
+    starts = np.cumsum([0] + [len(h) for h in frame_heads], dtype=np.intp)
+    try:
+        labels = tuple(_frame_labels(line_number, obj, head_ids[first:last])
+                       for (line_number, obj), first, last
+                       in zip(rows, starts.tolist(), starts[1:].tolist()))
+        centroids = _number_array([raw["centroid"] for raw in heads], (2,))
+        kps = _number_array([heads[h]["keypoints"] for h in with_keypoints], (N_KEYPOINTS, 3))
+        pose_rows = _number_array([heads[h]["pose"] for h in with_pose], (3,))
+        variance_rows = _number_array([heads[h]["log_variance"] for h in with_variance], (3,))
+    except (RecordError, ValueError, TypeError, OverflowError):  # OverflowError: beyond float
+        return None
+    c = kps[:, :, 2]
+    if not ((c >= 0.0) & (c <= 1.0)).all():
+        return None
+
+    def rows_at(index: list[int], values: np.ndarray) -> np.ndarray:
+        out = np.full((len(heads), *values.shape[1:]), np.nan)
+        out[index] = values
         return out
 
     return Frames(
-        path=str(path),
+        path=path,
         frame_ids=np.array(frame_ids, dtype=object),
-        lines=np.array(lines, dtype=np.intp),
-        starts=np.array(starts, dtype=np.intp),
+        lines=np.array([line_number for line_number, _ in rows], dtype=np.intp),
+        starts=starts,
         head_ids=np.array(head_ids, dtype=object),
-        centroids=np.array(centroids, dtype=np.float64).reshape(-1, 2),
-        poses=rows(poses, (3,)),
-        log_variance=rows(log_variance, (3,)),
-        keypoints=rows(keypoints, (N_KEYPOINTS, 3)),
-        labels=tuple(labels),
+        centroids=centroids,
+        poses=rows_at(with_pose, pose_rows),
+        log_variance=rows_at(with_variance, variance_rows),
+        keypoints=rows_at(with_keypoints, kps),
+        labels=labels,
     )
+
+
+def _frame_labels(line_number: int, obj: dict,
+                  head_ids: list[str]) -> frozenset[tuple[str, str]] | None:
+    """The frame's mutual-gaze pairs, None without "laeo_pairs"; RecordError on
+    duplicate head ids or a bad pair."""
+    ids = set(head_ids)
+    if len(ids) != len(head_ids):
+        raise RecordError(line_number, "duplicate head ids")
+    if "laeo_pairs" not in obj:
+        return None
+    if not isinstance(obj["laeo_pairs"], list):
+        raise RecordError(line_number, "'laeo_pairs' must be a list")
+    pairs = set()
+    for pair in obj["laeo_pairs"]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise RecordError(line_number, "laeo pair must be [idA, idB]")
+        a, b = str(pair[0]), str(pair[1])
+        if a == b or a not in ids or b not in ids:
+            raise RecordError(line_number, f"pair [{a}, {b}] not among head ids")
+        pairs.add((a, b) if a < b else (b, a))
+    return frozenset(pairs)
+
+
+def _check_frame(line_number: int, obj: dict, seen: set[str]) -> None:
+    """Raise the RecordError of a malformed frame, head by head; seen holds the
+    frame ids of the lines before it."""
+    if "frame_id" not in obj or "heads" not in obj:
+        raise RecordError(line_number, "frame needs 'frame_id' and 'heads'")
+    frame_id = str(obj["frame_id"])
+    if frame_id in seen:
+        raise RecordError(line_number, f"duplicate frame_id {frame_id!r}")
+    seen.add(frame_id)
+    if not isinstance(obj["heads"], list):
+        raise RecordError(line_number, "'heads' must be a list")
+    for raw in obj["heads"]:
+        if not isinstance(raw, dict) or "id" not in raw or "centroid" not in raw:
+            raise RecordError(line_number, "head needs 'id' and 'centroid'")
+        _parse_numbers(raw["centroid"], 2, "centroid [x, y]", line_number)
+        if "keypoints" in raw:
+            _parse_keypoint_rows(raw["keypoints"], line_number)
+        if "pose" in raw:
+            _parse_numbers(raw["pose"], 3, _POSE, line_number)
+            if raw.get("log_variance") is not None:
+                _parse_numbers(raw["log_variance"], 3, "log_variance", line_number)
+        elif "keypoints" not in raw:
+            raise RecordError(line_number, "head needs 'keypoints' or 'pose'")
+    _frame_labels(line_number, obj, [str(raw["id"]) for raw in obj["heads"]])
 
 
 def write_model(path: str | Path, model: Model) -> None:
     """Header line, then the flat vector as float32; refuses non-finite values."""
+    from .model import parameter_layout
+
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "model_config": model.config.to_dict(),
@@ -382,12 +472,14 @@ def _require_finite(values: np.ndarray, model: Model, prefix: str) -> None:
 
 
 def read_model(path: str | Path) -> Model:
+    from .model import Model, ModelConfig, parameter_layout
+
     with open(path, "rb") as f:
         header_line = f.readline()
         blob = f.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"{path}: not a model file ({e})") from e
     if not isinstance(header, dict):
         raise ValueError(f"{path}: not a model file (header is not a JSON object)")

@@ -40,11 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import EulerPose, project_direction
-
-GATE_MODES = ("interval", "open-below", "off")
-
-DEFAULT_DELTA = 7.0
-DEFAULT_TAU = 0.93
+from .laeo_settings import DEFAULT_DELTA, DEFAULT_TAU, GATE_MODES
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class Frames:
 
 
 class LaeoResult(NamedTuple):
-    """One scored pair; `_asdict()` gives the fields of its `laeo` output row."""
+    """One scored pair; its fields, in order, are those of its `laeo` output row."""
 
     pair: tuple[str, str]
     cos_a: float

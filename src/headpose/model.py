@@ -32,6 +32,10 @@ from .keypoints import N_KEYPOINTS, NormalizedInput
 LOSS_KINDS = ("heteroscedastic", "mse", "combined")
 
 FC_BASE = (250, 200, 150)
+# Widest fully connected layer a config may ask for: width_scale 16 gives
+# 4,000 units and about 21M parameters, while width_scale 1,000 would ask
+# for about 8e10 and 1e308 for widths beyond any integer.
+MAX_FC_WIDTH = 4096
 N_FILTERS = 5  # per conv stream
 LEAKY_SLOPE = 0.01
 N_BINS = 66  # per angle, for the combined head
@@ -65,6 +69,11 @@ class ModelConfig:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if self.width_scale <= 0:
             raise ValueError("width_scale must be > 0")
+        # compared as a scale first, so that no width is computed from a huge or NaN one
+        too_wide = not self.width_scale * max(FC_BASE) < MAX_FC_WIDTH + 1
+        if too_wide or max(self.fc_widths) > MAX_FC_WIDTH:
+            raise ValueError(
+                f"width_scale {self.width_scale} makes a layer wider than {MAX_FC_WIDTH} units")
 
     @property
     def fc_widths(self) -> tuple[int, int, int]:

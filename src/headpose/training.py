@@ -147,38 +147,42 @@ def train(
     n = len(targets)
     last_finite = "no finite training loss yet"
 
-    for epoch in range(config.n_epochs):
-        order = rng.permutation(n)
-        running = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            out = model.forward(x1[idx], x2[idx], c[idx])
-            loss = loss_graph(model.config.loss_kind, out, targets[idx])
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
-                    f" ({last_finite})"
-                )
-            last_finite = f"last finite training loss {value:.6g}"
-            model.flat_grad[...] = 0.0
-            loss.backward()
-            try:
-                opt.step(model, config)
-            except FloatingPointError as e:
-                raise FloatingPointError(f"{e} ({last_finite})") from e
-            running += value * len(idx)
-        history.train_loss.append(running / n)
+    # Overflow shows as a non-finite batch loss or gradient, which the checks
+    # below report, or as a non-finite validation loss, which is never the
+    # best; numpy's warnings about it would only repeat that.
+    with np.errstate(all="ignore"):
+        for epoch in range(config.n_epochs):
+            order = rng.permutation(n)
+            running = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                out = model.forward(x1[idx], x2[idx], c[idx])
+                loss = loss_graph(model.config.loss_kind, out, targets[idx])
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise FloatingPointError(
+                        f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
+                        f" ({last_finite})"
+                    )
+                last_finite = f"last finite training loss {value:.6g}"
+                model.flat_grad[...] = 0.0
+                loss.backward()
+                try:
+                    opt.step(model, config)
+                except FloatingPointError as e:
+                    raise FloatingPointError(f"{e} ({last_finite})") from e
+                running += value * len(idx)
+            history.train_loss.append(running / n)
 
-        if val_arrays is not None:
-            val, per_angle = _validation_pass(model, val_arrays)
-            history.val_loss.append(val)
-            history.val_mae.append(per_angle)
-            if val < best_val:
-                best_val = val
-                best_snapshot = model.snapshot()
-                history.best_epoch = epoch
-                history.best_val_loss = val
+            if val_arrays is not None:
+                val, per_angle = _validation_pass(model, val_arrays)
+                history.val_loss.append(val)
+                history.val_mae.append(per_angle)
+                if val < best_val:
+                    best_val = val
+                    best_snapshot = model.snapshot()
+                    history.best_epoch = epoch
+                    history.best_val_loss = val
 
     if best_snapshot is not None:
         model.restore(best_snapshot)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from headpose import cli
 from headpose.evaluation import evaluate
 from headpose.formats import Dataset, read_dataset, read_model, write_model
 from headpose.keypoints import Keypoint, KeypointSet, normalize
-from headpose.model import Model, ModelConfig
+from headpose.model import MAX_FC_WIDTH, Model, ModelConfig
 from headpose.synthetic import generate_dataset
 
 from frame_rows import frame, head, write
@@ -679,6 +682,31 @@ class TestParser:
         assert err.startswith("error: --noise: expected a finite number")
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["1e308", "1000"])
+    def test_too_wide_model_is_refused_before_allocation(self, tmp_path, data_file, capsys,
+                                                          monkeypatch, alpha):
+        def build(config, rng):
+            raise AssertionError("a model was allocated")
+
+        monkeypatch.setattr(Model, "build", staticmethod(build))
+        out = tmp_path / "m.hpm"
+        code, stdout, err = run(capsys, "train", "--data", str(data_file), "--alpha", alpha,
+                                "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == (f"error: width_scale {float(alpha)} makes a layer wider than "
+                       f"{MAX_FC_WIDTH} units\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_training_prints_only_its_error(self, tmp_path, data_file, capsys):
+        # the step after the first overflows, and so does the validation pass
+        # between them; a numpy warning would raise here before the error
+        code, stdout, err = run(capsys, "train", "--data", str(data_file), "--epochs", "3",
+                                "--lr", "1e300", "--seed", "3", "--out", str(tmp_path / "m.hpm"))
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: non-finite loss at epoch 1, batch 0 (last finite")
+        assert err.count("\n") == 1
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverging_training_reports_error(self, tmp_path, data_file, capsys):
         code, _, err = run(
@@ -691,3 +719,49 @@ class TestParser:
         last = err.strip().rsplit("last finite training loss ", 1)[1].rstrip(")")
         assert math.isfinite(float(last))
         assert not (tmp_path / "m.hpm").exists()
+
+
+# The headpose modules each command loads when `cli.main` runs it in a fresh
+# process: `laeo` without a model loads no network or training code, and
+# neither `laeo` nor `infer` loads training, synthesis or evaluation code.
+SCORING = {"cli", "formats", "geometry", "keypoints", "laeo_settings"}
+NETWORK = {"model", "autodiff"}
+LOADED_BY = {
+    "laeo": SCORING | {"laeo"},
+    "laeo --model": SCORING | NETWORK | {"laeo"},
+    "infer": SCORING | NETWORK,
+    "eval": SCORING | NETWORK | {"evaluation", "training", "losses"},
+}
+LIST_MODULES = """
+import sys
+from headpose.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("headpose."))
+print(code, *loaded, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command", list(LOADED_BY))
+def test_command_loads_only_the_modules_it_runs(tmp_path, command):
+    model = str(DATA / "score_pin_unc.hpm")
+    frames = tmp_path / "kp.jsonl"
+    sample = generate_dataset(1, np.random.default_rng(3))[0]
+    write(frames, [frame("k0", (head("a", (0.0, 0.0), keypoints=sample.keypoints),
+                                head("b", (30.0, 0.0), pose=(-90.0, 0.0, 0.0))))])
+    out = str(tmp_path / "out")
+    argv = {
+        "laeo": ["laeo", "--frames", str(DATA / "laeo_frames_labelled.jsonl"), "--out", out],
+        "laeo --model": ["laeo", "--frames", str(frames), "--model", model, "--out", out],
+        "infer": ["infer", "--model", model, "--data", str(DATA / "score_pin.jsonl"),
+                  "--out", out],
+        "eval": ["eval", "--model", model, "--data", str(DATA / "score_pin.jsonl"),
+                 "--report", out],
+    }[command]
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    code, *loaded = proc.stderr.split()
+    assert code == "0", proc.stderr
+    assert set(loaded) == LOADED_BY[command]

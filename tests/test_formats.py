@@ -17,6 +17,8 @@ from headpose.formats import (
     Dataset,
     RecordError,
     atomic_write_bytes,
+    infer_lines,
+    laeo_lines,
     read_dataset,
     read_frames,
     read_model,
@@ -24,11 +26,13 @@ from headpose.formats import (
     write_json,
     write_model,
 )
-from headpose.model import FIXED_CONFIG, Model, ModelConfig, parameter_layout
+from headpose.laeo import LaeoResult
+from headpose.model import FIXED_CONFIG, MAX_FC_WIDTH, Model, ModelConfig, parameter_layout
 from headpose.synthetic import generate_dataset
 
 import dataset_reference
 import frame_rows
+import frames_reference
 
 
 class TestAtomicWrite:
@@ -462,6 +466,8 @@ def test_bad_value_reports_line(tmp_path, reader, row, word):
                      ("model_config", "width_scale"), id="wrong-typed-value"),
         pytest.param(lambda d: {**d, "model_config": {**d["model_config"], "width_scale": 10**400}},
                      ("model_config",), id="width-beyond-float"),
+        pytest.param(lambda d: {**d, "model_config": {**d["model_config"], "width_scale": 1000}},
+                     ("model_config", f"wider than {MAX_FC_WIDTH} units"), id="width-beyond-bound"),
         pytest.param(lambda d: {k: v for k, v in d.items() if k != "model_config"},
                      ("model_config",), id="missing-config"),
         pytest.param(lambda d: [1, 2], ("not a model file",), id="header-not-an-object"),
@@ -479,6 +485,14 @@ def test_bad_model_header_names_path(tmp_path, edit, words):
     assert str(path) in str(info.value)
     for word in words:
         assert word in str(info.value)
+
+
+def test_deeply_nested_model_header_is_not_a_model_file(tmp_path):
+    path = tmp_path / "m.hpm"
+    path.write_bytes(b"[" * 100_000 + b"\n" + bytes(8))
+    with pytest.raises(ValueError) as info:
+        read_model(path)
+    assert str(info.value).startswith(f"{path}: not a model file (")
 
 
 def _rewrite_config(path: Path, edit) -> None:
@@ -736,3 +750,148 @@ def test_read_frames_arrays_hold_the_rows(rows):
         else frozenset(tuple(sorted(p)) for p in row["laeo_pairs"])
         for row in rows
     )
+
+
+def assert_frames_read_as_oracle(path):
+    """read_frames gives the oracle's arrays, or its RecordError: same file, line and reason."""
+    try:
+        expected = frames_reference.read(path)
+    except RecordError as e:
+        with pytest.raises(RecordError) as info:
+            read_frames(path)
+        assert str(info.value) == f"{path}: {e}"
+        return
+    frames = read_frames(path)
+    assert frames.path == expected.path and frames.labels == expected.labels
+    for field in ("frame_ids", "lines", "starts", "head_ids", "centroids", "poses",
+                  "log_variance", "keypoints"):
+        got, want = getattr(frames, field), getattr(expected, field)
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f"), field
+
+
+def check_frames_against_oracle(tmp_path, lines_strategy):
+    path = tmp_path / "frames.jsonl"
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(lines=lines_strategy)
+    def check(lines):
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert_frames_read_as_oracle(path)
+
+    check()
+
+
+def test_read_frames_matches_oracle_on_fuzz_lines(tmp_path):
+    # frame ids are drawn from three values, so frames often repeat one
+    # across lines
+    check_frames_against_oracle(tmp_path, _lines(_frame_rows | _values))
+
+
+def _spoil_frame(draw, rows):
+    """One fault in one place of valid frame rows, or one that must still read."""
+    row = draw(st.sampled_from(rows))
+    heads = row["heads"]
+    fault = draw(st.sampled_from(
+        ["value", "shape", "confidence", "head", "heads", "frame", "pairs", "self pair",
+         "duplicate head", "duplicate frame", "unused log_variance"]
+    ))
+    if fault in ("value", "shape") and heads:
+        h = draw(st.sampled_from(heads))
+        key = draw(st.sampled_from(sorted(k for k in h if k != "id")))
+        if fault == "value" and key == "keypoints":
+            h[key][draw(st.integers(0, 4))][draw(st.integers(0, 2))] = draw(_odd)
+        elif fault == "value":
+            h[key][draw(st.integers(0, len(h[key]) - 1))] = draw(_odd)
+        elif key == "keypoints" and draw(st.booleans()):
+            h[key][draw(st.integers(0, 4))] = draw(_bad_triples)
+        else:
+            h[key] = h[key][:-1] if draw(st.booleans()) else h[key] + h[key][:1]
+    elif fault == "confidence" and any("keypoints" in h for h in heads):
+        h = draw(st.sampled_from([h for h in heads if "keypoints" in h]))
+        h["keypoints"][draw(st.integers(0, 4))][2] = draw(st.sampled_from([-0.5, 1.5, 2]))
+    elif fault == "head" and heads:
+        k = draw(st.integers(0, len(heads) - 1))
+        if draw(st.booleans()):
+            heads[k] = draw(_odd)
+        else:
+            for key in draw(st.sampled_from([["id"], ["centroid"], ["pose", "keypoints"]])):
+                heads[k].pop(key, None)
+    elif fault == "heads":
+        row["heads"] = draw(_odd)
+    elif fault == "frame":
+        del row[draw(st.sampled_from(["frame_id", "heads"]))]
+    elif fault == "pairs":
+        ids = [h["id"] for h in heads] or ["x"]
+        row["laeo_pairs"] = draw(
+            _odd | st.lists(st.lists(st.sampled_from(ids + ["zz"]), max_size=3), max_size=3))
+    elif fault == "self pair" and heads:
+        hid = draw(st.sampled_from(heads))["id"]
+        row["laeo_pairs"] = row.get("laeo_pairs", []) + [[hid, hid]]
+    elif fault == "duplicate head" and heads:
+        draw(st.sampled_from(heads))["id"] = heads[0]["id"]
+    elif fault == "duplicate frame":
+        row["frame_id"] = draw(st.sampled_from(rows))["frame_id"]
+    elif fault == "unused log_variance" and heads:
+        # read only beside a pose, so a keypoints-only head may carry anything
+        draw(st.sampled_from(heads))["log_variance"] = draw(_odd | st.just([1.0]))
+
+
+@st.composite
+def _spoilt_frame_files(draw):
+    rows = draw(_frame_files())
+    if rows and draw(st.sampled_from([True, True, True, False])):
+        _spoil_frame(draw, rows)
+    lines = [json.dumps(r).encode() for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), b"  ")
+    return lines
+
+
+def test_read_frames_matches_oracle_on_spoilt_files(tmp_path):
+    check_frames_against_oracle(tmp_path, _spoilt_frame_files())
+
+
+def test_read_frames_names_a_duplicate_frame_id_on_its_second_line(tmp_path):
+    lines = [GOOD_FRAME_LINE, json.dumps(head_row()), GOOD_FRAME_LINE]
+    path = write_lines(tmp_path, lines)
+    with pytest.raises(RecordError) as info:
+        read_frames(path)
+    assert str(info.value) == f"{path}: line 3: duplicate frame_id 'f'"
+
+
+# Rows as json.dumps writes them must come out of the two row formatters
+# byte for byte, for any float (NaN and the infinities included) and any id.
+_any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, 0.1 + 0.2])
+_any_id = st.text() | st.sampled_from(['"', "\\", "\n", "é", "\u2028", "😀", "\x7f"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_any_id, st.lists(_any_float, min_size=6, max_size=6)),
+                     max_size=6),
+       with_variance=st.booleans())
+def test_infer_lines_are_json_dumps(rows, with_variance):
+    ids = [i for i, _ in rows]
+    values = np.array([v for _, v in rows], dtype=np.float64).reshape(-1, 6)
+    angles, log_var = values[:, :3], values[:, 3:] if with_variance else None
+    expected = "".join(
+        json.dumps({"id": i, "yaw": v[0], "pitch": v[1], "roll": v[2],
+                    "log_variance": v[3:] if with_variance else None}) + "\n"
+        for i, v in zip(ids, values.tolist())
+    )
+    assert infer_lines(ids, angles, log_var) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(
+    _any_id, st.tuples(_any_id, _any_id), _any_float, _any_float, st.sampled_from([0, 1]),
+    st.sampled_from([0, 1]), _any_float, st.booleans(), st.sampled_from([True, False, None]),
+), max_size=6))
+def test_laeo_lines_are_json_dumps(rows):
+    results = [(frame_id, LaeoResult(*fields), label) for frame_id, *fields, label in rows]
+    expected = "".join(
+        json.dumps({"frame_id": frame_id, **result._asdict(), "label": label}) + "\n"
+        for frame_id, result, label in results
+    )
+    assert laeo_lines(results) == expected

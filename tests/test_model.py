@@ -14,6 +14,7 @@ from headpose.model import (
     FC_BASE,
     FIXED_CONFIG,
     LEAKY_SLOPE,
+    MAX_FC_WIDTH,
     Model,
     ModelConfig,
     PoseEstimate,
@@ -74,6 +75,17 @@ class TestWidths:
         assert ModelConfig(width_scale=0.6).fc_widths == (150, 120, 90)
         assert ModelConfig(width_scale=0.2).fc_widths == (50, 40, 30)
         assert FC_BASE == (250, 200, 150)
+
+    def test_widest_layer_at_the_bound_is_allowed(self):
+        scale = MAX_FC_WIDTH / max(FC_BASE)
+        assert max(ModelConfig(width_scale=scale).fc_widths) == MAX_FC_WIDTH
+
+    @pytest.mark.parametrize("scale", [(MAX_FC_WIDTH + 1) / max(FC_BASE), 1000.0, 1e308,
+                                       float("inf"), float("nan"), 10**400])
+    def test_wider_layers_are_refused(self, scale):
+        # refused from the scale alone: no width of a huge scale is computed
+        with pytest.raises(ValueError, match=f"wider than {MAX_FC_WIDTH} units"):
+            ModelConfig(width_scale=scale)
 
 
 class TestParameterCounts:
