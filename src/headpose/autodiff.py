@@ -1,12 +1,14 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-Just enough machinery to express the gated keypoint network and its
-losses: each operation builds a node holding its parents and a closure
-producing the parents' gradient contributions; backward() walks the graph
-once in reverse topological order. Model weights are Parameters, whose
-data and gradient view the model's flat vectors. Element ops accept any
-shape; the structured ops (dense, conv1d, flatten) take batches only, with
-the batch on the leading axis, so a single sample is a batch of one.
+Just enough machinery to express the gated keypoint network: each
+operation builds a node holding its parents and a closure producing the
+parents' gradient contributions; backward() walks the graph once in
+reverse topological order. A loss is one node over the network's
+outputs whose closure is hand-derived (headpose.losses). Model weights
+are Parameters, whose data and gradient view the model's flat vectors.
+Element ops accept any shape; the structured ops (dense, conv1d, flatten)
+take batches only, with the batch on the leading axis, so a single
+sample is a batch of one.
 
 Everything is float64 and deterministic: identical inputs and parameters
 yield bit-identical outputs.
@@ -89,39 +91,11 @@ class Parameter(Tensor):
         self.grad[...] = 0.0
 
 
-def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
-    return Tensor(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    return Tensor(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Element-wise product; the gradient distributes to both operands."""
-    _require_same_shape(a, b, "mul")
+    if a.shape != b.shape:
+        raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
     return Tensor(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def neg(a: Tensor) -> Tensor:
-    return Tensor(-a.data, (a,), lambda g: (-g,))
-
-
-def scale(a: Tensor, k: float) -> Tensor:
-    """Multiply by a constant scalar (no gradient flows to k)."""
-    return Tensor(a.data * k, (a,), lambda g: (g * k,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return Tensor(out, (a,), lambda g: (g * out,))
 
 
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
@@ -141,11 +115,6 @@ def sigmoid(a: Tensor) -> Tensor:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def tsum(a: Tensor) -> Tensor:
-    """Sum every element into a scalar."""
-    return Tensor(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -205,43 +174,3 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
         return tuple(g[..., edges[i] : edges[i + 1]] for i in range(len(parts)))
 
     return Tensor(out, tuple(parts), vjp)
-
-
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    """Slice along the last axis; the gradient scatters back zero-padded."""
-    out = a.data[..., start:stop]
-
-    def vjp(g):
-        full = np.zeros(a.shape)
-        full[..., start:stop] = g
-        return (full,)
-
-    return Tensor(out, (a,), vjp)
-
-
-def cross_entropy_logits(logits: Tensor, target_idx: np.ndarray) -> Tensor:
-    """Per-row cross entropy logsumexp(logits) - logits[target].
-
-    logits: (B, n) with integer targets (B,). Returns (B,). Stable via the
-    max-shift; the gradient is softmax(logits) minus the one-hot target.
-    """
-    z = logits.data
-    if z.ndim != 2:
-        raise ValueError(f"cross_entropy_logits expects (B, n), got {logits.shape}")
-    idx = np.asarray(target_idx)
-    if idx.shape != (z.shape[0],):
-        raise ValueError("target index shape must match the batch")
-    zmax = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - zmax)
-    sez = ez.sum(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(sez[:, 0])
-    rows = np.arange(z.shape[0])
-    out = lse - z[rows, idx]
-
-    def vjp(g):
-        soft = ez / sez
-        gi = soft * g[:, None]
-        gi[rows, idx] -= g
-        return (gi,)
-
-    return Tensor(out, (logits,), vjp)

@@ -12,10 +12,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .formats import Dataset
+from .formats import Dataset, prepare_arrays
 from .geometry import mae
 from .model import Model
-from .training import prepare_arrays
 
 N_CURVE_POINTS = 21  # thresholds of the report's cumulative error curve
 

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .keypoints import N_KEYPOINTS
+from .keypoints import N_KEYPOINTS, UnusableKeypoints, normalize
 
 if TYPE_CHECKING:
     from .laeo import Frames, LaeoResult
@@ -230,6 +230,21 @@ class Dataset:
             np.array(poses, dtype=np.float64).reshape(n, 3),
             np.ones(n, dtype=bool), (None,) * n, np.arange(1, n + 1),
         )
+
+
+def prepare_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized input streams plus (N, 3) angle targets in degrees.
+
+    RecordError names the line and id of the first record without a pose,
+    else of the first whose confidences are all zero.
+    """
+    targets = data.targets()
+    try:
+        inputs = normalize(data.keypoints)
+    except UnusableKeypoints as e:
+        reason = f"record {data.ids[e.index]!r}: {e}"
+        raise RecordError(int(data.lines[e.index]), reason, data.path) from e
+    return inputs.x1, inputs.x2, inputs.c, targets
 
 
 def write_dataset(path: str | Path, data: Dataset) -> None:

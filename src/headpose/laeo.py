@@ -39,7 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import EulerPose, project_direction
 from .laeo_settings import DEFAULT_DELTA, DEFAULT_TAU, GATE_MODES
 
 
@@ -129,6 +128,16 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for bit; x0*y0 + x1*y1 does not where that dot uses FMA.
     """
     return (x[:, None, :] @ y[:, :, None]).reshape(-1)
+
+
+def _gazes(poses: np.ndarray) -> np.ndarray:
+    """geometry.project_direction of each (yaw, pitch, roll) row, as (n, 2).
+
+    numpy's radians, sin and cos give math's results here, so each row
+    equals project_direction's bit for bit.
+    """
+    yaw, pitch = np.radians(poses[:, :2]).T
+    return np.stack([np.sin(yaw), -np.cos(yaw) * np.sin(pitch)], axis=1)
 
 
 def _cosines(toward: np.ndarray, u_norm: np.ndarray, gaze: np.ndarray,
@@ -246,7 +255,8 @@ def evaluate_laeo(
     computed once. Precision/recall/F1 use the tau cutoff and, like AP,
     count only the pairs of labelled frames. A frame with fewer than two
     heads contributes nothing. Raises ValueError naming the first pair
-    whose heads share a centroid.
+    whose heads share a centroid or lie so far apart that their distance
+    overflows.
     """
     heads, ia, ib, pair_frame = _pair_index(frames)
     ids = frames.head_ids[heads].tolist()
@@ -254,17 +264,17 @@ def evaluate_laeo(
     frame_ids = frames.frame_ids[pair_frame].tolist()
 
     centroids = frames.centroids[heads]
-    u = centroids[ib] - centroids[ia]
-    u_norm = np.sqrt(_row_dots(u, u))
-    shared = np.flatnonzero(u_norm == 0.0)
-    if shared.size:
-        k = shared[0]
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        u = centroids[ib] - centroids[ia]
+        u_norm = np.sqrt(_row_dots(u, u))
+    bad = np.flatnonzero((u_norm == 0.0) | ~np.isfinite(u_norm))
+    if bad.size:
+        k = bad[0]
         a, b = pairs[k]
-        raise ValueError(f"{frames.frame_name(pair_frame[k])}: heads {a}, {b} share a centroid")
-    gaze = np.array(
-        [project_direction(EulerPose(*pose)) for pose in frames.poses[heads].tolist()],
-        dtype=np.float64,
-    ).reshape(-1, 2)
+        why = ("share a centroid" if u_norm[k] == 0.0
+               else "are too far apart: their distance overflows")
+        raise ValueError(f"{frames.frame_name(pair_frame[k])}: heads {a}, {b} {why}")
+    gaze = _gazes(frames.poses[heads])
     g_norm = np.sqrt(_row_dots(gaze, gaze))
     cos_a = _cosines(u, u_norm, gaze[ia], g_norm[ia])
     cos_b = _cosines(-u, u_norm, gaze[ib], g_norm[ib])

@@ -1,4 +1,4 @@
-"""Training objectives for the pose network.
+"""Training objectives for the pose network, each in closed form.
 
 Three interchangeable objectives, matched to the head widths in model.py:
 
@@ -11,8 +11,14 @@ Three interchangeable objectives, matched to the head widths in model.py:
 * combined: per-angle cross entropy against a binned version of the target
   plus the summed squared error of the continuous head.
 
-Each graph builder takes a batch of network outputs, (B, ...) with B >= 1,
-and returns the batch-mean scalar ready for backward().
+Each loss takes the output arrays, (B, ...) with B >= 1, and the (B, 3)
+targets, and returns the batch-mean value and its vjp: given the upstream
+gradient g, the hand-derived gradient with respect to `values` (and
+`logits` under combined). Both follow the op order of the equivalent
+autodiff graph, so values and gradients match it bit for bit; that graph
+is the test oracle in tests/loss_reference.py. `loss_graph` wraps a loss
+as one autodiff node whose parents are the output tensors, and the
+gradients are computed only when backward() reaches that node.
 """
 
 from __future__ import annotations
@@ -36,50 +42,91 @@ def bin_index(angles_degrees) -> np.ndarray:
     return np.minimum(idx, N_BINS - 1)
 
 
-def heteroscedastic_loss_graph(output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
-    values = output.values
+def heteroscedastic(values: np.ndarray, targets: np.ndarray):
+    """Over (B, 6) values, angles then log-variances: the value and its vjp."""
     if values.shape[-1] != 6:
         raise ValueError(f"heteroscedastic loss needs 6 outputs, got {values.shape}")
-    f = ad.slice_last(values, 0, 3)
-    s = ad.slice_last(values, 3, 6)
-    diff = ad.sub(f, ad.Tensor(targets))
-    damped = ad.scale(ad.mul(ad.exp(ad.neg(s)), ad.mul(diff, diff)), 0.5)
-    term = ad.add(damped, ad.scale(s, 0.5))
-    return ad.scale(ad.tsum(term), 1.0 / values.shape[0])
+    k = 1.0 / values.shape[0]
+    s = values[:, 3:6]
+    diff = values[:, 0:3] - targets
+    e = np.exp(-s)
+    d2 = diff * diff
+    value = ((e * d2) * 0.5 + s * 0.5).sum() * k
+
+    def vjp(g):
+        gt = g * k
+        gm = gt * 0.5
+        gd2 = gm * e
+        grad = np.empty_like(values)
+        grad[:, 0:3] = gd2 * diff + gd2 * diff
+        grad[:, 3:6] = -(gm * d2 * e) + gt * 0.5
+        return (grad,)
+
+    return value, vjp
 
 
-def mse_loss_graph(output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
-    values = output.values
+def mse(values: np.ndarray, targets: np.ndarray):
+    """Over (B, 3) values: the value and its vjp."""
     if values.shape[-1] != 3:
         raise ValueError(f"mse loss needs 3 outputs, got {values.shape}")
-    diff = ad.sub(values, ad.Tensor(targets))
-    return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / values.shape[0])
+    k = 1.0 / values.shape[0]
+    diff = values - targets
+    value = (diff * diff).sum() * k
+
+    def vjp(g):
+        gt = g * k
+        return (gt * diff + gt * diff,)
+
+    return value, vjp
 
 
-def combined_loss_graph(output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
-    if output.logits is None:
-        raise ValueError("combined loss needs the bin-logits head")
-    values, logits = output.values, output.logits
+def combined(values: np.ndarray, logits: np.ndarray, targets: np.ndarray):
+    """Over (B, 3) values and (B, 3 * N_BINS) logits: the value and its vjp,
+    which gives the gradients of both."""
     if logits.shape[-1] != 3 * N_BINS:
         raise ValueError(f"expected {3 * N_BINS} logits, got {logits.shape[-1]}")
-    q = np.asarray(targets, dtype=np.float64)
-    total: ad.Tensor | None = None
+    k = 1.0 / values.shape[0]
+    rows = np.arange(values.shape[0])
+    total = 0.0
+    softmax = []  # per angle: the shifted exponentials, their row sums, the target bins
     for angle in range(3):
-        rows = ad.slice_last(logits, angle * N_BINS, (angle + 1) * N_BINS)
-        ce = ad.cross_entropy_logits(rows, bin_index(q[:, angle]))
-        ce_sum = ad.tsum(ce)
-        total = ce_sum if total is None else ad.add(total, ce_sum)
-    diff = ad.sub(values, ad.Tensor(q))
-    total = ad.add(total, ad.tsum(ad.mul(diff, diff)))
-    return ad.scale(total, 1.0 / values.shape[0])
+        z = logits[:, angle * N_BINS : (angle + 1) * N_BINS]
+        idx = bin_index(targets[:, angle])
+        zmax = z.max(axis=1, keepdims=True)
+        ez = np.exp(z - zmax)
+        sez = ez.sum(axis=1, keepdims=True)
+        ce_sum = (zmax[:, 0] + np.log(sez[:, 0]) - z[rows, idx]).sum()
+        total += ce_sum
+        softmax.append((ez, sez, idx))
+    diff = values - targets
+    value = (total + (diff * diff).sum()) * k
+
+    def vjp(g):
+        gt = g * k
+        g_logits = np.empty_like(logits)
+        for angle, (ez, sez, idx) in enumerate(softmax):
+            gi = g_logits[:, angle * N_BINS : (angle + 1) * N_BINS]
+            np.multiply(ez / sez, gt, out=gi)
+            gi[rows, idx] -= gt
+        return gt * diff + gt * diff, g_logits
+
+    return value, vjp
 
 
 def loss_graph(kind: str, output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
-    """Dispatch to the builder matching the model's loss kind."""
+    """The batch-mean loss of `kind` as one node over the output tensors."""
+    targets = np.asarray(targets, dtype=np.float64)
     if kind == "heteroscedastic":
-        return heteroscedastic_loss_graph(output, targets)
-    if kind == "mse":
-        return mse_loss_graph(output, targets)
-    if kind == "combined":
-        return combined_loss_graph(output, targets)
-    raise ValueError(f"unknown loss kind {kind!r}")
+        parents = (output.values,)
+        value, vjp = heteroscedastic(output.values.data, targets)
+    elif kind == "mse":
+        parents = (output.values,)
+        value, vjp = mse(output.values.data, targets)
+    elif kind == "combined":
+        if output.logits is None:
+            raise ValueError("combined loss needs the bin-logits head")
+        parents = (output.values, output.logits)
+        value, vjp = combined(output.values.data, output.logits.data, targets)
+    else:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return ad.Tensor(value, parents, vjp)

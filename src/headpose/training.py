@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import Dataset, RecordError
-from .keypoints import UnusableKeypoints, normalize
+from .formats import Dataset, prepare_arrays
 from .losses import loss_graph
 from .model import Model
 
@@ -90,21 +89,6 @@ class TrainHistory:
         }
 
 
-def prepare_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized input streams plus (N, 3) angle targets in degrees.
-
-    RecordError names the line and id of the first record without a pose,
-    else of the first whose confidences are all zero.
-    """
-    targets = data.targets()
-    try:
-        inputs = normalize(data.keypoints)
-    except UnusableKeypoints as e:
-        reason = f"record {data.ids[e.index]!r}: {e}"
-        raise RecordError(int(data.lines[e.index]), reason, data.path) from e
-    return inputs.x1, inputs.x2, inputs.c, targets
-
-
 def _validation_pass(model: Model, arrays) -> tuple[float, list[float]]:
     """Loss plus per-angle MAE on a held-out split, one forward pass."""
     x1, x2, c, targets = arrays
@@ -147,9 +131,8 @@ def train(
     n = len(targets)
     last_finite = "no finite training loss yet"
 
-    # Overflow shows as a non-finite batch loss or gradient, which the checks
-    # below report, or as a non-finite validation loss, which is never the
-    # best; numpy's warnings about it would only repeat that.
+    # Overflow shows as a non-finite batch loss, gradient or validation loss,
+    # which the checks below report; numpy's warnings would only repeat that.
     with np.errstate(all="ignore"):
         for epoch in range(config.n_epochs):
             order = rng.permutation(n)
@@ -176,6 +159,9 @@ def train(
 
             if val_arrays is not None:
                 val, per_angle = _validation_pass(model, val_arrays)
+                if not np.isfinite(val):
+                    raise FloatingPointError(
+                        f"non-finite validation loss at epoch {epoch} ({last_finite})")
                 history.val_loss.append(val)
                 history.val_mae.append(per_angle)
                 if val < best_val:

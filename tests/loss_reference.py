@@ -1,8 +1,12 @@
-"""Numeric loss oracles for the tests: per-sample values in plain numpy.
+"""Loss oracles for the tests: per-sample numeric values and the loss graphs.
 
-These mirror the graph builders in headpose.losses without building a
-graph, and carry the likelihood identity the heteroscedastic loss rests
-on. Nothing in the package calls them.
+The numeric oracles give per-sample values in plain numpy and carry the
+likelihood identity the heteroscedastic loss rests on. The graph oracles
+build each batch-mean loss from general autodiff nodes (slices, element
+ops, a row-wise cross entropy and a sum); headpose.losses derives the
+same values and output gradients by hand, in the same op order, and the
+tests require the two to agree bit for bit. Nothing in the package calls
+this file.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from headpose.autodiff import Tensor, mul
 from headpose.geometry import EulerPose
 from headpose.losses import bin_index
-from headpose.model import N_BINS
-from headpose.model import PoseEstimate
+from headpose.model import N_BINS, NetworkOutput, PoseEstimate
 
 
 def as_array(pose: EulerPose) -> np.ndarray:
@@ -104,3 +108,129 @@ def nll_gap(estimate: PoseEstimate, target: EulerPose) -> float:
     sigma_sq = np.exp(s)
     nll = (q - f) ** 2 / (2.0 * sigma_sq) + 0.5 * np.log(sigma_sq) + 0.5 * np.log(2.0 * np.pi)
     return float(np.abs(terms - (nll - 0.5 * np.log(2.0 * np.pi))).max())
+
+
+# -- the loss graphs ----------------------------------------------------
+
+
+def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _require_same_shape(a, b, "add")
+    return Tensor(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _require_same_shape(a, b, "sub")
+    return Tensor(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def neg(a: Tensor) -> Tensor:
+    return Tensor(-a.data, (a,), lambda g: (-g,))
+
+
+def scale(a: Tensor, k: float) -> Tensor:
+    """Multiply by a constant scalar (no gradient flows to k)."""
+    return Tensor(a.data * k, (a,), lambda g: (g * k,))
+
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return Tensor(out, (a,), lambda g: (g * out,))
+
+
+def tsum(a: Tensor) -> Tensor:
+    """Sum every element into a scalar."""
+    return Tensor(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+
+
+def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
+    """Slice along the last axis; the gradient scatters back zero-padded."""
+    out = a.data[..., start:stop]
+
+    def vjp(g):
+        full = np.zeros(a.shape)
+        full[..., start:stop] = g
+        return (full,)
+
+    return Tensor(out, (a,), vjp)
+
+
+def cross_entropy_logits(logits: Tensor, target_idx: np.ndarray) -> Tensor:
+    """Per-row cross entropy logsumexp(logits) - logits[target].
+
+    logits: (B, n) with integer targets (B,). Returns (B,). Stable via the
+    max-shift; the gradient is softmax(logits) minus the one-hot target.
+    """
+    z = logits.data
+    if z.ndim != 2:
+        raise ValueError(f"cross_entropy_logits expects (B, n), got {logits.shape}")
+    idx = np.asarray(target_idx)
+    if idx.shape != (z.shape[0],):
+        raise ValueError("target index shape must match the batch")
+    zmax = z.max(axis=1, keepdims=True)
+    ez = np.exp(z - zmax)
+    sez = ez.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(sez[:, 0])
+    rows = np.arange(z.shape[0])
+    out = lse - z[rows, idx]
+
+    def vjp(g):
+        soft = ez / sez
+        gi = soft * g[:, None]
+        gi[rows, idx] -= g
+        return (gi,)
+
+    return Tensor(out, (logits,), vjp)
+
+
+def heteroscedastic_loss_graph(output: NetworkOutput, targets: np.ndarray) -> Tensor:
+    values = output.values
+    if values.shape[-1] != 6:
+        raise ValueError(f"heteroscedastic loss needs 6 outputs, got {values.shape}")
+    f = slice_last(values, 0, 3)
+    s = slice_last(values, 3, 6)
+    diff = sub(f, Tensor(targets))
+    damped = scale(mul(exp(neg(s)), mul(diff, diff)), 0.5)
+    term = add(damped, scale(s, 0.5))
+    return scale(tsum(term), 1.0 / values.shape[0])
+
+
+def mse_loss_graph(output: NetworkOutput, targets: np.ndarray) -> Tensor:
+    values = output.values
+    if values.shape[-1] != 3:
+        raise ValueError(f"mse loss needs 3 outputs, got {values.shape}")
+    diff = sub(values, Tensor(targets))
+    return scale(tsum(mul(diff, diff)), 1.0 / values.shape[0])
+
+
+def combined_loss_graph(output: NetworkOutput, targets: np.ndarray) -> Tensor:
+    if output.logits is None:
+        raise ValueError("combined loss needs the bin-logits head")
+    values, logits = output.values, output.logits
+    if logits.shape[-1] != 3 * N_BINS:
+        raise ValueError(f"expected {3 * N_BINS} logits, got {logits.shape[-1]}")
+    q = np.asarray(targets, dtype=np.float64)
+    total: Tensor | None = None
+    for angle in range(3):
+        rows = slice_last(logits, angle * N_BINS, (angle + 1) * N_BINS)
+        ce = cross_entropy_logits(rows, bin_index(q[:, angle]))
+        ce_sum = tsum(ce)
+        total = ce_sum if total is None else add(total, ce_sum)
+    diff = sub(values, Tensor(q))
+    total = add(total, tsum(mul(diff, diff)))
+    return scale(total, 1.0 / values.shape[0])
+
+
+def loss_graph(kind: str, output: NetworkOutput, targets: np.ndarray) -> Tensor:
+    """Dispatch to the builder matching the model's loss kind."""
+    if kind == "heteroscedastic":
+        return heteroscedastic_loss_graph(output, targets)
+    if kind == "mse":
+        return mse_loss_graph(output, targets)
+    if kind == "combined":
+        return combined_loss_graph(output, targets)
+    raise ValueError(f"unknown loss kind {kind!r}")

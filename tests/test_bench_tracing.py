@@ -25,9 +25,13 @@ def test_tracer_covers_the_laeo_command(tmp_path, monkeypatch, capsys):
     tracer = Tracer()
     tracer.install()
     try:
-        # the two names the package no longer has; any other is a lost layer
+        # the names the package no longer has, the five loss-only autodiff ops
+        # among them; any other is a lost layer
         assert tracer.missing == [
-            "headpose.training.stack_normalized", "headpose.laeo.score_pair",
+            "headpose.training.stack_normalized",
+            "headpose.autodiff.slice_last", "headpose.autodiff.sub", "headpose.autodiff.exp",
+            "headpose.autodiff.scale", "headpose.autodiff.tsum",
+            "headpose.laeo.score_pair",
         ]
         argv = ["laeo", "--frames", str(DATA / "laeo_frames_labelled.jsonl"),
                 "--out", str(tmp_path / "pairs.jsonl")]

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headpose import cli
 from headpose.evaluation import evaluate
@@ -323,6 +330,22 @@ class TestLaeo:
             if "c" in row["pair"]:
                 assert row["cos_b" if row["pair"][1] == "c" else "cos_a"] == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("first, pair", [("a", "a, b"), ("b", "b, c")])
+    def test_overflowing_distance_is_refused(self, tmp_path, capsys, first, pair):
+        # every centroid is finite, but the a-b offset has a length beyond the
+        # float range (its row read cos_a 0.0) and the b-c offset is itself
+        # beyond it (its row read NaN)
+        heads = (head("a", (0.0, 0.0), pose=(30.0, 0.0, 0.0)),
+                 head("b", (1e308, 1e308), pose=(-30.0, 0.0, 0.0)),
+                 head("c", (-1.7e308, 1e300), pose=(10.0, 5.0, 0.0)))
+        heads = heads["abc".index(first):]
+        frames_path = write(tmp_path / "far.jsonl", [frame("ok", heads[:1]), frame("f", heads)])
+        code, out, err = run(capsys, "laeo", "--frames", str(frames_path))
+        assert code == 1 and out == ""
+        assert err == (f"error: {frames_path}: line 2: frame 'f': heads {pair} are too far "
+                       "apart: their distance overflows\n")
+
     def test_keypoint_frames_need_model(self, tmp_path, unc_model, data_file, capsys):
         sample = generate_dataset(1, np.random.default_rng(3))[0]
         heads = (
@@ -486,6 +509,56 @@ def test_non_finite_model_file_is_refused(tmp_path, data_file, capsys, command):
     assert code == 1 and out == ""
     assert err == f"error: {model_path}: non-finite value in tensor head_b\n"
     assert not (tmp_path / "r.json").exists()
+
+
+PIN_MODEL = (DATA / "score_pin_unc.hpm").read_bytes()
+PIN_HEADER_END = PIN_MODEL.index(b"\n") + 1
+PIN_KEYPOINTS = read_dataset(DATA / "score_pin.jsonl").keypoints[:2].tolist()
+_header_bytes = st.sampled_from(b'0123456789{}[]",:.-+eE ntf\\\n') | st.integers(0, 255)
+
+
+@st.composite
+def _mutated_model(draw) -> bytes:
+    """The pinned model file after one to three truncations, header byte edits
+    or bit flips in the tensor blob."""
+    data = bytearray(PIN_MODEL)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "header", "flip"]))
+        if kind == "truncate" and data:
+            del data[draw(st.integers(0, len(data) - 1)):]
+        elif kind == "header" and data:
+            data[draw(st.integers(0, min(PIN_HEADER_END, len(data)) - 1))] = draw(_header_bytes)
+        elif kind == "flip" and len(data) > PIN_HEADER_END:
+            data[draw(st.integers(PIN_HEADER_END, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=_mutated_model())
+def test_mutated_model_files_fail_cleanly(blob):
+    # in-process, so an exception that escapes cli.main fails the example
+    with tempfile.TemporaryDirectory() as tmp:
+        model, out = os.path.join(tmp, "m.hpm"), os.path.join(tmp, "out")
+        with open(model, "wb") as f:
+            f.write(blob)
+        frames = os.path.join(tmp, "kp.jsonl")
+        write(frames, [{"frame_id": "k0", "heads": [
+            {"id": "a", "centroid": [0.0, 0.0], "keypoints": PIN_KEYPOINTS[0]},
+            {"id": "b", "centroid": [30.0, 0.0], "keypoints": PIN_KEYPOINTS[1]}]}])
+        for argv in (
+            ["infer", "--model", model, "--data", str(DATA / "score_pin.jsonl"), "--out", out],
+            ["eval", "--model", model, "--data", str(DATA / "score_pin.jsonl"), "--report", out],
+            ["laeo", "--frames", frames, "--model", model, "--out", out],
+        ):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+            err = stderr.getvalue()
+            assert code in (0, 1), argv
+            assert "Traceback" not in err and not caught, (argv, err, caught)
+            assert err == "" if code == 0 else re.fullmatch(r"error: [^\n]*\n", err), (argv, err)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -699,13 +772,26 @@ class TestParser:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_training_prints_only_its_error(self, tmp_path, data_file, capsys):
-        # the step after the first overflows, and so does the validation pass
-        # between them; a numpy warning would raise here before the error
+        # the first step overflows the weights, so the validation pass after
+        # it fails the run; a numpy warning would raise here before the error
         code, stdout, err = run(capsys, "train", "--data", str(data_file), "--epochs", "3",
                                 "--lr", "1e300", "--seed", "3", "--out", str(tmp_path / "m.hpm"))
         assert code == 1 and stdout == ""
-        assert err.startswith("error: non-finite loss at epoch 1, batch 0 (last finite")
+        assert err.startswith("error: non-finite validation loss at epoch 0 (last finite")
         assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_validation_loss_fails_the_run(self, tmp_path, capsys):
+        # one epoch of one step: the overflowed weights were never scored
+        # finite, so without the check they reached the model writer
+        data, out = tmp_path / "d.jsonl", tmp_path / "m.hpm"
+        assert run(capsys, "synth", "--n", "200", "--seed", "1", "--out", str(data))[0] == 0
+        code, stdout, err = run(capsys, "train", "--data", str(data), "--epochs", "1",
+                                "--batch-size", "1000", "--lr", "1e300", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert re.fullmatch(r"error: non-finite validation loss at epoch 0 "
+                            r"\(last finite training loss [^()]+\)\n", err)
+        assert not out.exists() and not Path(str(out) + ".history.json").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverging_training_reports_error(self, tmp_path, data_file, capsys):
@@ -722,15 +808,16 @@ class TestParser:
 
 
 # The headpose modules each command loads when `cli.main` runs it in a fresh
-# process: `laeo` without a model loads no network or training code, and
-# neither `laeo` nor `infer` loads training, synthesis or evaluation code.
-SCORING = {"cli", "formats", "geometry", "keypoints", "laeo_settings"}
-NETWORK = {"model", "autodiff"}
+# process: `laeo` without a model loads no network or training code, no
+# command here loads training, loss or synthesis code, and only `eval` loads
+# evaluation code. `geometry` comes with `model`.
+SCORING = {"cli", "formats", "keypoints", "laeo_settings"}
+NETWORK = {"model", "autodiff", "geometry"}
 LOADED_BY = {
     "laeo": SCORING | {"laeo"},
     "laeo --model": SCORING | NETWORK | {"laeo"},
     "infer": SCORING | NETWORK,
-    "eval": SCORING | NETWORK | {"evaluation", "training", "losses"},
+    "eval": SCORING | NETWORK | {"evaluation"},
 }
 LIST_MODULES = """
 import sys

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headpose.formats import RecordError
+from headpose.geometry import EulerPose, project_direction
 from headpose.laeo import (
     DEFAULT_DELTA,
     DEFAULT_TAU,
     GATE_MODES,
+    _gazes,
     _metrics,
     evaluate_laeo,
     uncertainty_weight,
@@ -148,6 +150,18 @@ class TestInteractionMeasure:
         assert laeo_reference.pair_score(
             ((0.0, 0.0), (0.0, 0.0), None), ((10.0, 0.0), (-90.0, 0.0), None), 7.0, "off"
         ) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_gazes_equal_project_direction_bit_for_bit():
+    rng = np.random.default_rng(0)
+    poses = np.concatenate([
+        rng.uniform(-180.0, 180.0, (20_000, 3)),
+        rng.normal(0.0, 1e4, (2_000, 3)),
+        [[0.0, 0.0, 0.0], [-0.0, -0.0, 0.0], [90.0, -90.0, 0.0], [1e300, -1e-300, 5.0]],
+    ])
+    expect = np.array([project_direction(EulerPose(*p)) for p in poses.tolist()])
+    assert _gazes(poses).tobytes() == expect.tobytes()
+    assert _gazes(np.zeros((0, 3))).shape == (0, 2)
 
 
 class TestLaeoValue:

@@ -1,6 +1,8 @@
-"""Loss functions: closed-form oracles, the NLL identity, graph consistency.
+"""Loss functions: numeric oracles, the NLL identity, the closed forms.
 
-The per-sample numeric oracles live in tests/loss_reference.py.
+The per-sample numeric oracles and the loss graph oracle live in
+tests/loss_reference.py; the closed-form losses must match the graphs bit
+for bit, in value, output gradients, parameter gradients and Adam steps.
 """
 
 from __future__ import annotations
@@ -12,24 +14,24 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from headpose import autodiff as ad
+from headpose import training
+from headpose.formats import Dataset, prepare_arrays
 from headpose.geometry import EulerPose
-from headpose.losses import (
-    BIN_HI_DEGREES,
-    BIN_LO_DEGREES,
-    bin_index,
-    combined_loss_graph,
-    heteroscedastic_loss_graph,
-    loss_graph,
-    mse_loss_graph,
-)
-from headpose.model import Model, ModelConfig, PoseEstimate
+from headpose.losses import BIN_HI_DEGREES, BIN_LO_DEGREES, bin_index, loss_graph
+from headpose.model import LOSS_KINDS, Model, ModelConfig, NetworkOutput, PoseEstimate
+from headpose.synthetic import NoiseModel, generate_dataset
+from headpose.training import TrainConfig, train
 
+import loss_reference
 from loss_reference import (
+    combined_loss_graph,
     combined_value,
     gaussian_nll,
     heteroscedastic_loss,
+    heteroscedastic_loss_graph,
     heteroscedastic_terms,
     heteroscedastic_value,
+    mse_loss_graph,
     nll_gap,
     squared_error_loss,
     squared_error_value,
@@ -165,32 +167,31 @@ class TestGraphs:
         rng = np.random.default_rng(4)
         out = batch_output("heteroscedastic", rng)
         targets = rng.normal(0, 2, size=(8, 3))
-        g = heteroscedastic_loss_graph(out, targets)
-        assert float(g.data) == pytest.approx(
-            float(heteroscedastic_loss(out.values.data, targets).mean()), abs=1e-12
-        )
+        expect = float(heteroscedastic_loss(out.values.data, targets).mean())
+        for g in (loss_graph("heteroscedastic", out, targets),
+                  heteroscedastic_loss_graph(out, targets)):
+            assert float(g.data) == pytest.approx(expect, abs=1e-12)
 
     def test_mse_graph_matches_numeric(self):
         rng = np.random.default_rng(5)
         out = batch_output("mse", rng)
         targets = rng.normal(0, 2, size=(8, 3))
-        g = mse_loss_graph(out, targets)
-        assert float(g.data) == pytest.approx(
-            float(squared_error_loss(out.values.data, targets).mean()), abs=1e-12
-        )
+        expect = float(squared_error_loss(out.values.data, targets).mean())
+        for g in (loss_graph("mse", out, targets), mse_loss_graph(out, targets)):
+            assert float(g.data) == pytest.approx(expect, abs=1e-12)
 
     def test_combined_graph_matches_per_sample_values(self):
         rng = np.random.default_rng(6)
         out = batch_output("combined", rng)
         targets = rng.uniform(-60, 60, size=(8, 3))
-        g = combined_loss_graph(out, targets)
         per_sample = [
             combined_value(
                 EulerPose(*out.values.data[i]), out.logits.data[i], EulerPose(*targets[i])
             ).total
             for i in range(8)
         ]
-        assert float(g.data) == pytest.approx(float(np.mean(per_sample)), abs=1e-12)
+        for g in (loss_graph("combined", out, targets), combined_loss_graph(out, targets)):
+            assert float(g.data) == pytest.approx(float(np.mean(per_sample)), abs=1e-12)
 
     def test_single_sample_graph_is_sum_not_mean(self):
         rng = np.random.default_rng(7)
@@ -199,7 +200,7 @@ class TestGraphs:
         x = rng.uniform(-1, 1, size=(1, 5))
         out = m.forward(x, x, np.ones((1, 5)))
         target = np.zeros((1, 3))
-        g = heteroscedastic_loss_graph(out, target)
+        g = loss_graph("heteroscedastic", out, target)
         assert float(g.data) == pytest.approx(
             float(heteroscedastic_loss(out.values.data, target).sum()), abs=1e-12
         )
@@ -208,15 +209,18 @@ class TestGraphs:
         rng = np.random.default_rng(8)
         het = batch_output("heteroscedastic", rng)
         mse = batch_output("mse", rng)
-        with pytest.raises(ValueError):
-            mse_loss_graph(het, np.zeros((8, 3)))
-        with pytest.raises(ValueError):
-            heteroscedastic_loss_graph(mse, np.zeros((8, 3)))
+        with pytest.raises(ValueError, match="mse loss needs 3 outputs"):
+            loss_graph("mse", het, np.zeros((8, 3)))
+        with pytest.raises(ValueError, match="heteroscedastic loss needs 6 outputs"):
+            loss_graph("heteroscedastic", mse, np.zeros((8, 3)))
+        short = NetworkOutput(mse.values, ad.Tensor(np.zeros((8, 10))))
+        with pytest.raises(ValueError, match="expected 198 logits"):
+            loss_graph("combined", short, np.zeros((8, 3)))
 
     def test_combined_needs_logits_and_batch(self):
         rng = np.random.default_rng(9)
-        with pytest.raises(ValueError):
-            combined_loss_graph(batch_output("mse", rng), np.zeros((8, 3)))
+        with pytest.raises(ValueError, match="bin-logits head"):
+            loss_graph("combined", batch_output("mse", rng), np.zeros((8, 3)))
         # an unbatched sample is refused before any loss sees it
         m = Model.build(ModelConfig("combined"), np.random.default_rng(97))
         with pytest.raises(ValueError, match="batch"):
@@ -224,25 +228,113 @@ class TestGraphs:
 
     def test_dispatcher(self):
         rng = np.random.default_rng(10)
-        out = batch_output("heteroscedastic", rng)
         targets = np.zeros((8, 3))
-        a = loss_graph("heteroscedastic", out, targets)
-        b = heteroscedastic_loss_graph(out, targets)
-        assert float(a.data) == float(b.data)
-        with pytest.raises(ValueError):
+        for kind in LOSS_KINDS:
+            out = batch_output(kind, rng)
+            a = loss_graph(kind, out, targets)
+            b = loss_reference.loss_graph(kind, out, targets)
+            assert float(a.data) == float(b.data)
+        with pytest.raises(ValueError, match="unknown loss kind"):
             loss_graph("nope", out, targets)
-        comb = batch_output("combined", rng)
-        assert float(loss_graph("combined", comb, targets).data) == float(
-            combined_loss_graph(comb, targets).data
-        )
 
     def test_graphs_backpropagate(self):
         rng = np.random.default_rng(11)
         m = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(96))
         x1 = rng.uniform(-1, 1, size=(4, 5))
         out = m.forward(x1, x1, np.ones((4, 5)))
-        g = heteroscedastic_loss_graph(out, np.zeros((4, 3)))
+        g = loss_graph("heteroscedastic", out, np.zeros((4, 3)))
         g.backward()
         grads = [p.grad for p in m.parameters()]
         assert all(g is not None for g in grads)
         assert any(np.abs(g).max() > 0 for g in grads)
+
+
+def outputs(kind, rng, batch):
+    """Random network outputs for `kind`, wide in scale, as fresh leaves."""
+    width = 6 if kind == "heteroscedastic" else 3
+    values = rng.normal(0.0, rng.choice([0.1, 3.0, 30.0]), (batch, width))
+    logits = None
+    if kind == "combined":
+        logits = ad.Tensor(rng.normal(0.0, rng.choice([0.1, 3.0, 30.0]), (batch, 198)))
+    return NetworkOutput(ad.Tensor(values), logits)
+
+
+def fresh(out):
+    """The same outputs as new leaves, so two losses never share gradients."""
+    logits = None if out.logits is None else ad.Tensor(out.logits.data.copy())
+    return NetworkOutput(ad.Tensor(out.values.data.copy()), logits)
+
+
+def training_data(n, seed):
+    noise = NoiseModel(1.0, 0.02)
+    return Dataset.from_samples(generate_dataset(n, np.random.default_rng(seed), noise=noise))
+
+
+class TestClosedForm:
+    """The closed forms against the graph oracle, bit for bit.
+
+    Only the sign of a zero may differ, which np.array_equal ignores and
+    which moves no parameter.
+    """
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_values_and_output_gradients_equal_the_graph(self, kind):
+        rng = np.random.default_rng(LOSS_KINDS.index(kind))
+        for batch in (1, 2, 3, 17, 64, 79):
+            for _ in range(20):
+                out = outputs(kind, rng, batch)
+                targets = rng.uniform(-99.0, 99.0, (batch, 3))
+                oracle = fresh(out)
+                new = loss_graph(kind, out, targets)
+                old = loss_reference.loss_graph(kind, oracle, targets)
+                assert np.array_equal(new.data, old.data)
+                new.backward()
+                old.backward()
+                assert np.array_equal(out.values.grad, oracle.values.grad)
+                if kind == "combined":
+                    assert np.array_equal(out.logits.grad, oracle.logits.grad)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_loss_is_one_node_over_the_outputs(self, kind, monkeypatch):
+        out = outputs(kind, np.random.default_rng(3), 4)
+        nodes = []
+        init = ad.Tensor.__init__
+        monkeypatch.setattr(ad.Tensor, "__init__",
+                            lambda t, *args, **kw: nodes.append(t) or init(t, *args, **kw))
+        loss = loss_graph(kind, out, np.zeros((4, 3)))
+        assert nodes == [loss] and loss.shape == ()
+        assert out.values.grad is None  # nothing flows before backward()
+        loss.backward()
+        assert out.values.grad.shape == out.values.shape
+        if kind == "combined":
+            assert out.logits.grad.shape == out.logits.shape
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_flat_grad_equals_the_graph(self, kind):
+        x1, x2, c, targets = prepare_arrays(training_data(40, 12))
+        model = Model.build(ModelConfig(kind), np.random.default_rng(13))
+        for rows in (slice(0, 1), slice(0, 40)):
+            grads = []
+            for build in (loss_graph, loss_reference.loss_graph):
+                model.flat_grad[...] = 0.0
+                out = model.forward(x1[rows], x2[rows], c[rows])
+                build(kind, out, targets[rows]).backward()
+                grads.append(model.flat_grad.copy())
+            assert np.array_equal(grads[0], grads[1])
+            assert np.abs(grads[0]).max() > 0.0
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_adam_steps_equal_the_graph(self, kind, monkeypatch):
+        # 193 rows in batches of 16 end every epoch with a batch of one:
+        # 31 epochs of 13 steps are 403 Adam steps
+        data, val = training_data(193, 14), training_data(20, 15)
+        config = TrainConfig(n_epochs=31, batch_size=16)
+        runs = []
+        for build in (loss_graph, loss_reference.loss_graph):
+            monkeypatch.setattr(training, "loss_graph", build)
+            model = Model.build(ModelConfig(kind), np.random.default_rng(16))
+            history = train(model, data, config, np.random.default_rng(17), val=val)
+            runs.append((model.flat.copy(), history.to_dict()))
+        (new_flat, new_history), (old_flat, old_history) = runs
+        assert np.array_equal(new_flat, old_flat)
+        assert new_history == old_history
