@@ -661,6 +661,22 @@ def test_training_output_is_pinned(tmp_path, capsys, loss):
     assert digest == PINS["sha256"][loss]
 
 
+SYNTH_PINS = json.loads((DATA / "synth_pins.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_PINS["sha256"]))
+def test_synth_output_is_pinned(tmp_path, capsys, name):
+    # tests/data/synth_pins.json holds the SHA-256 of the files that `synth`
+    # wrote for these flags: clean, noisy, with drops, and with every
+    # generator flag away from its default
+    out = tmp_path / "synth.jsonl"
+    code, _, err = run(capsys, "synth", "--n", str(SYNTH_PINS["n"]),
+                       "--seed", str(SYNTH_PINS["seed"]), *SYNTH_PINS["args"][name],
+                       "--out", str(out))
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SYNTH_PINS["sha256"][name]
+
+
 @pytest.mark.parametrize("loss", ["unc", "mse"])
 def test_score_output_is_pinned(tmp_path, capsys, loss):
     # tests/data holds a labelled file with missing keypoints (its last line
