@@ -35,10 +35,10 @@ _EXPORTS = {
     "TrainHistory": "training",
     "angular_error": "geometry",
     "generate_dataset": "synthetic",
-    "generate_sample": "synthetic",
     "mae": "geometry",
     "normalize": "keypoints",
     "project_direction": "geometry",
+    "synthesize": "synthetic",
     "train": "training",
 }
 

@@ -32,14 +32,17 @@ if TYPE_CHECKING:
 
 # Functions of other modules that the commands call as attributes of this
 # module, resolved on first use; the benchmark's tracer replaces them here.
-_LAZY = {"generate_dataset": ".synthetic", "train": ".training"}
+# The key generate_dataset is the name the tracer patches to time synth's
+# generator, which is synthesize.
+_LAZY = {"generate_dataset": (".synthetic", "synthesize"), "train": (".training", "train")}
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_LAZY[name], __package__), name)
+    module, attr = _LAZY[name]
+    value = getattr(importlib.import_module(module, __package__), attr)
     globals()[name] = value
     return value
 
@@ -220,7 +223,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .synthetic import PoseRange
 
     rng = np.random.default_rng(args.seed)
-    samples = _cli.generate_dataset(
+    data = _cli.generate_dataset(
         args.n,
         rng,
         noise=_parse_noise(args.noise),
@@ -228,8 +231,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         occlusion_yaw=args.occlusion_yaw,
         drop_fraction=args.drop_fraction,
     )
-    formats.write_dataset(args.out, formats.Dataset.from_samples(samples))
-    print(f"wrote {len(samples)} samples -> {args.out}")
+    formats.write_dataset(args.out, data)
+    print(f"wrote {len(data)} samples -> {args.out}")
     return 0
 
 
@@ -330,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (formats.RecordError, ValueError, OSError, FloatingPointError) as e:
+    except (formats.RecordError, ValueError, OSError, FloatingPointError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

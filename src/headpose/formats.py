@@ -37,7 +37,6 @@ from .keypoints import N_KEYPOINTS, UnusableKeypoints, normalize
 if TYPE_CHECKING:
     from .laeo import Frames, LaeoResult
     from .model import Model
-    from .synthetic import Sample
 
 MODEL_FORMAT_VERSION = 1
 
@@ -217,19 +216,6 @@ class Dataset:
             reason = f"record {self.ids[i]!r} has no ground-truth pose"
             raise RecordError(int(self.lines[i]), reason, self.path)
         return self.poses
-
-    @staticmethod
-    def from_samples(samples: Sequence[Sample]) -> "Dataset":
-        """Labelled samples as records with ids s000000, s000001, ..."""
-        n = len(samples)
-        keypoints = [[(p.x1, p.x2, p.c) for p in s.keypoints.points] for s in samples]
-        poses = [(s.pose.yaw, s.pose.pitch, s.pose.roll) for s in samples]
-        return Dataset(
-            tuple(f"s{i:06d}" for i in range(n)),
-            np.array(keypoints, dtype=np.float64).reshape(n, N_KEYPOINTS, 3),
-            np.array(poses, dtype=np.float64).reshape(n, 3),
-            np.ones(n, dtype=bool), (None,) * n, np.arange(1, n + 1),
-        )
 
 
 def prepare_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -50,24 +50,27 @@ def project_direction(pose: EulerPose) -> PlaneVector:
     return PlaneVector(math.sin(y), -math.cos(y) * math.sin(p))
 
 
-def rotation_matrix(pose: EulerPose) -> np.ndarray:
-    """3x3 rotation for a pose, composed as R_pitch @ R_yaw @ R_roll.
+def rotation_matrix(poses: np.ndarray) -> np.ndarray:
+    """Rotations for (..., 3) poses in degrees, (..., 3, 3), each R_pitch @ R_yaw @ R_roll.
 
     Orthonormal with determinant +1. The rotated forward vector
     R @ (0, 0, -1) has image-plane components equal to
-    project_direction(pose).
+    project_direction of the pose.
     """
-    y = math.radians(pose.yaw)
-    p = math.radians(pose.pitch)
-    r = math.radians(pose.roll)
-    cy, sy = math.cos(y), math.sin(y)
-    cp, sp = math.cos(p), math.sin(p)
-    cr, sr = math.cos(r), math.sin(r)
+    y, p, r = np.radians(np.moveaxis(np.asarray(poses, dtype=np.float64), -1, 0))
+    cy, sy = np.cos(y), np.sin(y)
+    cp, sp = np.cos(p), np.sin(p)
+    cr, sr = np.cos(r), np.sin(r)
+    zero, one = np.zeros_like(y), np.ones_like(y)
+
+    def stack(*rows: np.ndarray) -> np.ndarray:
+        return np.stack(rows, axis=-1).reshape(*y.shape, 3, 3)
+
     # yaw about the vertical (y-down) axis: +yaw sends forward toward +x
-    ryaw = np.array([[cy, 0.0, -sy], [0.0, 1.0, 0.0], [sy, 0.0, cy]])
+    ryaw = stack(cy, zero, -sy, zero, one, zero, sy, zero, cy)
     # pitch about the lateral axis: +pitch sends forward toward -y (up)
-    rpitch = np.array([[1.0, 0.0, 0.0], [0.0, cp, sp], [0.0, -sp, cp]])
-    rroll = np.array([[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]])
+    rpitch = stack(one, zero, zero, zero, cp, sp, zero, -sp, cp)
+    rroll = stack(cr, -sr, zero, sr, cr, zero, zero, zero, one)
     return rpitch @ ryaw @ rroll
 
 

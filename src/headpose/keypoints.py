@@ -1,4 +1,4 @@
-"""Facial keypoint containers, input normalization and keypoint dropping.
+"""Facial keypoint containers and input normalization.
 
 The network consumes exactly five keypoints in the fixed order
 [nose, left eye, right eye, left ear, right ear] (anatomical left/right).
@@ -68,11 +68,6 @@ class UnusableKeypoints(ValueError):
         self.index = index
 
 
-def present_count(kps: KeypointSet) -> int:
-    """Number of points with confidence > 0."""
-    return sum(1 for p in kps.points if p.c > 0.0)
-
-
 def _center_and_scale(v: np.ndarray, present: np.ndarray, count: np.ndarray) -> np.ndarray:
     """One (N, 5) coordinate axis, centered on the present points, peak 1."""
     v = np.where(present, v, 0.0)
@@ -108,21 +103,3 @@ def normalize(raw: KeypointSet | np.ndarray) -> NormalizedInput:
     if single:
         return NormalizedInput(x1=x1[0], x2=x2[0], c=c[0])
     return NormalizedInput(x1=x1, x2=x2, c=c)
-
-
-def drop_keypoints(kps: KeypointSet, keep: int, rng: np.random.Generator) -> KeypointSet:
-    """Zero confidences of randomly chosen present points, keeping `keep`.
-
-    Coordinates are left untouched; only c is set to 0. Deterministic for
-    a fixed Generator state. Raises ValueError unless
-    1 <= keep <= present_count(kps).
-    """
-    present_idx = [i for i, p in enumerate(kps.points) if p.c > 0.0]
-    if not 1 <= keep <= len(present_idx):
-        raise ValueError(f"keep={keep} not in [1, {len(present_idx)}] present points")
-    n_drop = len(present_idx) - keep
-    dropped = set(rng.choice(present_idx, size=n_drop, replace=False).tolist())
-    points = tuple(
-        Keypoint(p.x1, p.x2, 0.0) if i in dropped else p for i, p in enumerate(kps.points)
-    )
-    return KeypointSet(points)

@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import Dataset
 from .geometry import EulerPose, rotation_matrix
-from .keypoints import (
-    KEYPOINT_NAMES,
-    Keypoint,
-    KeypointSet,
-    drop_keypoints,
-    present_count,
-)
+from .keypoints import KEYPOINT_NAMES, N_KEYPOINTS, KeypointSet
 
 # Rows follow KEYPOINT_NAMES; head frame matches the image frame at the
 # identity pose, eye-to-eye distance is the unit.
@@ -40,7 +35,7 @@ CANONICAL_HEAD = np.array(
 )
 
 PIXELS_PER_UNIT = 100.0  # image size of the eye-to-eye distance
-MIN_KEEP = 2  # keypoints that drop_augment always leaves present
+MIN_KEEP = 2  # keypoints that a drop always leaves present
 
 LEFT_EAR = KEYPOINT_NAMES.index("left_ear")
 RIGHT_EAR = KEYPOINT_NAMES.index("right_ear")
@@ -74,13 +69,6 @@ class PoseRange:
             if not 0 <= v <= 180:
                 raise ValueError("pose range half-widths must be in [0, 180]")
 
-    def sample(self, rng: np.random.Generator) -> EulerPose:
-        return EulerPose(
-            yaw=float(rng.uniform(-self.yaw, self.yaw)),
-            pitch=float(rng.uniform(-self.pitch, self.pitch)),
-            roll=float(rng.uniform(-self.roll, self.roll)),
-        )
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -90,45 +78,66 @@ class Sample:
     pose: EulerPose
 
 
-def project_head(pose: EulerPose) -> np.ndarray:
-    """Rotate the canonical head and project to pixels, shape (5, 2)."""
-    rotated = CANONICAL_HEAD @ rotation_matrix(pose).T
-    return rotated[:, :2] * PIXELS_PER_UNIT
+def project_head(poses: np.ndarray) -> np.ndarray:
+    """Rotate the canonical head by each (..., 3) pose and project to pixels, (..., 5, 2)."""
+    rotated = CANONICAL_HEAD @ np.swapaxes(rotation_matrix(poses), -1, -2)
+    return rotated[..., :2] * PIXELS_PER_UNIT
 
 
-def generate_sample(
-    pose: EulerPose,
+def synthesize(
+    n: int,
     rng: np.random.Generator,
     noise: NoiseModel = NoiseModel(),
+    pose_range: PoseRange = PoseRange(),
     occlusion_yaw: float = 60.0,
-) -> Sample:
-    points_2d = project_head(pose)
-    sigma = noise.sigma(pose.yaw)
-    if sigma > 0:
-        points_2d = points_2d + rng.normal(0.0, sigma, size=points_2d.shape)
-    hidden = set()
-    if pose.yaw > occlusion_yaw:
-        hidden.add(RIGHT_EAR)
-    elif pose.yaw < -occlusion_yaw:
-        hidden.add(LEFT_EAR)
-    points = []
-    for i in range(len(KEYPOINT_NAMES)):
-        if i in hidden:
-            points.append(Keypoint(0.0, 0.0, 0.0))
-        else:
-            conf = 1.0 - float(rng.uniform(0.0, 0.5))
-            points.append(Keypoint(float(points_2d[i, 0]), float(points_2d[i, 1]), conf))
-    return Sample(keypoints=KeypointSet(tuple(points)), pose=pose)
+    drop_fraction: float = 0.0,
+) -> Dataset:
+    """n labelled records with ids s000000, s000001, ...; drop_fraction of
+    them lose extra keypoints.
 
-
-def drop_augment(sample: Sample, rng: np.random.Generator) -> Sample:
-    """Zero the confidence of a random subset, keeping at least MIN_KEEP."""
-    present = present_count(sample.keypoints)
-    if present <= MIN_KEEP:
-        return sample
-    keep = int(rng.integers(MIN_KEEP, present))
-    return Sample(
-        keypoints=drop_keypoints(sample.keypoints, keep, rng), pose=sample.pose
+    One loop makes every random draw, sample by sample: the pose, the
+    pixel noise when its sigma is positive, a confidence per visible
+    point, then whether to drop and which points. Rotation and projection
+    then run on all samples at once. Past occlusion_yaw the far ear is
+    emitted as zeros; a drop zeroes the confidence of present points,
+    keeping at least MIN_KEEP, and leaves their coordinates as they are.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 <= drop_fraction <= 1.0:
+        raise ValueError("drop_fraction must be in [0, 1]")
+    # allocated before any draw, so an impossible n fails at once
+    keypoints = np.zeros((n, N_KEYPOINTS, 3))
+    pixel_noise = np.empty((n, N_KEYPOINTS, 2))
+    poses = np.empty((n, 3))
+    noisy = np.zeros(n, dtype=bool)
+    hidden = np.full(n, -1)
+    # abs: a half-width of -0.0 is 0, which uniform accepts as a range
+    widths = [abs(w) for w in (pose_range.yaw, pose_range.pitch, pose_range.roll)]
+    for i in range(n):
+        poses[i] = pose = [rng.uniform(-w, w) for w in widths]
+        yaw = pose[0]
+        sigma = noise.sigma(yaw)
+        if sigma > 0:
+            noisy[i] = True
+            pixel_noise[i] = rng.normal(0.0, sigma, size=(N_KEYPOINTS, 2))
+        if yaw > occlusion_yaw:
+            hidden[i] = RIGHT_EAR
+        elif yaw < -occlusion_yaw:
+            hidden[i] = LEFT_EAR
+        present = np.flatnonzero(np.arange(N_KEYPOINTS) != hidden[i])
+        conf = keypoints[i, :, 2]
+        conf[present] = 1.0 - rng.uniform(0.0, 0.5, size=len(present))
+        if drop_fraction > 0.0 and rng.uniform() < drop_fraction and len(present) > MIN_KEEP:
+            keep = int(rng.integers(MIN_KEEP, len(present)))
+            conf[rng.choice(present, size=len(present) - keep, replace=False)] = 0.0
+    points = project_head(poses)
+    points[noisy] = points[noisy] + pixel_noise[noisy]
+    shown = np.arange(N_KEYPOINTS) != hidden[:, None]
+    keypoints[:, :, :2] = np.where(shown[:, :, None], points, 0.0)
+    return Dataset(
+        tuple(f"s{i:06d}" for i in range(n)), keypoints, poses,
+        np.ones(n, dtype=bool), (None,) * n, np.arange(1, n + 1),
     )
 
 
@@ -140,17 +149,9 @@ def generate_dataset(
     occlusion_yaw: float = 60.0,
     drop_fraction: float = 0.0,
 ) -> list[Sample]:
-    """n labelled samples; drop_fraction of them lose extra keypoints."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= drop_fraction <= 1.0:
-        raise ValueError("drop_fraction must be in [0, 1]")
-    samples = []
-    for _ in range(n):
-        sample = generate_sample(
-            pose_range.sample(rng), rng, noise=noise, occlusion_yaw=occlusion_yaw
-        )
-        if drop_fraction > 0.0 and rng.uniform() < drop_fraction:
-            sample = drop_augment(sample, rng)
-        samples.append(sample)
-    return samples
+    """synthesize's records as Sample objects, in record order."""
+    data = synthesize(n, rng, noise, pose_range, occlusion_yaw, drop_fraction)
+    return [
+        Sample(KeypointSet.from_triplets(kps), EulerPose(*pose))
+        for kps, pose in zip(data.keypoints.tolist(), data.poses.tolist())
+    ]

@@ -19,13 +19,13 @@ from scipy.optimize import minimize_scalar
 from headpose import autodiff as ad
 from headpose import cli
 from headpose.evaluation import error_by_keypoint_count, evaluate, pearson
-from headpose.formats import Dataset, read_dataset, read_model, write_model
+from headpose.formats import read_dataset, read_model, write_model
 from headpose.geometry import EulerPose
 from headpose.keypoints import KeypointSet, normalize
 from headpose.laeo import evaluate_laeo
 from headpose.losses import loss_graph
 from headpose.model import Model, ModelConfig, PoseEstimate
-from headpose.synthetic import NoiseModel, PoseRange, generate_dataset
+from headpose.synthetic import NoiseModel, PoseRange, generate_dataset, synthesize
 from headpose.training import TrainConfig, prepare_arrays, train
 
 import frame_rows
@@ -46,8 +46,8 @@ def announce(capsys, number, ok, detail):
 def zero_noise_run():
     """Uncertainty model on clean geometry: 10,000 train / 1,000 val."""
     t0 = time.perf_counter()
-    train_samples = Dataset.from_samples(generate_dataset(10_000, np.random.default_rng(41)))
-    val_samples = Dataset.from_samples(generate_dataset(1_000, np.random.default_rng(42)))
+    train_samples = synthesize(10_000, np.random.default_rng(41))
+    val_samples = synthesize(1_000, np.random.default_rng(42))
     model = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(43))
     config = TrainConfig(n_epochs=200, batch_size=64, learning_rate=0.001)
     train(model, train_samples, config, np.random.default_rng(44), val_samples)
@@ -63,13 +63,13 @@ def noisy_drop_run():
     the accuracy bar, the heavily dropped split carries the count study.
     """
     t0 = time.perf_counter()
-    train_samples = Dataset.from_samples(generate_dataset(
+    train_samples = synthesize(
         10_000, np.random.default_rng(11), NOISE, drop_fraction=0.5
-    ))
-    val_clean = Dataset.from_samples(generate_dataset(1_000, np.random.default_rng(12), NOISE))
-    val_drop = Dataset.from_samples(generate_dataset(
+    )
+    val_clean = synthesize(1_000, np.random.default_rng(12), NOISE)
+    val_drop = synthesize(
         1_000, np.random.default_rng(13), NOISE, drop_fraction=0.75
-    ))
+    )
     model = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(21))
     config = TrainConfig(n_epochs=100, batch_size=64, learning_rate=0.001, val_fraction=0.0)
     for stage in range(2):
@@ -98,8 +98,7 @@ def test_criterion_2_model_file_size(tmp_path, capsys):
     path = tmp_path / "full.hpm"
     write_model(path, model)
     size = path.stat().st_size
-    samples = generate_dataset(64, np.random.default_rng(3))
-    x1, x2, c, _ = prepare_arrays(Dataset.from_samples(samples))
+    x1, x2, c, _ = prepare_arrays(synthesize(64, np.random.default_rng(3)))
     before = model.forward(x1, x2, c).values.data
     after = read_model(path).forward(x1, x2, c).values.data
     drift = float(np.abs(after - before).max())
@@ -153,10 +152,8 @@ def test_criterion_4_gradient_integrity(capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(5):
-        samples = generate_dataset(
-            8, np.random.default_rng(seed), pose_range=PoseRange(10.0, 10.0, 10.0)
-        )
-        x1, x2, c, _ = prepare_arrays(Dataset.from_samples(samples))
+        data = synthesize(8, np.random.default_rng(seed), pose_range=PoseRange(10.0, 10.0, 10.0))
+        x1, x2, c, _ = prepare_arrays(data)
         for kind in ("heteroscedastic", "mse", "combined"):
             model = Model.build(ModelConfig(kind), np.random.default_rng(100 + seed))
             base = model.forward(x1, x2, c).values.data

@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 
 from headpose import cli
 from headpose.evaluation import evaluate
-from headpose.formats import Dataset, read_dataset, read_model, write_model
+from headpose.formats import read_dataset, read_model, write_model
 from headpose.keypoints import Keypoint, KeypointSet, normalize
 from headpose.model import MAX_FC_WIDTH, Model, ModelConfig
-from headpose.synthetic import generate_dataset
+from headpose.synthetic import generate_dataset, synthesize
 
 from frame_rows import frame, head, write
 
@@ -103,6 +103,24 @@ class TestSynth:
                                 "--seed", "0", "--out", str(out))
         assert code == 1 and stdout == ""
         assert err == f"error: {out}: refusing to write non-finite value in record 's000000'\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--yaw-range", "--pitch-range", "--roll-range"])
+    def test_negative_zero_range_is_zero(self, tmp_path, capsys, flag):
+        # -0.0 passes the range check and means the half-width 0
+        minus, plus = tmp_path / "minus.jsonl", tmp_path / "plus.jsonl"
+        for value, out in (("-0.0", minus), ("0", plus)):
+            code, _, err = run(capsys, "synth", "--n", "6", "--noise", "1,0.05", "--seed", "2",
+                               flag, value, "--out", str(out))
+            assert code == 0, err
+        assert minus.read_bytes() == plus.read_bytes()
+
+    def test_impossible_n_fails_before_generating(self, tmp_path, capsys):
+        # the arrays are allocated before any draw, so this fails at once
+        out = tmp_path / "x.jsonl"
+        code, stdout, err = run(capsys, "synth", "--n", str(10**15), "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert re.fullmatch(r"error: Unable to allocate [^\n]*\n", err)
         assert not list(tmp_path.iterdir())
 
     def test_default_seed_is_zero(self, tmp_path, capsys, monkeypatch):
@@ -368,10 +386,10 @@ class TestLaeo:
     def test_model_estimates_map_back_to_heads(self, tmp_path, unc_model, capsys):
         # keypoint heads of every frame go through one batch; each estimate
         # must land on its own (frame, head), as if it had been given ready
-        samples = generate_dataset(7, np.random.default_rng(4))
+        data = synthesize(7, np.random.default_rng(4))
         sizes = (2, 3, 2)
         model = read_model(unc_model)
-        inputs = normalize(Dataset.from_samples(samples).keypoints)
+        inputs = normalize(data.keypoints)
         angles, log_var = model.predict_batch(inputs.x1, inputs.x2, inputs.c)
         with_keypoints, with_estimates = [], []
         k = 0
@@ -379,7 +397,8 @@ class TestLaeo:
             kp_heads, ready_heads = [], []
             for h in range(n):
                 centroid = (40.0 * h, 25.0 * f)
-                kp_heads.append(head(f"h{h}", centroid, keypoints=samples[k].keypoints))
+                keypoints = KeypointSet.from_triplets(data.keypoints[k])
+                kp_heads.append(head(f"h{h}", centroid, keypoints=keypoints))
                 ready_heads.append(head(f"h{h}", centroid, pose=angles[k].tolist(),
                                         log_variance=log_var[k].tolist()))
                 k += 1
@@ -559,6 +578,47 @@ def test_mutated_model_files_fail_cleanly(blob):
             assert code in (0, 1), argv
             assert "Traceback" not in err and not caught, (argv, err, caught)
             assert err == "" if code == 0 else re.fullmatch(r"error: [^\n]*\n", err), (argv, err)
+
+
+_SYNTH_VALUES = st.sampled_from(["0", "-0.0", "-1", "-1e-300", "5e-324", "1e-9", "0.3", "1",
+                                 "20", "180", "181", "1e6", "1e308", "-1e308",
+                                 "inf", "-inf", "nan"])
+
+
+@st.composite
+def _synth_argv(draw) -> list[str]:
+    """synth flags drawn from edge values; --n is small or far past any memory."""
+    argv = ["synth", "--n", draw(st.sampled_from(["1", "2", "3", "4", "5", str(10**15)]))]
+    for flag in ("--yaw-range", "--pitch-range", "--roll-range", "--occlusion-yaw",
+                 "--drop-fraction"):
+        if draw(st.booleans()):
+            argv += [flag, draw(_SYNTH_VALUES)]
+    if draw(st.booleans()):
+        argv += ["--noise", f"{draw(_SYNTH_VALUES)},{draw(_SYNTH_VALUES)}"]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["0", "7", "-1", "1e3", str(2**70)]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_synth_argv())
+def test_synth_flags_fail_cleanly(argv):
+    # in-process, so an exception that escapes cli.main fails the example
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "d.jsonl")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main([*argv, "--out", out])
+            except SystemExit as e:  # argparse refuses the flag
+                code = e.code
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err and not caught, (argv, err, caught)
+        assert sum("error:" in line for line in err.splitlines()) == (code != 0), (argv, err)
+        assert os.path.exists(out) == (code == 0), argv
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

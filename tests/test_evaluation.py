@@ -17,10 +17,11 @@ from headpose.evaluation import (
     pearson,
     uncertainty_cross_correlation,
 )
-from headpose.formats import Dataset
 from headpose.model import Model, ModelConfig
-from headpose.synthetic import generate_dataset
+from headpose.synthetic import synthesize
 from headpose.training import prepare_arrays
+
+import synthetic_reference
 
 
 def result(poses, truths, counts=None, log_vars=None):
@@ -35,7 +36,7 @@ def result(poses, truths, counts=None, log_vars=None):
 
 
 def dataset(n, seed, **kwargs):
-    return Dataset.from_samples(generate_dataset(n, np.random.default_rng(seed), **kwargs))
+    return synthesize(n, np.random.default_rng(seed), **kwargs)
 
 
 class TestPearson:
@@ -109,7 +110,7 @@ class TestEvaluate:
     def test_empty_dataset_raises(self):
         model = Model.build(ModelConfig("mse"), np.random.default_rng(4))
         with pytest.raises(ValueError):
-            evaluate(model, Dataset.from_samples([]))
+            evaluate(model, synthetic_reference.dataset([]))
 
 
 class TestCurve:

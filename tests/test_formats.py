@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from headpose.formats import (
     MODEL_FORMAT_VERSION,
-    Dataset,
     RecordError,
     atomic_write_bytes,
     infer_lines,
@@ -28,7 +27,7 @@ from headpose.formats import (
 )
 from headpose.laeo import LaeoResult
 from headpose.model import FIXED_CONFIG, MAX_FC_WIDTH, Model, ModelConfig, parameter_layout
-from headpose.synthetic import generate_dataset
+from headpose.synthetic import generate_dataset, synthesize
 
 import dataset_reference
 import frame_rows
@@ -72,30 +71,27 @@ class TestAtomicWrite:
 
 class TestDatasetRoundTrip:
     def test_ids_are_zero_padded(self):
-        samples = generate_dataset(3, np.random.default_rng(0))
-        assert Dataset.from_samples(samples).ids == ("s000000", "s000001", "s000002")
+        assert synthesize(3, np.random.default_rng(0)).ids == ("s000000", "s000001", "s000002")
 
     def test_round_trip_is_exact(self, tmp_path):
-        samples = generate_dataset(8, np.random.default_rng(1), drop_fraction=0.5)
-        data = Dataset.from_samples(samples)
+        data = synthesize(8, np.random.default_rng(1), drop_fraction=0.5)
         path = tmp_path / "data.jsonl"
         write_dataset(path, data)
         loaded = read_dataset(path)
         assert loaded.ids == data.ids and loaded.meta == (None,) * 8
         assert loaded.lines.tolist() == data.lines.tolist() == list(range(1, 9))
         assert loaded.has_pose.all()
-        for i, s in enumerate(samples):
-            assert loaded.keypoints[i].tolist() == [[p.x1, p.x2, p.c] for p in s.keypoints.points]
-            assert loaded.poses[i].tolist() == [s.pose.yaw, s.pose.pitch, s.pose.roll]
+        assert loaded.keypoints.tobytes() == data.keypoints.tobytes()
+        assert loaded.poses.tobytes() == data.poses.tobytes()
 
     def test_write_is_deterministic(self, tmp_path):
-        data = Dataset.from_samples(generate_dataset(4, np.random.default_rng(2)))
+        data = synthesize(4, np.random.default_rng(2))
         write_dataset(tmp_path / "a.jsonl", data)
         write_dataset(tmp_path / "b.jsonl", data)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_pose_is_optional_but_needed_for_training(self, tmp_path):
-        data = Dataset.from_samples(generate_dataset(1, np.random.default_rng(3)))
+        data = synthesize(1, np.random.default_rng(3))
         bare = dataclasses.replace(data, poses=np.full((1, 3), np.nan),
                                    has_pose=np.zeros(1, dtype=bool))
         path = tmp_path / "bare.jsonl"
@@ -111,7 +107,7 @@ class TestDatasetRoundTrip:
     @pytest.mark.parametrize("field, bad", [("keypoints", np.inf), ("keypoints", np.nan),
                                             ("poses", -np.inf)])
     def test_write_refuses_non_finite_values(self, tmp_path, field, bad):
-        data = Dataset.from_samples(generate_dataset(3, np.random.default_rng(5)))
+        data = synthesize(3, np.random.default_rng(5))
         values = getattr(data, field).copy()
         values[1].flat[2] = bad
         path = tmp_path / "d.jsonl"
@@ -121,7 +117,7 @@ class TestDatasetRoundTrip:
         assert not path.exists() and not list(tmp_path.iterdir())
 
     def test_meta_passes_through(self, tmp_path):
-        data = Dataset.from_samples(generate_dataset(1, np.random.default_rng(4)))
+        data = synthesize(1, np.random.default_rng(4))
         tagged = dataclasses.replace(data, meta=({"src": "cam0"},))
         path = tmp_path / "meta.jsonl"
         write_dataset(path, tagged)

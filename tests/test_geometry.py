@@ -15,6 +15,8 @@ from headpose.geometry import (
     rotation_matrix,
 )
 
+import synthetic_reference
+
 
 def random_poses(n, rng, yaw=178.0, pitch=178.0, roll=178.0):
     return [
@@ -58,26 +60,41 @@ class TestProjectDirection:
             assert math.hypot(v.x, v.y) <= 1.0 + 1e-12
 
 
+def pose_array(poses):
+    return np.array([(p.yaw, p.pitch, p.roll) for p in poses])
+
+
 class TestRotationMatrix:
     def test_orthonormal_unit_determinant(self):
         rng = np.random.default_rng(2)
-        for pose in random_poses(100, rng):
-            r = rotation_matrix(pose)
-            assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
-            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+        rs = rotation_matrix(pose_array(random_poses(100, rng)))
+        assert rs.shape == (100, 3, 3)
+        assert np.allclose(np.swapaxes(rs, 1, 2) @ rs, np.eye(3), atol=1e-12)
+        assert np.allclose(np.linalg.det(rs), 1.0, atol=1e-12)
 
     def test_forward_projection_consistency(self):
         # the rotated forward vector's image components are the projection
         forward = np.array([0.0, 0.0, -1.0])
         rng = np.random.default_rng(3)
-        for pose in random_poses(100, rng):
-            moved = rotation_matrix(pose) @ forward
+        poses = random_poses(100, rng)
+        moved = rotation_matrix(pose_array(poses)) @ forward
+        for pose, m in zip(poses, moved):
             v = project_direction(pose)
-            assert moved[0] == pytest.approx(v.x, abs=1e-12)
-            assert moved[1] == pytest.approx(v.y, abs=1e-12)
+            assert m[0] == pytest.approx(v.x, abs=1e-12)
+            assert m[1] == pytest.approx(v.y, abs=1e-12)
 
     def test_identity_at_zero(self):
-        assert np.allclose(rotation_matrix(EulerPose(0, 0, 0)), np.eye(3), atol=1e-15)
+        assert np.allclose(rotation_matrix(np.zeros(3)), np.eye(3), atol=1e-15)
+        assert np.allclose(rotation_matrix(np.zeros((2, 4, 3))), np.eye(3), atol=1e-15)
+
+    def test_batch_equals_scalar_math_bit_for_bit(self):
+        # each (3, 3) of the stack is the one math.sin/math.cos give for its
+        # pose alone, composed the same way
+        rng = np.random.default_rng(4)
+        poses = random_poses(2000, rng)
+        stack = rotation_matrix(pose_array(poses))
+        for pose, r in zip(poses, stack):
+            assert r.tobytes() == synthetic_reference.rotation_matrix(pose).tobytes()
 
 
 class TestErrors:

@@ -1,4 +1,4 @@
-"""Keypoint containers, normalization and dropping."""
+"""Keypoint containers, normalization, and the present points of synthetic records."""
 
 from __future__ import annotations
 
@@ -10,10 +10,14 @@ from headpose.keypoints import (
     Keypoint,
     KeypointSet,
     UnusableKeypoints,
-    drop_keypoints,
     normalize,
-    present_count,
 )
+from headpose.synthetic import LEFT_EAR, MIN_KEEP, RIGHT_EAR, project_head, synthesize
+
+
+def present_count(keypoints):
+    """Points with confidence > 0 in each (5, 3) set of an (N, 5, 3) array."""
+    return (keypoints[:, :, 2] > 0.0).sum(axis=1)
 
 
 def kps(coords, conf=None):
@@ -73,8 +77,12 @@ class TestContainers:
             KeypointSet((Keypoint(0, 0, 1),) * 4)
 
     def test_present_count(self):
-        s = kps([(i, i) for i in range(5)], conf=[1, 0.5, 0, 0, 0.2])
-        assert present_count(s) == 3
+        # a point is present when its confidence is positive; a synthetic
+        # record without drops shows all five, or four with an ear hidden
+        data = synthesize(500, np.random.default_rng(3))
+        counts = present_count(data.keypoints)
+        assert set(counts.tolist()) == {4, 5}
+        assert ((counts == 4) == (np.abs(data.poses[:, 0]) > 60)).all()
 
 
 class TestNormalize:
@@ -156,29 +164,36 @@ class TestNormalize:
 
 
 class TestDrop:
+    """Keypoint dropping, as synthesize applies it to a drop_fraction of records."""
+
     def test_keeps_exactly_n_present(self):
-        rng = np.random.default_rng(4)
-        s = spread(5)
-        for keep in (1, 2, 3, 4, 5):
-            out = drop_keypoints(s, keep, rng)
-            assert present_count(out) == keep
+        # each drop keeps a uniform count in [MIN_KEEP, present - 1]
+        data = synthesize(600, np.random.default_rng(4), drop_fraction=1.0, occlusion_yaw=180.0)
+        counts = present_count(data.keypoints)
+        assert set(counts.tolist()) == {MIN_KEEP, 3, 4}
 
     def test_coordinates_untouched(self):
-        s = spread(6)
-        out = drop_keypoints(s, 2, np.random.default_rng(0))
-        for before, after in zip(s.points, out.points):
-            assert after.x1 == before.x1 and after.x2 == before.x2
+        # a dropped point keeps its coordinates; only c goes to 0
+        data = synthesize(300, np.random.default_rng(5), drop_fraction=1.0, occlusion_yaw=180.0)
+        dropped = data.keypoints[:, :, 2] == 0.0
+        assert dropped.any()
+        assert np.array_equal(data.keypoints[:, :, :2], project_head(data.poses))
+        assert (data.keypoints[dropped, :2] != 0.0).any()
 
     def test_only_present_droppable(self):
-        s = kps([(i, i) for i in range(5)], conf=[1, 1, 0, 1, 0])
-        with pytest.raises(ValueError):
-            drop_keypoints(s, 4, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            drop_keypoints(s, 0, np.random.default_rng(0))
+        # a hidden ear is not one of the points a drop chooses from: it stays
+        # all zero, and its record still keeps MIN_KEEP of the other four
+        data = synthesize(1000, np.random.default_rng(6), drop_fraction=1.0)
+        yaw = data.poses[:, 0]
+        for ear, side in ((RIGHT_EAR, yaw > 60), (LEFT_EAR, yaw < -60)):
+            assert side.any()
+            assert (data.keypoints[side, ear] == 0.0).all()
+        hidden = np.abs(yaw) > 60
+        assert (present_count(data.keypoints[hidden]) >= MIN_KEEP).all()
+        assert (present_count(data.keypoints[hidden]) <= 3).all()
 
     def test_deterministic(self):
-        s = spread(7)
-        a = drop_keypoints(s, 2, np.random.default_rng(42))
-        b = drop_keypoints(s, 2, np.random.default_rng(42))
-        assert a == b
-
+        a, b, c = (synthesize(40, np.random.default_rng(seed), drop_fraction=0.5)
+                   for seed in (42, 42, 43))
+        assert a.keypoints.tobytes() == b.keypoints.tobytes()
+        assert a.keypoints.tobytes() != c.keypoints.tobytes()

@@ -15,11 +15,11 @@ from scipy.optimize import minimize_scalar
 
 from headpose import autodiff as ad
 from headpose import training
-from headpose.formats import Dataset, prepare_arrays
+from headpose.formats import prepare_arrays
 from headpose.geometry import EulerPose
 from headpose.losses import BIN_HI_DEGREES, BIN_LO_DEGREES, bin_index, loss_graph
 from headpose.model import LOSS_KINDS, Model, ModelConfig, NetworkOutput, PoseEstimate
-from headpose.synthetic import NoiseModel, generate_dataset
+from headpose.synthetic import NoiseModel, synthesize
 from headpose.training import TrainConfig, train
 
 import loss_reference
@@ -267,7 +267,7 @@ def fresh(out):
 
 def training_data(n, seed):
     noise = NoiseModel(1.0, 0.02)
-    return Dataset.from_samples(generate_dataset(n, np.random.default_rng(seed), noise=noise))
+    return synthesize(n, np.random.default_rng(seed), noise=noise)
 
 
 class TestClosedForm:

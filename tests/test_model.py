@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from headpose.formats import Dataset, read_model, write_model
+from headpose.formats import read_model, write_model
 from headpose.geometry import EulerPose
 from headpose.keypoints import NormalizedInput
 from headpose.model import (
@@ -21,7 +21,7 @@ from headpose.model import (
     parameter_layout,
     scaled_width,
 )
-from headpose.synthetic import generate_dataset
+from headpose.synthetic import synthesize
 from headpose.training import TrainConfig, train
 
 from autodiff_reference import kink_margin
@@ -323,8 +323,8 @@ class TestFlatStorage:
         m.flat += 1.0
         m.restore(snap)
         assert np.array_equal(m.flat, snap)
-        samples = Dataset.from_samples(generate_dataset(8, np.random.default_rng(23)))
-        train(m, samples, TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0),
+        data = synthesize(8, np.random.default_rng(23))
+        train(m, data, TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0),
               np.random.default_rng(24))
         assert not np.array_equal(m.flat, snap)
         assert m.flat_grad.any()

@@ -10,12 +10,11 @@ import pytest
 
 from headpose import autodiff as ad
 from headpose import training
-from headpose.formats import Dataset
 from headpose.geometry import EulerPose
 from headpose.keypoints import KeypointSet, normalize
 from headpose.losses import loss_graph
 from headpose.model import LOSS_KINDS, Model, ModelConfig
-from headpose.synthetic import NoiseModel, Sample, generate_dataset
+from headpose.synthetic import NoiseModel, Sample, generate_dataset, synthesize
 from headpose.training import (
     ADAM_EPSILON,
     AdamState,
@@ -27,6 +26,7 @@ from headpose.training import (
 
 from adam_reference import TensorAdam
 from loss_reference import add
+from synthetic_reference import dataset
 
 
 def small_samples(n=64, seed=0, noise=NoiseModel()):
@@ -34,7 +34,7 @@ def small_samples(n=64, seed=0, noise=NoiseModel()):
 
 
 def small_dataset(n=64, seed=0, noise=NoiseModel()):
-    return Dataset.from_samples(small_samples(n, seed, noise))
+    return synthesize(n, np.random.default_rng(seed), noise=noise)
 
 
 class TestTrainConfig:
@@ -145,7 +145,7 @@ class TestAdam:
 class TestPrepareArrays:
     def test_shapes_and_targets(self):
         samples = small_samples(8, seed=1)
-        x1, x2, c, targets = prepare_arrays(Dataset.from_samples(samples))
+        x1, x2, c, targets = prepare_arrays(dataset(samples))
         assert x1.shape == x2.shape == c.shape == (8, 5)
         assert targets.shape == (8, 3)
         for i, s in enumerate(samples):
@@ -189,7 +189,7 @@ class TestTrainLoop:
     def test_empty_dataset_raises(self):
         m = Model.build(ModelConfig("mse"), np.random.default_rng(10))
         with pytest.raises(ValueError):
-            train(m, Dataset.from_samples([]), TrainConfig(), np.random.default_rng(0))
+            train(m, dataset([]), TrainConfig(), np.random.default_rng(0))
 
     def test_split_cannot_eat_everything(self):
         m = Model.build(ModelConfig("mse"), np.random.default_rng(11))
@@ -199,11 +199,11 @@ class TestTrainLoop:
 
     def test_non_finite_loss_reports_position(self):
         m = Model.build(ModelConfig("mse"), np.random.default_rng(13))
-        bad = small_samples(8, 14)
-        bad[0] = Sample(bad[0].keypoints, EulerPose(np.inf, 0.0, 0.0))
+        bad = small_dataset(8, 14)
+        bad.poses[0, 0] = np.inf
         cfg = TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0)
         with pytest.raises(FloatingPointError, match="epoch 0"):
-            train(m, Dataset.from_samples(bad), cfg, np.random.default_rng(0))
+            train(m, bad, cfg, np.random.default_rng(0))
 
     def test_non_finite_gradient_reports_tensor_step_and_last_loss(self, monkeypatch):
         m = Model.build(ModelConfig("mse", width_scale=0.2), np.random.default_rng(15))
@@ -246,10 +246,10 @@ class TestTrainLoop:
             Model.build(ModelConfig("heteroscedastic", width_scale=0.2),
                         np.random.default_rng(31)) for _ in range(2)
         )
-        split = train(split_model, Dataset.from_samples(samples), cfg, np.random.default_rng(32))
+        split = train(split_model, dataset(samples), cfg, np.random.default_rng(32))
         rng = np.random.default_rng(32)
         order = rng.permutation(40)
-        rows = [Dataset.from_samples([samples[i] for i in part]) for part in np.split(order, [4])]
+        rows = [dataset([samples[i] for i in part]) for part in np.split(order, [4])]
         given = train(given_model, rows[1], cfg, rng, val=rows[0])
         assert split.to_dict() == given.to_dict()
         assert np.array_equal(split_model.flat, given_model.flat)
@@ -279,7 +279,7 @@ class TestConvergence:
                 nz = normalize(kp)
                 pose = a_map @ np.concatenate([nz.x1, nz.x2])
                 out.append(Sample(kp, EulerPose(*pose)))
-            return Dataset.from_samples(out)
+            return dataset(out)
 
         m = Model.build(ModelConfig("mse"), np.random.default_rng(0))
         cfg = TrainConfig(n_epochs=200, batch_size=32, val_fraction=0.0)
