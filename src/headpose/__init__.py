@@ -3,9 +3,10 @@
 A small gated network regresses yaw/pitch/roll and a log-variance per
 angle from normalized keypoint coordinates and confidences. The
 uncertainty feeds a mutual-gaze (LAEO) detector that discards unreliable
-heads. Everything runs on numpy: the network on a small in-package
-autodiff, and each loss in closed form with a hand-derived gradient; see
-the README for the CLI walk-through.
+heads. Everything runs on numpy: the network's forward and backward
+passes and each loss are in closed form with hand-derived gradients,
+linked during training by a small in-package autodiff; see the README
+for the CLI walk-through.
 
 The names below resolve on first use (PEP 562), so importing the package,
 or one command of its CLI, loads only the modules that are run.

@@ -7,8 +7,8 @@ record by record only to name the first bad line. Model files are one
 JSON header line (version, config, tensor layout) followed by the
 model's flat parameter vector as raw little-endian float32, tensors in
 layout order; non-finite values are refused on read and on write, as
-they are when writing a dataset. The `infer` and `laeo` rows have one
-formatter each. All writes go through a temp file in the target
+they are when writing a dataset. Dataset, `infer` and `laeo` rows have
+one formatter each. All writes go through a temp file in the target
 directory and a rename, so readers never observe partial files.
 
 Malformed input lines raise RecordError carrying the file and the 1-based
@@ -91,15 +91,10 @@ def write_text(path: str | Path | None, text: str) -> None:
         atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_jsonl(path: str | Path | None, rows: Iterable[dict]) -> None:
-    """One JSON line per row, written as write_text writes."""
-    write_text(path, "".join(json.dumps(row) + "\n" for row in rows))
-
-
-# The two row kinds the scoring commands write in bulk are formatted here
-# rather than by json.dumps, which builds and walks a dict per row. Their
-# bytes are json.dumps's: its key order and separators, float.__repr__
-# for floats, and its escaper for strings.
+# The three row kinds written in bulk (dataset, `infer` and `laeo` rows) are
+# formatted here rather than by json.dumps, which builds and walks a dict
+# per row. Their bytes are json.dumps's: its key order and separators,
+# float.__repr__ for floats, and its escaper for strings.
 _JSON_LITERAL = {True: "true", False: "false", None: "null"}
 
 
@@ -240,13 +235,29 @@ def write_dataset(path: str | Path, data: Dataset) -> None:
     if not finite.all():
         record = data.ids[int(np.argmin(finite))]
         raise ValueError(f"{path}: refusing to write non-finite value in record {record!r}")
-    rows = [{"id": i, "keypoints": k} for i, k in zip(data.ids, data.keypoints.tolist())]
-    for row, pose, has_pose, meta in zip(rows, data.poses.tolist(), data.has_pose, data.meta):
+    write_text(path, dataset_lines(data))
+
+
+# A dataset row's id and keypoints, and its pose; `{!r}` writes a finite float
+# as json.dumps does.
+_DATASET_ROW = '{{"id": {}, "keypoints": [' + ", ".join(["[{!r}, {!r}, {!r}]"] * N_KEYPOINTS) + "]"
+_DATASET_POSE = ', "pose": [{!r}, {!r}, {!r}]'
+
+
+def dataset_lines(data: Dataset) -> str:
+    """The dataset rows: id and keypoints, then the pose and the meta object if
+    present. Keypoints and poses must be finite, as write_dataset checks."""
+    lines = []
+    points = data.keypoints.reshape(len(data), 3 * N_KEYPOINTS).tolist()
+    rows = zip(data.ids, points, data.poses.tolist(), data.has_pose.tolist(), data.meta)
+    for i, row_points, pose, has_pose, meta in rows:
+        line = _DATASET_ROW.format(_json_string(i), *row_points)
         if has_pose:
-            row["pose"] = pose
+            line += _DATASET_POSE.format(*pose)
         if meta is not None:
-            row["meta"] = meta
-    write_jsonl(path, rows)
+            line += f', "meta": {json.dumps(meta)}'
+        lines.append(line + "}\n")
+    return "".join(lines)
 
 
 def _names_its_file(reader):

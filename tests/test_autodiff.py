@@ -1,8 +1,10 @@
 """Reverse-mode autodiff: op semantics, gradients, and the test-side checker.
 
-The engine keeps the network's ops; the loss-only ops it once had (add,
-sub, neg, scale, exp, tsum, slice_last, cross_entropy_logits) are tested
-here from the loss graph oracle in tests/loss_reference.py.
+The engine keeps only `Tensor`, `Parameter` and `backward`. The ops it
+once had are tested here from the oracles that now hold them: the
+network's ops from tests/network_reference.py, the loss-only ops (add,
+sub, neg, scale, exp, tsum, slice_last, cross_entropy_logits) from
+tests/loss_reference.py.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from headpose import autodiff as ad
 
 from autodiff_reference import add_const, grad_check, log
 from loss_reference import add, cross_entropy_logits, exp, neg, scale, slice_last, sub, tsum
+from network_reference import concat, conv1d, dense, flatten, leaky_relu, mul, sigmoid
 
 # op-level checks use a tiny floor so nothing hides under the default
 STRICT = dict(epsilon=1e-6, floor=1e-10)
@@ -30,7 +33,7 @@ class TestElementOps:
         b = ad.Tensor([3.0, 5.0])
         assert add(a, b).data.tolist() == [4.0, 7.0]
         assert sub(a, b).data.tolist() == [-2.0, -3.0]
-        assert ad.mul(a, b).data.tolist() == [3.0, 10.0]
+        assert mul(a, b).data.tolist() == [3.0, 10.0]
         assert neg(a).data.tolist() == [-1.0, -2.0]
         assert scale(a, 2.5).data.tolist() == [2.5, 5.0]
         assert add_const(a, 1.0).data.tolist() == [2.0, 3.0]
@@ -43,7 +46,7 @@ class TestElementOps:
         rng = np.random.default_rng(0)
         a = ad.Tensor(rng.normal(size=(3, 4)))
         b = ad.Tensor(rng.normal(size=(3, 4)))
-        check(lambda: tsum(ad.mul(add(a, b), sub(a, b))), [a, b])
+        check(lambda: tsum(mul(add(a, b), sub(a, b))), [a, b])
         check(lambda: tsum(scale(neg(a), 1.7)), [a])
         check(lambda: tsum(add_const(a, 3.0)), [a])
 
@@ -52,29 +55,29 @@ class TestElementOps:
         a = ad.Tensor(rng.uniform(0.5, 2.0, size=(6,)))
         check(lambda: tsum(exp(a)), [a])
         check(lambda: tsum(log(a)), [a])
-        check(lambda: tsum(ad.sigmoid(a)), [a])
+        check(lambda: tsum(sigmoid(a)), [a])
 
     def test_leaky_relu_values_and_gradient(self):
         a = ad.Tensor([-2.0, 0.0, 3.0])
-        out = ad.leaky_relu(a, 0.01)
+        out = leaky_relu(a, 0.01)
         assert out.data.tolist() == [-0.02, 0.0, 3.0]
         # away from the kink the numeric check is clean
         b = ad.Tensor([-2.0, -0.5, 0.4, 3.0])
-        check(lambda: tsum(ad.leaky_relu(b, 0.01)), [b])
+        check(lambda: tsum(leaky_relu(b, 0.01)), [b])
 
     def test_leaky_relu_zero_takes_positive_branch(self):
         a = ad.Tensor([0.0])
-        out = ad.leaky_relu(a, 0.01)
+        out = leaky_relu(a, 0.01)
         out.backward()
         assert a.grad.tolist() == [1.0]
 
     def test_leaky_relu_bad_slope(self):
         with pytest.raises(ValueError):
-            ad.leaky_relu(ad.Tensor([1.0]), 0.0)
+            leaky_relu(ad.Tensor([1.0]), 0.0)
 
     def test_sigmoid_extremes_stay_finite(self):
         with np.errstate(over="raise"):
-            out = ad.sigmoid(ad.Tensor([-1000.0, 0.0, 1000.0]))
+            out = sigmoid(ad.Tensor([-1000.0, 0.0, 1000.0]))
         assert out.data[0] == 0.0 and out.data[1] == 0.5 and out.data[2] == 1.0
 
 
@@ -82,15 +85,15 @@ class TestStructuredOps:
     def test_dense_forward_oracle(self):
         rng = np.random.default_rng(2)
         x, w, b = rng.normal(size=(1, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
-        out = ad.dense(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
+        out = dense(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
         assert np.allclose(out.data, x @ w + b, atol=1e-15)
 
     def test_dense_batched_matches_loop(self):
         rng = np.random.default_rng(3)
         xb, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
-        out = ad.dense(ad.Tensor(xb), ad.Tensor(w), ad.Tensor(b))
+        out = dense(ad.Tensor(xb), ad.Tensor(w), ad.Tensor(b))
         for i in range(6):
-            single = ad.dense(ad.Tensor(xb[i : i + 1]), ad.Tensor(w), ad.Tensor(b))
+            single = dense(ad.Tensor(xb[i : i + 1]), ad.Tensor(w), ad.Tensor(b))
             assert np.allclose(out.data[i], single.data[0], atol=1e-15)
 
     def test_dense_gradients(self):
@@ -98,22 +101,22 @@ class TestStructuredOps:
         x = ad.Tensor(rng.normal(size=(1, 4)))
         w = ad.Tensor(rng.normal(size=(4, 3)))
         b = ad.Tensor(rng.normal(size=3))
-        check(lambda: tsum(ad.dense(x, w, b)), [x, w, b])
+        check(lambda: tsum(dense(x, w, b)), [x, w, b])
         xb = ad.Tensor(rng.normal(size=(5, 4)))
-        check(lambda: tsum(ad.dense(xb, w, b)), [xb, w, b])
+        check(lambda: tsum(dense(xb, w, b)), [xb, w, b])
 
     def test_dense_shape_validation(self):
         with pytest.raises(ValueError):
-            ad.dense(ad.Tensor(np.ones((1, 3))), ad.Tensor(np.ones((4, 2))), ad.Tensor(np.ones(2)))
+            dense(ad.Tensor(np.ones((1, 3))), ad.Tensor(np.ones((4, 2))), ad.Tensor(np.ones(2)))
         with pytest.raises(ValueError):
-            ad.dense(ad.Tensor(np.ones((1, 4))), ad.Tensor(np.ones((4, 2))), ad.Tensor(np.ones(3)))
+            dense(ad.Tensor(np.ones((1, 4))), ad.Tensor(np.ones((4, 2))), ad.Tensor(np.ones(3)))
         with pytest.raises(ValueError, match="does not match"):  # batches only
-            ad.dense(ad.Tensor(np.ones(4)), ad.Tensor(np.ones((4, 2))), ad.Tensor(np.ones(2)))
+            dense(ad.Tensor(np.ones(4)), ad.Tensor(np.ones((4, 2))), ad.Tensor(np.ones(2)))
 
     def test_conv1d_width_one_is_per_position_affine(self):
         rng = np.random.default_rng(5)
         x, w, b = rng.normal(size=(1, 5)), rng.normal(size=(1, 4)), rng.normal(size=4)
-        out = ad.conv1d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
+        out = conv1d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
         assert out.shape == (1, 5, 4)
         assert np.allclose(out.data[0], np.outer(x[0], w[0]) + b, atol=1e-15)
 
@@ -121,16 +124,16 @@ class TestStructuredOps:
         # only the per-position (width-1) conv exists; a k=3 weight is refused
         x = ad.Tensor([[1.0, 2.0, 3.0, 4.0, 5.0]])
         with pytest.raises(ValueError, match="width-1"):
-            ad.conv1d(x, ad.Tensor(np.ones((3, 1))), ad.Tensor(np.zeros(1)))
+            conv1d(x, ad.Tensor(np.ones((3, 1))), ad.Tensor(np.zeros(1)))
 
     def test_conv1d_batched_matches_loop(self):
         rng = np.random.default_rng(6)
         xb = rng.normal(size=(4, 5))
         w, b = rng.normal(size=(1, 2)), rng.normal(size=2)
-        out = ad.conv1d(ad.Tensor(xb), ad.Tensor(w), ad.Tensor(b))
+        out = conv1d(ad.Tensor(xb), ad.Tensor(w), ad.Tensor(b))
         assert out.shape == (4, 5, 2)
         for i in range(4):
-            single = ad.conv1d(ad.Tensor(xb[i : i + 1]), ad.Tensor(w), ad.Tensor(b))
+            single = conv1d(ad.Tensor(xb[i : i + 1]), ad.Tensor(w), ad.Tensor(b))
             assert np.allclose(out.data[i], single.data[0], atol=1e-15)
 
     def test_conv1d_gradients(self):
@@ -138,44 +141,44 @@ class TestStructuredOps:
         x = ad.Tensor(rng.normal(size=(1, 5)))
         w = ad.Tensor(rng.normal(size=(1, 2)))
         b = ad.Tensor(rng.normal(size=2))
-        check(lambda: tsum(ad.conv1d(x, w, b)), [x, w, b])
+        check(lambda: tsum(conv1d(x, w, b)), [x, w, b])
         xb = ad.Tensor(rng.normal(size=(4, 5)))
-        check(lambda: tsum(ad.conv1d(xb, w, b)), [xb, w, b])
+        check(lambda: tsum(conv1d(xb, w, b)), [xb, w, b])
 
     def test_conv1d_validation(self):
         ok = ad.Tensor(np.ones((1, 5)))
         with pytest.raises(ValueError):
-            ad.conv1d(ok, ad.Tensor(np.ones((2, 1))), ad.Tensor(np.ones(1)))
+            conv1d(ok, ad.Tensor(np.ones((2, 1))), ad.Tensor(np.ones(1)))
         with pytest.raises(ValueError):
-            ad.conv1d(ok, ad.Tensor(np.ones((3, 1))), ad.Tensor(np.ones(2)))
+            conv1d(ok, ad.Tensor(np.ones((3, 1))), ad.Tensor(np.ones(2)))
         with pytest.raises(ValueError):
-            ad.conv1d(ad.Tensor(np.ones((1, 3))), ad.Tensor(np.ones((5, 1))), ad.Tensor(np.ones(1)))
+            conv1d(ad.Tensor(np.ones((1, 3))), ad.Tensor(np.ones((5, 1))), ad.Tensor(np.ones(1)))
         with pytest.raises(ValueError, match="batch"):
-            ad.conv1d(ad.Tensor(np.ones(5)), ad.Tensor(np.ones((1, 1))), ad.Tensor(np.ones(1)))
+            conv1d(ad.Tensor(np.ones(5)), ad.Tensor(np.ones((1, 1))), ad.Tensor(np.ones(1)))
 
     def test_flatten_concat_slice(self):
         rng = np.random.default_rng(8)
         a = ad.Tensor(rng.normal(size=(1, 5, 4)))
-        assert ad.flatten(a).shape == (1, 20)
+        assert flatten(a).shape == (1, 20)
         ab = ad.Tensor(rng.normal(size=(2, 5, 4)))
-        assert ad.flatten(ab).shape == (2, 20)
-        assert ad.flatten(ad.Tensor(np.zeros((0, 5, 4)))).shape == (0, 20)
+        assert flatten(ab).shape == (2, 20)
+        assert flatten(ad.Tensor(np.zeros((0, 5, 4)))).shape == (0, 20)
         with pytest.raises(ValueError):
-            ad.flatten(ad.Tensor(np.ones(4)))
-        cat = ad.concat([ad.Tensor([1.0, 2.0]), ad.Tensor([3.0])])
+            flatten(ad.Tensor(np.ones(4)))
+        cat = concat([ad.Tensor([1.0, 2.0]), ad.Tensor([3.0])])
         assert cat.data.tolist() == [1.0, 2.0, 3.0]
         sl = slice_last(cat, 1, 3)
         assert sl.data.tolist() == [2.0, 3.0]
         with pytest.raises(ValueError):
-            ad.concat([])
+            concat([])
 
     def test_flatten_concat_slice_gradients(self):
         rng = np.random.default_rng(9)
         a = ad.Tensor(rng.normal(size=(3, 4)))
         b = ad.Tensor(rng.normal(size=(3, 2)))
-        check(lambda: tsum(slice_last(ad.concat([a, b]), 2, 5)), [a, b])
+        check(lambda: tsum(slice_last(concat([a, b]), 2, 5)), [a, b])
         c = ad.Tensor(rng.normal(size=(2, 3, 2)))
-        check(lambda: tsum(ad.flatten(c)), [c])
+        check(lambda: tsum(flatten(c)), [c])
 
 
 class TestCrossEntropy:
@@ -226,14 +229,14 @@ class TestBackward:
 
     def test_diamond_graph_accumulates(self):
         x = ad.Tensor([3.0])
-        y = tsum(add(ad.mul(x, x), x))  # x^2 + x
+        y = tsum(add(mul(x, x), x))  # x^2 + x
         y.backward()
         assert x.grad.tolist() == [7.0]  # 2x + 1
 
     def test_reuse_across_branches(self):
         x = ad.Tensor(np.array([2.0, -1.0]))
         shared = exp(x)
-        y = tsum(add(shared, ad.mul(shared, shared)))  # e^x + e^2x
+        y = tsum(add(shared, mul(shared, shared)))  # e^x + e^2x
         y.backward()
         expect = np.exp(x.data) + 2.0 * np.exp(2.0 * x.data)
         assert np.allclose(x.grad, expect, atol=1e-12)
@@ -254,7 +257,7 @@ class TestBackward:
         for _ in range(2):  # the second pass starts from zero_grad
             for t in (w, plain):
                 t.zero_grad()
-                tsum(ad.mul(ad.dense(x, t, ad.Tensor(np.zeros(2))), x)).backward()
+                tsum(mul(dense(x, t, ad.Tensor(np.zeros(2))), x)).backward()
             assert np.shares_memory(w.grad, grads) and np.shares_memory(w.data, values)
             assert np.array_equal(grads[2:6].reshape(2, 2), plain.grad)
             assert not grads[:2].any()
@@ -267,7 +270,7 @@ class TestBackward:
 class TestGradCheck:
     def test_epsilon_and_floor_validation(self):
         p = ad.Tensor([1.0])
-        fn = lambda: tsum(ad.mul(p, p))
+        fn = lambda: tsum(mul(p, p))
         with pytest.raises(ValueError):
             grad_check(fn, [p], epsilon=0.0)
         with pytest.raises(ValueError):
@@ -290,7 +293,7 @@ class TestGradCheck:
     def test_sampled_subset_deterministic(self):
         rng_data = np.random.default_rng(13)
         p = ad.Tensor(rng_data.normal(size=100))
-        fn = lambda: tsum(ad.mul(p, p))
+        fn = lambda: tsum(mul(p, p))
         a = grad_check(fn, [p], max_elements_per_param=10, rng=np.random.default_rng(7))
         b = grad_check(fn, [p], max_elements_per_param=10, rng=np.random.default_rng(7))
         assert a == b

@@ -25,10 +25,14 @@ def test_tracer_covers_the_laeo_command(tmp_path, monkeypatch, capsys):
     tracer = Tracer()
     tracer.install()
     try:
-        # the names the package no longer has, the five loss-only autodiff ops
-        # among them; any other is a lost layer
+        # the names the package no longer has, all twelve autodiff ops among
+        # them (the network and the losses are in closed form); any other is a
+        # lost layer
         assert tracer.missing == [
             "headpose.training.stack_normalized",
+            "headpose.autodiff.dense", "headpose.autodiff.conv1d", "headpose.autodiff.leaky_relu",
+            "headpose.autodiff.sigmoid", "headpose.autodiff.mul", "headpose.autodiff.concat",
+            "headpose.autodiff.flatten",
             "headpose.autodiff.slice_last", "headpose.autodiff.sub", "headpose.autodiff.exp",
             "headpose.autodiff.scale", "headpose.autodiff.tsum",
             "headpose.laeo.score_pair",

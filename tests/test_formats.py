@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from headpose.formats import (
     MODEL_FORMAT_VERSION,
+    Dataset,
     RecordError,
     atomic_write_bytes,
+    dataset_lines,
     infer_lines,
     laeo_lines,
     read_dataset,
@@ -856,11 +858,14 @@ def test_read_frames_names_a_duplicate_frame_id_on_its_second_line(tmp_path):
     assert str(info.value) == f"{path}: line 3: duplicate frame_id 'f'"
 
 
-# Rows as json.dumps writes them must come out of the two row formatters
+# Rows as json.dumps writes them must come out of the three row formatters
 # byte for byte, for any float (NaN and the infinities included) and any id.
 _any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, 0.1 + 0.2])
 _any_id = st.text() | st.sampled_from(['"', "\\", "\n", "é", "\u2028", "😀", "\x7f"])
+# dataset rows hold finite values only, which write_dataset checks
+_any_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, 0.1 + 0.2])
 
 
 @settings(max_examples=200, deadline=None)
@@ -891,3 +896,25 @@ def test_laeo_lines_are_json_dumps(rows):
         for frame_id, result, label in results
     )
     assert laeo_lines(results) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(
+    _any_id, st.lists(_any_finite, min_size=18, max_size=18), st.booleans(),
+    st.sampled_from([None, {}, {"src": "cam0", "n": [1, 2.5, None]}, {"é": "\u2028"}]),
+), max_size=6))
+def test_dataset_lines_are_json_dumps(rows):
+    values = np.array([v for _, v, _, _ in rows], dtype=np.float64).reshape(-1, 18)
+    data = Dataset(
+        ids=tuple(i for i, *_ in rows), keypoints=values[:, :15].reshape(-1, 5, 3),
+        poses=values[:, 15:], has_pose=np.array([p for _, _, p, _ in rows], dtype=bool),
+        meta=tuple(m for *_, m in rows), lines=np.arange(1, len(rows) + 1))
+    expected = ""
+    for i, v, has_pose, meta in rows:
+        row = {"id": i, "keypoints": np.reshape(v[:15], (5, 3)).tolist()}
+        if has_pose:
+            row["pose"] = v[15:]
+        if meta is not None:
+            row["meta"] = meta
+        expected += json.dumps(row) + "\n"
+    assert dataset_lines(data) == expected

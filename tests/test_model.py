@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from headpose.formats import read_model, write_model
+from headpose import autodiff as ad
+from headpose import training
+from headpose.formats import prepare_arrays, read_model, write_model
 from headpose.geometry import EulerPose
 from headpose.keypoints import NormalizedInput
+from headpose.losses import loss_graph
 from headpose.model import (
     FC_BASE,
     FIXED_CONFIG,
     LEAKY_SLOPE,
+    LOSS_KINDS,
     MAX_FC_WIDTH,
     Model,
     ModelConfig,
@@ -21,9 +27,10 @@ from headpose.model import (
     parameter_layout,
     scaled_width,
 )
-from headpose.synthetic import synthesize
+from headpose.synthetic import NoiseModel, synthesize
 from headpose.training import TrainConfig, train
 
+import network_reference
 from autodiff_reference import kink_margin
 
 
@@ -243,6 +250,126 @@ class TestForward:
         x1, x2, c = rand_inputs(rng)
         margin = kink_margin(m, x1, x2, c)
         assert np.isfinite(margin) and margin > 0.0
+
+
+def training_data(n, seed):
+    return synthesize(n, np.random.default_rng(seed), noise=NoiseModel(1.0, 0.02))
+
+
+def graph_outputs(model, x1, x2, c, tape=None):
+    """Model.outputs from the op graph oracle."""
+    out = network_reference.forward(model, x1, x2, c)
+    return out.values.data, None if out.logits is None else out.logits.data
+
+
+class TestClosedFormNetwork:
+    """Model.outputs, Model.forward and its backward against the op graph
+    of tests/network_reference.py, bit for bit.
+
+    Only the sign of a zero gradient may differ, which np.array_equal
+    ignores and which moves no parameter.
+    """
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_inference_equals_the_graph(self, kind):
+        rng = np.random.default_rng(30 + LOSS_KINDS.index(kind))
+        m = build(kind, seed=31)
+        for batch in (1, 2, 7, 64, 79, 1500):
+            x1, x2, c = rand_inputs(rng, batch)
+            values, logits = graph_outputs(m, x1, x2, c)
+            angles, log_var = m.predict_batch(x1, x2, c)
+            assert np.array_equal(angles, values[:, :3])
+            if kind == "heteroscedastic":
+                assert np.array_equal(log_var, values[:, 3:6])
+            else:
+                assert log_var is None
+            new_values, new_logits = m.outputs(x1, x2, c)
+            assert np.array_equal(new_values, values)
+            assert (new_logits is None) == (logits is None)
+            if logits is not None:
+                assert np.array_equal(new_logits, logits)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_training_forward_and_flat_grad_equal_the_graph(self, kind):
+        x1, x2, c, targets = prepare_arrays(training_data(64, 32))
+        m = build(kind, seed=33)
+        for batch in (1, 40, 64):
+            rows = slice(0, batch)
+            runs = []
+            for forward in (m.forward, partial(network_reference.forward, m)):
+                m.flat_grad[...] = 0.0
+                out = forward(x1[rows], x2[rows], c[rows])
+                loss_graph(kind, out, targets[rows]).backward()
+                runs.append((out, m.flat_grad.copy()))
+            (new, new_grad), (old, old_grad) = runs
+            assert np.array_equal(new.values.data, old.values.data)
+            if kind == "combined":
+                assert np.array_equal(new.logits.data, old.logits.data)
+            else:
+                assert new.logits is None and old.logits is None
+            assert np.array_equal(new_grad, old_grad)
+            assert np.abs(new_grad).max() > 0.0
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_adam_steps_equal_the_graph(self, kind, monkeypatch):
+        # 193 rows in batches of 16 end every epoch with a batch of one:
+        # 31 epochs of 13 steps are 403 Adam steps
+        data, val = training_data(193, 34), training_data(20, 35)
+        config = TrainConfig(n_epochs=31, batch_size=16)
+        runs = []
+        for oracle in (False, True):
+            if oracle:
+                monkeypatch.setattr(Model, "forward", network_reference.forward)
+                monkeypatch.setattr(Model, "outputs", graph_outputs)
+            model = build(kind, seed=36)
+            history = train(model, data, config, np.random.default_rng(37), val=val)
+            runs.append((model.flat.copy(), history.to_dict()))
+        (new_flat, new_history), (old_flat, old_history) = runs
+        assert np.array_equal(new_flat, old_flat)
+        assert new_history == old_history
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_a_training_step_is_one_network_node(self, kind, monkeypatch):
+        x1, x2, c, targets = prepare_arrays(training_data(8, 38))
+        m = build(kind, alpha=0.2, seed=39)
+        built = []
+        init = ad.Tensor.__init__
+        monkeypatch.setattr(ad.Tensor, "__init__",
+                            lambda t, *args, **kw: built.append(t) or init(t, *args, **kw))
+        out = m.forward(x1, x2, c)
+        loss = loss_graph(kind, out, targets)
+        # the heads node, one node per head over it, and the loss
+        assert len(built) == (4 if kind == "combined" else 3)
+        assert not m.flat_grad.any()  # nothing flows before backward()
+        loss.backward()
+        assert all(t.grad.any() for t in m.params.values())
+
+
+class TestInferenceMemory:
+    def test_predict_batch_peaks_below_10_mb_at_1500_rows(self):
+        # the op graph kept every activation alive and peaked at 24.2 MB
+        m = build(alpha=1.0, seed=40)
+        x1, x2, c = rand_inputs(np.random.default_rng(41), batch=1500)
+        tracemalloc.start()
+        try:
+            m.predict_batch(x1, x2, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000, f"peak {peak / 1e6:.1f} MB"
+
+    def test_inference_builds_no_tensor(self, monkeypatch):
+        models = [build(kind, alpha=0.2, seed=42) for kind in LOSS_KINDS]
+        x1, x2, c, targets = prepare_arrays(training_data(8, 43))
+        built = []
+        init = ad.Tensor.__init__
+        monkeypatch.setattr(ad.Tensor, "__init__",
+                            lambda t, *args, **kw: built.append(t) or init(t, *args, **kw))
+        for m in models:
+            m.predict_batch(x1, x2, c)
+            m.predict(NormalizedInput(x1=x1[0], x2=x2[0], c=c[0]))
+            training._validation_pass(m, (x1, x2, c, targets))
+        assert built == []
 
 
 class TestPredict:
