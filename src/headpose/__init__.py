@@ -4,9 +4,9 @@ A small gated network regresses yaw/pitch/roll and a log-variance per
 angle from normalized keypoint coordinates and confidences. The
 uncertainty feeds a mutual-gaze (LAEO) detector that discards unreliable
 heads. Everything runs on numpy: the network's forward and backward
-passes and each loss are in closed form with hand-derived gradients,
-linked during training by a small in-package autodiff; see the README
-for the CLI walk-through.
+passes and each loss are in closed form with hand-derived gradients, and
+a training step chains them directly; see the README for the CLI
+walk-through.
 
 The names below resolve on first use (PEP 562), so importing the package,
 or one command of its CLI, loads only the modules that are run.
@@ -28,17 +28,14 @@ _EXPORTS = {
     "ModelConfig": "model",
     "NoiseModel": "synthetic",
     "NormalizedInput": "keypoints",
-    "PlaneVector": "geometry",
     "PoseEstimate": "model",
     "PoseRange": "synthetic",
     "Sample": "synthetic",
     "TrainConfig": "training",
     "TrainHistory": "training",
-    "angular_error": "geometry",
     "generate_dataset": "synthetic",
     "mae": "geometry",
     "normalize": "keypoints",
-    "project_direction": "geometry",
     "synthesize": "synthetic",
     "train": "training",
 }

@@ -2,12 +2,14 @@
 
 A node holds its data, its parents and a closure producing the parents'
 gradient contributions; backward() walks the graph once in reverse
-topological order. Training builds three or four nodes per batch: the
-network's outputs as one node whose closure is the hand-derived backward
-pass (headpose.model), a node per head over it, and the loss as one node
-over those whose closure is hand-derived too (headpose.losses). Model
-weights are Parameters, whose data and gradient view the model's flat
-vectors.
+topological order. A Parameter is a leaf whose data and gradient view
+flat storage, such as a model's `flat` and `flat_grad` vectors.
+
+No module of the package uses this engine: the network and the losses
+are in closed form, and training chains them directly. It is the engine
+of the test oracles, the op graphs of the network and of the losses
+under tests/, which the closed forms must match bit for bit. It stays in
+the package only because the benchmark's tracer imports it from here.
 
 Everything is float64 and deterministic: identical inputs and parameters
 yield bit-identical outputs.

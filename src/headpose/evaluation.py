@@ -37,6 +37,8 @@ class EvalResult:
     @staticmethod
     def of(angles: np.ndarray, log_variance: np.ndarray | None, targets: np.ndarray,
            present: np.ndarray) -> "EvalResult":
+        # plain differences, no wraparound: poses stay within +/-99 degrees,
+        # and wrapping would silently shrink large errors
         errors = np.abs(angles - targets)
         mean_uncertainty = None if log_variance is None else log_variance.mean(axis=1)
         return EvalResult(*mae(errors), angles, log_variance, targets, present,

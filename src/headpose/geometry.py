@@ -1,4 +1,4 @@
-"""Euler-angle conventions, image-plane projection and angular error metrics.
+"""Euler-angle conventions, rotation matrices and the angular error metric.
 
 Conventions used throughout the package:
 
@@ -15,9 +15,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,31 +30,12 @@ class EulerPose:
     roll: float
 
 
-class PlaneVector(NamedTuple):
-    """Direction on the image plane; y grows downward."""
-
-    x: float
-    y: float
-
-
-def project_direction(pose: EulerPose) -> PlaneVector:
-    """Project the head direction onto the image plane.
-
-    Returns (sin yaw, -cos yaw * sin pitch). Roll never enters: it rotates
-    the head about the very axis being projected. The output magnitude is
-    at most 1.
-    """
-    y = math.radians(pose.yaw)
-    p = math.radians(pose.pitch)
-    return PlaneVector(math.sin(y), -math.cos(y) * math.sin(p))
-
-
 def rotation_matrix(poses: np.ndarray) -> np.ndarray:
     """Rotations for (..., 3) poses in degrees, (..., 3, 3), each R_pitch @ R_yaw @ R_roll.
 
     Orthonormal with determinant +1. The rotated forward vector
-    R @ (0, 0, -1) has image-plane components equal to
-    project_direction of the pose.
+    R @ (0, 0, -1) has image-plane components
+    (sin yaw, -cos yaw * sin pitch).
     """
     y, p, r = np.radians(np.moveaxis(np.asarray(poses, dtype=np.float64), -1, 0))
     cy, sy = np.cos(y), np.sin(y)
@@ -72,20 +52,6 @@ def rotation_matrix(poses: np.ndarray) -> np.ndarray:
     rpitch = stack(one, zero, zero, zero, cp, sp, zero, -sp, cp)
     rroll = stack(cr, -sr, zero, sr, cr, zero, zero, zero, one)
     return rpitch @ ryaw @ rroll
-
-
-def angular_error(pred: EulerPose, gt: EulerPose) -> tuple[float, float, float]:
-    """Per-angle absolute error in degrees, plain difference (no wraparound).
-
-    Benchmark poses stay within +/-99 degrees, where plain absolute
-    difference is the reported metric; wrapping would silently shrink
-    large errors.
-    """
-    return (
-        abs(pred.yaw - gt.yaw),
-        abs(pred.pitch - gt.pitch),
-        abs(pred.roll - gt.roll),
-    )
 
 
 def mae(

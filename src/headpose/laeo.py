@@ -131,10 +131,11 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _gazes(poses: np.ndarray) -> np.ndarray:
-    """geometry.project_direction of each (yaw, pitch, roll) row, as (n, 2).
+    """The image-plane projection (sin yaw, -cos yaw * sin pitch) of the head
+    direction of each (yaw, pitch, roll) row, as (n, 2); roll never enters.
 
     numpy's radians, sin and cos give math's results here, so each row
-    equals project_direction's bit for bit.
+    equals the scalar projection of tests/geometry_reference.py bit for bit.
     """
     yaw, pitch = np.radians(poses[:, :2]).T
     return np.stack([np.sin(yaw), -np.cos(yaw) * np.sin(pitch)], axis=1)

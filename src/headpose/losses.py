@@ -15,19 +15,16 @@ Each loss takes the output arrays, (B, ...) with B >= 1, and the (B, 3)
 targets, and returns the batch-mean value and its vjp: given the upstream
 gradient g, the hand-derived gradient with respect to `values` (and
 `logits` under combined). Both follow the op order of the equivalent
-autodiff graph, so values and gradients match it bit for bit; that graph
-is the test oracle in tests/loss_reference.py. `batch_loss` picks the
-loss of a kind; `loss_graph` wraps it as one autodiff node whose parents
-are the output tensors, and the gradients are computed only when
-backward() reaches that node.
+op graph, so values and gradients match it bit for bit; that graph is
+the test oracle in tests/loss_reference.py. `batch_loss` picks the loss
+of a kind, and training hands its vjp's arrays to `Model.backward`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .model import BIN_WIDTH_DEGREES, N_BINS, NetworkOutput
+from .model import BIN_WIDTH_DEGREES, N_BINS
 
 # N_BINS bins of BIN_WIDTH_DEGREES, centred on zero: [-99, 99] degrees.
 BIN_LO_DEGREES = -0.5 * N_BINS * BIN_WIDTH_DEGREES
@@ -127,10 +124,3 @@ def batch_loss(kind: str, values: np.ndarray, logits: np.ndarray | None, targets
         return combined(values, logits, targets)
     raise ValueError(f"unknown loss kind {kind!r}")
 
-
-def loss_graph(kind: str, output: NetworkOutput, targets: np.ndarray) -> ad.Tensor:
-    """The batch-mean loss of `kind` as one node over the output tensors."""
-    parents = (output.values,) if kind != "combined" else (output.values, output.logits)
-    logits = None if output.logits is None else output.logits.data
-    value, vjp = batch_loss(kind, output.values.data, logits, targets)
-    return ad.Tensor(value, parents, vjp)

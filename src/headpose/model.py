@@ -17,9 +17,10 @@ topology covers the full-size and reduced variants. The loss kind and
 that multiplier are the only settings; the rest of the architecture is
 the module constants below.
 
-The forward pass is numpy on arrays. Inference builds no autodiff node
-and keeps no activation; training wraps the outputs in one autodiff node
-whose vjp is the hand-derived backward pass.
+The forward and backward passes are numpy on arrays. Inference keeps no
+activation; training hands `outputs` a tape and gives `backward` the loss
+gradients of the heads, and `backward` adds every parameter's gradient
+into the flat gradient vector.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .geometry import EulerPose
 from .keypoints import N_KEYPOINTS, NormalizedInput
 
@@ -120,16 +120,8 @@ class PoseEstimate:
     log_variance: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class NetworkOutput:
-    """Raw head tensors; values is (B, 3) or (B, 6), logits optional."""
-
-    values: ad.Tensor
-    logits: ad.Tensor | None = None
-
-
-# The layers of Model.outputs. Each keeps the expression of the autodiff op
-# it replaced (tests/network_reference.py), so outputs match it bit for bit.
+# The layers of Model.outputs. Each keeps the expression of the graph op it
+# replaced (tests/network_reference.py), so outputs match it bit for bit.
 
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,22 +155,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _columns(heads: ad.Tensor, data: np.ndarray, lo: int, hi: int) -> ad.Tensor:
-    """Columns lo:hi of the heads node, passing their gradient back at full width."""
-
-    def vjp(g: np.ndarray) -> tuple[np.ndarray]:
-        full = np.zeros_like(heads.data)
-        full[:, lo:hi] = g
-        return (full,)
-
-    return ad.Tensor(data, (heads,), vjp)
-
-
 class Model:
-    """Parameter store plus the forward pass. Build via Model.build().
+    """Parameters plus the forward and backward passes. Build via Model.build().
 
-    `flat` holds every parameter and `flat_grad` every gradient; each tensor
-    in `params` views its slice of both, in parameter_layout order."""
+    `flat` holds every parameter and `flat_grad` every gradient; `params`
+    and `grads` map each name to an array viewing its slice of one of them,
+    in parameter_layout order."""
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
         self._layout = parameter_layout(config)
@@ -188,11 +170,12 @@ class Model:
         self.config = config
         self.flat = np.ascontiguousarray(flat, dtype=np.float64)
         self.flat_grad = np.zeros(self.flat.size)  # calloc: untouched pages until a backward
-        self.params = {
-            name: ad.Parameter(self.flat[lo:hi].reshape(shape),
-                               self.flat_grad[lo:hi].reshape(shape))
-            for (name, shape), lo, hi in zip(self._layout, self.offsets[:-1], self.offsets[1:])
-        }
+        self.params = self._views(self.flat)
+        self.grads = self._views(self.flat_grad)
+
+    def _views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: vector[lo:hi].reshape(shape)
+                for (name, shape), lo, hi in zip(self._layout, self.offsets[:-1], self.offsets[1:])}
 
     @staticmethod
     def build(config: ModelConfig, rng: np.random.Generator) -> "Model":
@@ -202,9 +185,6 @@ class Model:
     def parameter_at(self, index: int) -> str:
         """Name of the parameter holding element `index` of the flat vector."""
         return self._layout[int(np.searchsorted(self.offsets, index, side="right")) - 1][0]
-
-    def parameters(self) -> list[ad.Tensor]:
-        return list(self.params.values())
 
     def n_parameters(self) -> int:
         return self.flat.size
@@ -231,12 +211,12 @@ class Model:
         This is the one forward pass. Every layer applies its bias and
         activation in place and drops its input, so without a tape nothing
         but the outputs outlives the call. Given a list as tape, it receives
-        the activations and leaky-ReLU masks that `_backward` reads.
+        the activations and leaky-ReLU masks that `backward` reads.
         """
         if x1.ndim != 2 or x1.shape[1] != N_KEYPOINTS or not x1.shape == x2.shape == c.shape:
             raise ValueError(
                 f"expected three (B, {N_KEYPOINTS}) batches, got {x1.shape}, {x2.shape}, {c.shape}")
-        p = {name: t.data for name, t in self.params.items()}
+        p = self.params
         a1 = _leaky_relu(_conv(x1, p["conv_x1_w"], p["conv_x1_b"]), tape)
         a2 = _leaky_relu(_conv(x2, p["conv_x2_w"], p["conv_x2_b"]), tape)
         gate = _sigmoid(_conv(c, p["conv_c_w"], p["conv_c_b"]))
@@ -257,58 +237,36 @@ class Model:
         logits = _dense(h, p["logits_w"], p["logits_b"]) if "logits_w" in p else None
         return values, logits
 
-    def forward(self, x1: np.ndarray, x2: np.ndarray, c: np.ndarray) -> NetworkOutput:
-        """The outputs of a batch for training, as nodes over one autodiff node.
+    def backward(self, tape: list, g_values: np.ndarray,
+                 g_logits: np.ndarray | None = None) -> None:
+        """Reverse pass of `outputs` from the loss gradients of its values
+        and, under `combined`, its logits; adds every parameter's gradient
+        into flat_grad.
 
-        That node holds the head outputs side by side; its vjp is the
-        hand-derived backward, which adds every parameter's gradient into
-        flat_grad.
-        """
-        tape: list = []
-        values, logits = self.outputs(x1, x2, c, tape)
-
-        def backward(g: np.ndarray) -> tuple:
-            self._backward(tape, g)
-            return ()
-
-        heads = ad.Tensor(values if logits is None else np.hstack([values, logits]), (), backward)
-        n = values.shape[1]
-        if logits is None:
-            return NetworkOutput(_columns(heads, values, 0, n))
-        return NetworkOutput(_columns(heads, values, 0, n),
-                             _columns(heads, logits, n, heads.shape[1]))
-
-    def _backward(self, tape: list, g_heads: np.ndarray) -> None:
-        """Reverse pass of `outputs` from the gradient of the heads side by side.
-
-        Each step is the expression the autodiff op of that layer uses, so
+        Each step is the expression the graph op of that layer used, so
         the gradients equal the op graph's (tests/network_reference.py) bit
         for bit; the gate and the trunk output, the only values used twice,
         sum their two contributions, and IEEE addition is commutative.
         """
-        p = self.params
+        p, grad = self.params, self.grads
         # in forward order: the conv streams' masks, the inputs, the conv
         # activations and the gate, then each fc layer's input and mask, then
         # the trunk output
         m1, m2, x1, x2, c, a1, a2, gate, *trunk = tape
         h = trunk[-1]
-        g_h = None
-        lo = 0
-        for head in ("head", "logits") if "logits_w" in p else ("head",):
-            w, b = p[f"{head}_w"], p[f"{head}_b"]
-            # contiguous, as the op graph's output gradients are
-            g = np.ascontiguousarray(g_heads[:, lo : lo + b.data.size])
-            lo += b.data.size
-            w.grad += h.T @ g
-            b.grad += g.sum(axis=0)
-            g_x = g @ w.data.T
-            g_h = g_x if g_h is None else g_h + g_x
+        g_h = g_values @ p["head_w"].T
+        grad["head_w"] += h.T @ g_values
+        grad["head_b"] += g_values.sum(axis=0)
+        if g_logits is not None:
+            grad["logits_w"] += h.T @ g_logits
+            grad["logits_b"] += g_logits.sum(axis=0)
+            g_h = g_h + g_logits @ p["logits_w"].T
         for i in (2, 1, 0):
             h, mask = trunk[2 * i], trunk[2 * i + 1]
             g_z = g_h * np.where(mask, 1.0, LEAKY_SLOPE)
-            p[f"fc{i}_w"].grad += h.T @ g_z
-            p[f"fc{i}_b"].grad += g_z.sum(axis=0)
-            g_h = g_z @ p[f"fc{i}_w"].data.T
+            grad[f"fc{i}_w"] += h.T @ g_z
+            grad[f"fc{i}_b"] += g_z.sum(axis=0)
+            g_h = g_z @ p[f"fc{i}_w"].T
         g_h = g_h.reshape(len(g_h), 2, N_KEYPOINTS, N_FILTERS)
         g_a1, g_a2 = g_h[:, 0], g_h[:, 1]
         g_gate = g_a1 * a1 + g_a2 * a2
@@ -317,8 +275,8 @@ class Model:
             ("x2", x2, g_a2 * gate * np.where(m2, 1.0, LEAKY_SLOPE)),
             ("c", c, g_gate * gate * (1.0 - gate)),
         ):
-            p[f"conv_{stream}_w"].grad += np.tensordot(x[:, :, None], g_z, axes=([0, 1], [0, 1]))
-            p[f"conv_{stream}_b"].grad += g_z.sum(axis=(0, 1))
+            grad[f"conv_{stream}_w"] += np.tensordot(x[:, :, None], g_z, axes=([0, 1], [0, 1]))
+            grad[f"conv_{stream}_b"] += g_z.sum(axis=(0, 1))
 
     def predict(self, inputs: NormalizedInput) -> PoseEstimate:
         """One sample's estimate: predict_batch on a batch of one row."""

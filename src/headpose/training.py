@@ -5,8 +5,10 @@ indices with the caller's generator, so a fixed seed reproduces the run
 bit for bit. After each epoch the loss is measured on a held-out
 validation split, and the parameters that scored best are restored at the
 end, which matters here because the heteroscedastic objective can start
-oscillating once the variance head sharpens. Adam updates the model's
-flat parameter vector in place from its flat gradient vector.
+oscillating once the variance head sharpens. Each step chains the closed
+forms directly: the network's outputs, the loss and its vjp, then the
+network's backward pass into the model's flat gradient vector, from
+which Adam updates the flat parameter vector in place.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .formats import Dataset, prepare_arrays
-from .losses import batch_loss, loss_graph
+from .losses import batch_loss
 from .model import Model
 
 # Adam's moment decay rates and denominator guard, at the defaults of
@@ -89,6 +91,17 @@ class TrainHistory:
         }
 
 
+def loss_and_gradient(model: Model, x1: np.ndarray, x2: np.ndarray, c: np.ndarray,
+                      targets: np.ndarray) -> float:
+    """The batch-mean loss of a (B, 5) batch; its gradient replaces flat_grad."""
+    tape: list = []
+    values, logits = model.outputs(x1, x2, c, tape)
+    value, vjp = batch_loss(model.config.loss_kind, values, logits, targets)
+    model.flat_grad[...] = 0.0
+    model.backward(tape, *vjp(1.0))
+    return float(value)
+
+
 def _validation_pass(model: Model, arrays) -> tuple[float, list[float]]:
     """Loss plus per-angle MAE on a held-out split: one forward pass, no gradient."""
     x1, x2, c, targets = arrays
@@ -139,17 +152,13 @@ def train(
             running = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                out = model.forward(x1[idx], x2[idx], c[idx])
-                loss = loss_graph(model.config.loss_kind, out, targets[idx])
-                value = float(loss.data)
+                value = loss_and_gradient(model, x1[idx], x2[idx], c[idx], targets[idx])
                 if not np.isfinite(value):
                     raise FloatingPointError(
                         f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                         f" ({last_finite})"
                     )
                 last_finite = f"last finite training loss {value:.6g}"
-                model.flat_grad[...] = 0.0
-                loss.backward()
                 try:
                     opt.step(model, config)
                 except FloatingPointError as e:

@@ -9,23 +9,27 @@ from __future__ import annotations
 import numpy as np
 
 from headpose import autodiff as ad
+from headpose.model import Model
 from headpose.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, TrainConfig
 
 
 class TensorAdam:
-    """First/second moment accumulators for one parameter list."""
+    """First/second moment accumulators for a model's parameters, each a
+    leaf over the model's views of it in `flat` and `flat_grad`."""
 
-    def __init__(self, params: list[ad.Tensor]):
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+    def __init__(self, model: Model):
+        self.params = [ad.Parameter(model.params[name], model.grads[name])
+                       for name in model.params]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
-    def step(self, params: list[ad.Tensor], config: TrainConfig) -> None:
+    def step(self, config: TrainConfig) -> None:
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for i, p in enumerate(params):
+        for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue

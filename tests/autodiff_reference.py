@@ -1,5 +1,6 @@
-"""Test-only autodiff helpers: a finite-difference gradient checker, two
-extra element ops for exercising it, and the kink margin of a model.
+"""Test-only gradient helpers: a finite-difference gradient checker, for
+a graph or for any function with analytic gradients, two extra element
+ops for exercising it, and the kink margin of a model.
 """
 
 from __future__ import annotations
@@ -55,11 +56,37 @@ def grad_check(
     max_elements_per_param: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
+    """`difference_check` of a graph: fn rebuilds the scalar loss from the
+    current parameter data on every call, and backward() gives the
+    analytic gradients."""
+    out = fn()
+    if out.data.size != 1:
+        raise ValueError("grad_check needs a scalar-valued function")
+    for p in params:
+        p.zero_grad()
+    out = fn()
+    out.backward()
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    return difference_check(lambda: float(fn().data), [p.data for p in params], analytic,
+                            epsilon, floor, max_elements_per_param, rng)
+
+
+def difference_check(
+    value: Callable[[], float],
+    arrays: Sequence[np.ndarray],
+    analytic: Sequence[np.ndarray],
+    epsilon: float = 1e-6,
+    floor: float = 1e-3,
+    max_elements_per_param: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
-    fn rebuilds the scalar loss from the current parameter data on every
-    call. When max_elements_per_param is set, a seeded random subset of
-    each parameter's elements is checked instead of all of them.
+    value() recomputes the scalar from the current contents of `arrays`,
+    which are perturbed in place one element at a time; analytic[k] is
+    the gradient of arrays[k]. When max_elements_per_param is set, a
+    seeded random subset of each array's elements is checked instead of
+    all of them, the arrays drawn for in order.
 
     Each element's error is |analytic - numeric| / max(|analytic|,
     |numeric|, floor). The floor keeps the ratio meaningful where both
@@ -71,18 +98,9 @@ def grad_check(
         raise ValueError(f"epsilon {epsilon} outside (0, 1e-2]")
     if floor <= 0.0:
         raise ValueError("floor must be > 0")
-    out = fn()
-    if out.data.size != 1:
-        raise ValueError("grad_check needs a scalar-valued function")
-    for p in params:
-        p.zero_grad()
-    out = fn()
-    out.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
     worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
+    for array, a in zip(arrays, analytic):
+        flat = array.reshape(-1)
         n = flat.size
         if max_elements_per_param is not None and n > max_elements_per_param:
             picker = rng if rng is not None else np.random.default_rng(0)
@@ -93,9 +111,9 @@ def grad_check(
         for i in indices:
             orig = flat[i]
             flat[i] = orig + epsilon
-            fplus = float(fn().data)
+            fplus = value()
             flat[i] = orig - epsilon
-            fminus = float(fn().data)
+            fminus = value()
             flat[i] = orig
             numeric = (fplus - fminus) / (2.0 * epsilon)
             denom = max(abs(aflat[i]), abs(numeric), floor)

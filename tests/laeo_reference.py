@@ -27,8 +27,10 @@ import math
 
 import numpy as np
 
-from headpose.geometry import EulerPose, project_direction
+from headpose.geometry import EulerPose
 from headpose.laeo import DEFAULT_DELTA, DEFAULT_TAU, LaeoResult, uncertainty_weight
+
+from geometry_reference import project_direction
 
 
 def gaze_2d(yaw_deg: float, pitch_deg: float) -> tuple[float, float]:

@@ -5,8 +5,10 @@ likelihood identity the heteroscedastic loss rests on. The graph oracles
 build each batch-mean loss from general autodiff nodes (slices, element
 ops, a row-wise cross entropy and a sum); headpose.losses derives the
 same values and output gradients by hand, in the same op order, and the
-tests require the two to agree bit for bit. Nothing in the package calls
-this file.
+tests require the two to agree bit for bit. `loss_and_gradient` chains
+the network graph and the loss graph: the oracle of the training step
+`headpose.training.loss_and_gradient`. Nothing in the package calls this
+file.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import numpy as np
 from headpose.autodiff import Tensor
 from headpose.geometry import EulerPose
 from headpose.losses import bin_index
-from headpose.model import N_BINS, NetworkOutput, PoseEstimate
+from headpose.model import N_BINS, Model, PoseEstimate
 
-from network_reference import mul
+import network_reference
+from network_reference import NetworkOutput, mul
 
 
 def as_array(pose: EulerPose) -> np.ndarray:
@@ -236,3 +239,12 @@ def loss_graph(kind: str, output: NetworkOutput, targets: np.ndarray) -> Tensor:
     if kind == "combined":
         return combined_loss_graph(output, targets)
     raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def loss_and_gradient(model: Model, x1: np.ndarray, x2: np.ndarray, c: np.ndarray,
+                      targets: np.ndarray) -> float:
+    """training.loss_and_gradient from the op graphs of the network and the loss."""
+    model.flat_grad[...] = 0.0
+    loss = loss_graph(model.config.loss_kind, network_reference.forward(model, x1, x2, c), targets)
+    loss.backward()
+    return float(loss.data)

@@ -1,5 +1,5 @@
 """The network as a graph of general autodiff ops: the test oracle of
-`Model.outputs`, `Model.forward` and its hand-derived backward.
+`Model.outputs` and the hand-derived `Model.backward`.
 
 The seven ops below are the ones `headpose.autodiff` held before the
 network moved to closed form, and `forward` is the graph the model built
@@ -10,12 +10,21 @@ conv1d, flatten) take batches only, with the batch on the leading axis.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from headpose.autodiff import Tensor
-from headpose.model import LEAKY_SLOPE, Model, NetworkOutput
+from headpose.autodiff import Parameter, Tensor
+from headpose.model import LEAKY_SLOPE, Model
+
+
+@dataclass(frozen=True)
+class NetworkOutput:
+    """Raw head tensors; values is (B, 3) or (B, 6), logits optional."""
+
+    values: Tensor
+    logits: Tensor | None = None
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -104,8 +113,12 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def forward(model: Model, x1: np.ndarray, x2: np.ndarray, c: np.ndarray) -> NetworkOutput:
-    """The model's outputs as the op graph; backward() adds into flat_grad."""
-    p = model.params
+    """The model's outputs as the op graph; backward() adds into flat_grad.
+
+    Each parameter is a leaf over the model's views of it in `flat` and
+    `flat_grad`.
+    """
+    p = {name: Parameter(model.params[name], model.grads[name]) for name in model.params}
     a1 = leaky_relu(conv1d(Tensor(x1), p["conv_x1_w"], p["conv_x1_b"]), LEAKY_SLOPE)
     a2 = leaky_relu(conv1d(Tensor(x2), p["conv_x2_w"], p["conv_x2_b"]), LEAKY_SLOPE)
     gate = sigmoid(conv1d(Tensor(c), p["conv_c_w"], p["conv_c_b"]))

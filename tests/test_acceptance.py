@@ -16,20 +16,19 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from headpose import autodiff as ad
 from headpose import cli
 from headpose.evaluation import error_by_keypoint_count, evaluate, pearson
 from headpose.formats import read_dataset, read_model, write_model
 from headpose.geometry import EulerPose
 from headpose.keypoints import KeypointSet, normalize
 from headpose.laeo import evaluate_laeo
-from headpose.losses import loss_graph
+from headpose.losses import batch_loss
 from headpose.model import Model, ModelConfig, PoseEstimate
 from headpose.synthetic import NoiseModel, PoseRange, generate_dataset, synthesize
-from headpose.training import TrainConfig, prepare_arrays, train
+from headpose.training import TrainConfig, loss_and_gradient, prepare_arrays, train
 
 import frame_rows
-from autodiff_reference import grad_check
+from autodiff_reference import difference_check
 from laeo_reference import brute_force_scores
 from loss_reference import heteroscedastic_loss, nll_gap, squared_error_loss
 from test_laeo import as_plain, random_frames, separable_frames
@@ -99,8 +98,8 @@ def test_criterion_2_model_file_size(tmp_path, capsys):
     write_model(path, model)
     size = path.stat().st_size
     x1, x2, c, _ = prepare_arrays(synthesize(64, np.random.default_rng(3)))
-    before = model.forward(x1, x2, c).values.data
-    after = read_model(path).forward(x1, x2, c).values.data
+    before, _ = model.outputs(x1, x2, c)
+    after, _ = read_model(path).outputs(x1, x2, c)
     drift = float(np.abs(after - before).max())
     ok = size < 500_000 and drift < 1e-4
     announce(
@@ -149,6 +148,8 @@ def test_criterion_3_loss_correctness(capsys):
 
 
 def test_criterion_4_gradient_integrity(capsys):
+    # the flat_grad of loss_and_gradient against central differences of
+    # batch_loss, perturbing model.flat through the parameter views
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(5):
@@ -156,17 +157,19 @@ def test_criterion_4_gradient_integrity(capsys):
         x1, x2, c, _ = prepare_arrays(data)
         for kind in ("heteroscedastic", "mse", "combined"):
             model = Model.build(ModelConfig(kind), np.random.default_rng(100 + seed))
-            base = model.forward(x1, x2, c).values.data
+            base, _ = model.outputs(x1, x2, c)
             targets = base[:, :3] + np.random.default_rng(1000 + seed).normal(0.0, 0.3, (8, 3))
 
-            def build() -> ad.Tensor:
-                return loss_graph(kind, model.forward(x1, x2, c), targets)
+            def value() -> float:
+                return float(batch_loss(kind, *model.outputs(x1, x2, c), targets)[0])
 
+            loss_and_gradient(model, x1, x2, c, targets)
             worst = max(
                 worst,
-                grad_check(
-                    build,
-                    model.parameters(),
+                difference_check(
+                    value,
+                    list(model.params.values()),
+                    [g.copy() for g in model.grads.values()],
                     epsilon=1e-5,
                     max_elements_per_param=20,
                     rng=np.random.default_rng(seed),

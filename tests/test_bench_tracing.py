@@ -25,16 +25,19 @@ def test_tracer_covers_the_laeo_command(tmp_path, monkeypatch, capsys):
     tracer = Tracer()
     tracer.install()
     try:
-        # the names the package no longer has, all twelve autodiff ops among
-        # them (the network and the losses are in closed form); any other is a
-        # lost layer
+        # the names the package no longer has: all twelve autodiff ops (the
+        # network and the losses are in closed form), and Model.forward and
+        # training.loss_graph (training chains the closed forms without a
+        # graph); any other is a lost layer
         assert tracer.missing == [
             "headpose.training.stack_normalized",
+            "Model.forward",
             "headpose.autodiff.dense", "headpose.autodiff.conv1d", "headpose.autodiff.leaky_relu",
             "headpose.autodiff.sigmoid", "headpose.autodiff.mul", "headpose.autodiff.concat",
             "headpose.autodiff.flatten",
             "headpose.autodiff.slice_last", "headpose.autodiff.sub", "headpose.autodiff.exp",
             "headpose.autodiff.scale", "headpose.autodiff.tsum",
+            "headpose.training.loss_graph",
             "headpose.laeo.score_pair",
         ]
         argv = ["laeo", "--frames", str(DATA / "laeo_frames_labelled.jsonl"),
@@ -74,5 +77,6 @@ def test_tracer_covers_synth_and_train(tmp_path, monkeypatch, capsys):
     assert tracer.check() == []
     spans = {(span[1], span[0]) for span in tracer.spans}
     assert {(0, "cli.synth"), (0, "synthetic.generate_dataset"), (0, "formats.write_dataset"),
-            (1, "cli.train"), (1, "training.train"), (1, "formats.write_model")} <= spans
+            (1, "cli.train"), (1, "training.train"), (1, "training.prepare_arrays"),
+            (1, "training.adam_step"), (1, "formats.write_model")} <= spans
     assert tracer.epochs == 1  # the train span saw the history it returned

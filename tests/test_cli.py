@@ -884,16 +884,18 @@ class TestParser:
 
 
 # The headpose modules each command loads when `cli.main` runs it in a fresh
-# process: `laeo` without a model loads no network or training code, no
-# command here loads training, loss or synthesis code, and only `eval` loads
-# evaluation code. `geometry` comes with `model`.
+# process: `laeo` without a model loads no network or training code, only
+# `train` loads training and loss code, no command here loads synthesis
+# code, only `eval` loads evaluation code, and none loads `autodiff`, the
+# engine of the test oracles. `geometry` comes with `model`.
 SCORING = {"cli", "formats", "keypoints", "laeo_settings"}
-NETWORK = {"model", "autodiff", "geometry"}
+NETWORK = {"model", "geometry"}
 LOADED_BY = {
     "laeo": SCORING | {"laeo"},
     "laeo --model": SCORING | NETWORK | {"laeo"},
     "infer": SCORING | NETWORK,
     "eval": SCORING | NETWORK | {"evaluation"},
+    "train": SCORING | NETWORK | {"training", "losses"},
 }
 LIST_MODULES = """
 import sys
@@ -919,6 +921,8 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, command):
                   "--out", out],
         "eval": ["eval", "--model", model, "--data", str(DATA / "score_pin.jsonl"),
                  "--report", out],
+        "train": ["train", "--data", str(DATA / "score_pin.jsonl"), "--epochs", "1",
+                  "--alpha", "0.2", "--out", out],
     }[command]
     src = str(Path(cli.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -325,8 +325,8 @@ class TestModelFile:
             loaded = read_model(path)
             assert loaded.config == model.config
             for name, _ in parameter_layout(model.config):
-                expect = model.params[name].data.astype("<f4").astype(np.float64)
-                assert np.array_equal(loaded.params[name].data, expect), name
+                expect = model.params[name].astype("<f4").astype(np.float64)
+                assert np.array_equal(loaded.params[name], expect), name
 
     def test_second_write_is_byte_identical(self, tmp_path):
         model = self.build()
@@ -400,7 +400,7 @@ class TestModelFile:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])  # 1e39 overflows float32
     def test_write_refuses_non_finite_tensor(self, tmp_path, bad):
         model = self.build("mse", alpha=0.2)
-        model.params["head_b"].data[1] = bad
+        model.params["head_b"][1] = bad
         path = tmp_path / "m.hpm"
         with pytest.raises(ValueError, match="non-finite value in tensor head_b"):
             write_model(path, model)

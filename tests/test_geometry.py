@@ -1,4 +1,8 @@
-"""Angle conventions, projection and error metrics."""
+"""Angle conventions, projection and error metrics.
+
+The image-plane projection is the scalar oracle in
+tests/geometry_reference.py; `laeo` computes it on arrays.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from headpose.geometry import (
-    EulerPose,
-    angular_error,
-    mae,
-    project_direction,
-    rotation_matrix,
-)
+from headpose.evaluation import EvalResult
+from headpose.geometry import EulerPose, mae, rotation_matrix
 
 import synthetic_reference
+from geometry_reference import project_direction
 
 
 def random_poses(n, rng, yaw=178.0, pitch=178.0, roll=178.0):
@@ -97,14 +97,19 @@ class TestRotationMatrix:
             assert r.tobytes() == synthetic_reference.rotation_matrix(pose).tobytes()
 
 
+def scored(angles, targets):
+    """The EvalResult of one record: its per-angle errors are its MAE."""
+    return EvalResult.of(np.array([angles], dtype=np.float64),
+                         None, np.array([targets], dtype=np.float64), np.array([5]))
+
+
 class TestErrors:
     def test_plain_absolute_difference(self):
-        err = angular_error(EulerPose(10, -5, 3), EulerPose(4, 5, 3))
-        assert err == (6.0, 10.0, 0.0)
+        result = scored((10, -5, 3), (4, 5, 3))
+        assert (result.mae_yaw, result.mae_pitch, result.mae_roll) == (6.0, 10.0, 0.0)
 
     def test_no_wraparound(self):
-        err = angular_error(EulerPose(179, 0, 0), EulerPose(-179, 0, 0))
-        assert err[0] == 358.0
+        assert scored((179, 0, 0), (-179, 0, 0)).mae_yaw == 358.0
 
     def test_mae_single_triple(self):
         y, p, r, overall = mae([(3.04, 4.79, 3.21)])

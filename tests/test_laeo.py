@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headpose.formats import RecordError
-from headpose.geometry import EulerPose, project_direction
+from headpose.geometry import EulerPose
 from headpose.laeo import (
     DEFAULT_DELTA,
     DEFAULT_TAU,
@@ -26,6 +26,7 @@ from headpose.laeo import (
 
 import frame_rows
 import laeo_reference
+from geometry_reference import project_direction
 from laeo_reference import brute_force_scores, per_pair_evaluation
 
 

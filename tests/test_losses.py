@@ -3,6 +3,7 @@
 The per-sample numeric oracles and the loss graph oracle live in
 tests/loss_reference.py; the closed-form losses must match the graphs bit
 for bit, in value, output gradients, parameter gradients and Adam steps.
+For the last two, the graph of the loss sits on the closed-form network.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from headpose import autodiff as ad
 from headpose import training
 from headpose.formats import prepare_arrays
 from headpose.geometry import EulerPose
-from headpose.losses import BIN_HI_DEGREES, BIN_LO_DEGREES, bin_index, loss_graph
-from headpose.model import LOSS_KINDS, Model, ModelConfig, NetworkOutput, PoseEstimate
+from headpose.losses import BIN_HI_DEGREES, BIN_LO_DEGREES, batch_loss, bin_index
+from headpose.model import LOSS_KINDS, Model, ModelConfig, PoseEstimate
 from headpose.synthetic import NoiseModel, synthesize
-from headpose.training import TrainConfig, train
+from headpose.training import TrainConfig, loss_and_gradient, train
 
 import loss_reference
 from loss_reference import (
@@ -36,6 +37,7 @@ from loss_reference import (
     squared_error_loss,
     squared_error_value,
 )
+from network_reference import NetworkOutput
 
 
 def het_values(pose, log_var):
@@ -154,115 +156,124 @@ class TestPerSampleValues:
 
 
 def batch_output(kind, rng, batch=8):
+    """The output arrays of a network of `kind` on a random batch."""
     cfg = ModelConfig(loss_kind=kind)
     m = Model.build(cfg, np.random.default_rng(99))
     x1 = rng.uniform(-1, 1, size=(batch, 5))
     x2 = rng.uniform(-1, 1, size=(batch, 5))
     c = rng.uniform(0, 1, size=(batch, 5))
-    return m.forward(x1, x2, c)
+    return m.outputs(x1, x2, c)
+
+
+def leaves(values, logits=None):
+    """Output arrays as fresh leaves of the graph oracle."""
+    return NetworkOutput(ad.Tensor(values.copy()),
+                         None if logits is None else ad.Tensor(logits.copy()))
 
 
 class TestGraphs:
     def test_heteroscedastic_graph_matches_numeric(self):
         rng = np.random.default_rng(4)
-        out = batch_output("heteroscedastic", rng)
+        values, _ = batch_output("heteroscedastic", rng)
         targets = rng.normal(0, 2, size=(8, 3))
-        expect = float(heteroscedastic_loss(out.values.data, targets).mean())
-        for g in (loss_graph("heteroscedastic", out, targets),
-                  heteroscedastic_loss_graph(out, targets)):
-            assert float(g.data) == pytest.approx(expect, abs=1e-12)
+        expect = float(heteroscedastic_loss(values, targets).mean())
+        for value in (batch_loss("heteroscedastic", values, None, targets)[0],
+                      heteroscedastic_loss_graph(leaves(values), targets).data):
+            assert float(value) == pytest.approx(expect, abs=1e-12)
 
     def test_mse_graph_matches_numeric(self):
         rng = np.random.default_rng(5)
-        out = batch_output("mse", rng)
+        values, _ = batch_output("mse", rng)
         targets = rng.normal(0, 2, size=(8, 3))
-        expect = float(squared_error_loss(out.values.data, targets).mean())
-        for g in (loss_graph("mse", out, targets), mse_loss_graph(out, targets)):
-            assert float(g.data) == pytest.approx(expect, abs=1e-12)
+        expect = float(squared_error_loss(values, targets).mean())
+        for value in (batch_loss("mse", values, None, targets)[0],
+                      mse_loss_graph(leaves(values), targets).data):
+            assert float(value) == pytest.approx(expect, abs=1e-12)
 
     def test_combined_graph_matches_per_sample_values(self):
         rng = np.random.default_rng(6)
-        out = batch_output("combined", rng)
+        values, logits = batch_output("combined", rng)
         targets = rng.uniform(-60, 60, size=(8, 3))
         per_sample = [
-            combined_value(
-                EulerPose(*out.values.data[i]), out.logits.data[i], EulerPose(*targets[i])
-            ).total
+            combined_value(EulerPose(*values[i]), logits[i], EulerPose(*targets[i])).total
             for i in range(8)
         ]
-        for g in (loss_graph("combined", out, targets), combined_loss_graph(out, targets)):
-            assert float(g.data) == pytest.approx(float(np.mean(per_sample)), abs=1e-12)
+        for value in (batch_loss("combined", values, logits, targets)[0],
+                      combined_loss_graph(leaves(values, logits), targets).data):
+            assert float(value) == pytest.approx(float(np.mean(per_sample)), abs=1e-12)
 
     def test_single_sample_graph_is_sum_not_mean(self):
         rng = np.random.default_rng(7)
         cfg = ModelConfig("heteroscedastic")
         m = Model.build(cfg, np.random.default_rng(98))
         x = rng.uniform(-1, 1, size=(1, 5))
-        out = m.forward(x, x, np.ones((1, 5)))
+        values, logits = m.outputs(x, x, np.ones((1, 5)))
         target = np.zeros((1, 3))
-        g = loss_graph("heteroscedastic", out, target)
-        assert float(g.data) == pytest.approx(
-            float(heteroscedastic_loss(out.values.data, target).sum()), abs=1e-12
+        value, _ = batch_loss("heteroscedastic", values, logits, target)
+        assert float(value) == pytest.approx(
+            float(heteroscedastic_loss(values, target).sum()), abs=1e-12
         )
 
     def test_head_width_validation(self):
         rng = np.random.default_rng(8)
-        het = batch_output("heteroscedastic", rng)
-        mse = batch_output("mse", rng)
+        het, _ = batch_output("heteroscedastic", rng)
+        mse, _ = batch_output("mse", rng)
         with pytest.raises(ValueError, match="mse loss needs 3 outputs"):
-            loss_graph("mse", het, np.zeros((8, 3)))
+            batch_loss("mse", het, None, np.zeros((8, 3)))
         with pytest.raises(ValueError, match="heteroscedastic loss needs 6 outputs"):
-            loss_graph("heteroscedastic", mse, np.zeros((8, 3)))
-        short = NetworkOutput(mse.values, ad.Tensor(np.zeros((8, 10))))
+            batch_loss("heteroscedastic", mse, None, np.zeros((8, 3)))
         with pytest.raises(ValueError, match="expected 198 logits"):
-            loss_graph("combined", short, np.zeros((8, 3)))
+            batch_loss("combined", mse, np.zeros((8, 10)), np.zeros((8, 3)))
 
     def test_combined_needs_logits_and_batch(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError, match="bin-logits head"):
-            loss_graph("combined", batch_output("mse", rng), np.zeros((8, 3)))
+            batch_loss("combined", *batch_output("mse", rng), np.zeros((8, 3)))
         # an unbatched sample is refused before any loss sees it
         m = Model.build(ModelConfig("combined"), np.random.default_rng(97))
         with pytest.raises(ValueError, match="batch"):
-            m.forward(np.ones(5), np.ones(5), np.ones(5))
+            m.outputs(np.ones(5), np.ones(5), np.ones(5))
 
     def test_dispatcher(self):
         rng = np.random.default_rng(10)
         targets = np.zeros((8, 3))
         for kind in LOSS_KINDS:
-            out = batch_output(kind, rng)
-            a = loss_graph(kind, out, targets)
-            b = loss_reference.loss_graph(kind, out, targets)
-            assert float(a.data) == float(b.data)
+            values, logits = batch_output(kind, rng)
+            a, _ = batch_loss(kind, values, logits, targets)
+            b = loss_reference.loss_graph(kind, leaves(values, logits), targets)
+            assert float(a) == float(b.data)
         with pytest.raises(ValueError, match="unknown loss kind"):
-            loss_graph("nope", out, targets)
+            batch_loss("nope", values, logits, targets)
 
     def test_graphs_backpropagate(self):
         rng = np.random.default_rng(11)
         m = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(96))
         x1 = rng.uniform(-1, 1, size=(4, 5))
-        out = m.forward(x1, x1, np.ones((4, 5)))
-        g = loss_graph("heteroscedastic", out, np.zeros((4, 3)))
-        g.backward()
-        grads = [p.grad for p in m.parameters()]
-        assert all(g is not None for g in grads)
-        assert any(np.abs(g).max() > 0 for g in grads)
+        loss_and_gradient(m, x1, x1, np.ones((4, 5)), np.zeros((4, 3)))
+        assert any(np.abs(g).max() > 0 for g in m.grads.values())
 
 
 def outputs(kind, rng, batch):
-    """Random network outputs for `kind`, wide in scale, as fresh leaves."""
+    """Random network outputs for `kind`, wide in scale: values and logits
+    (None unless combined)."""
     width = 6 if kind == "heteroscedastic" else 3
     values = rng.normal(0.0, rng.choice([0.1, 3.0, 30.0]), (batch, width))
     logits = None
     if kind == "combined":
-        logits = ad.Tensor(rng.normal(0.0, rng.choice([0.1, 3.0, 30.0]), (batch, 198)))
-    return NetworkOutput(ad.Tensor(values), logits)
+        logits = rng.normal(0.0, rng.choice([0.1, 3.0, 30.0]), (batch, 198))
+    return values, logits
 
 
-def fresh(out):
-    """The same outputs as new leaves, so two losses never share gradients."""
-    logits = None if out.logits is None else ad.Tensor(out.logits.data.copy())
-    return NetworkOutput(ad.Tensor(out.values.data.copy()), logits)
+def loss_graph_and_gradient(model, x1, x2, c, targets):
+    """training.loss_and_gradient with the loss from its graph oracle: the
+    graph's output gradients go to the closed-form Model.backward."""
+    tape = []
+    out = leaves(*model.outputs(x1, x2, c, tape))
+    loss = loss_reference.loss_graph(model.config.loss_kind, out, targets)
+    loss.backward()
+    model.flat_grad[...] = 0.0
+    model.backward(tape, out.values.grad, None if out.logits is None else out.logits.grad)
+    return float(loss.data)
 
 
 def training_data(n, seed):
@@ -282,46 +293,47 @@ class TestClosedForm:
         rng = np.random.default_rng(LOSS_KINDS.index(kind))
         for batch in (1, 2, 3, 17, 64, 79):
             for _ in range(20):
-                out = outputs(kind, rng, batch)
+                values, logits = outputs(kind, rng, batch)
                 targets = rng.uniform(-99.0, 99.0, (batch, 3))
-                oracle = fresh(out)
-                new = loss_graph(kind, out, targets)
+                oracle = leaves(values, logits)
+                new, vjp = batch_loss(kind, values, logits, targets)
                 old = loss_reference.loss_graph(kind, oracle, targets)
-                assert np.array_equal(new.data, old.data)
-                new.backward()
+                assert np.array_equal(new, old.data)
+                grads = vjp(1.0)
                 old.backward()
-                assert np.array_equal(out.values.grad, oracle.values.grad)
+                assert np.array_equal(grads[0], oracle.values.grad)
                 if kind == "combined":
-                    assert np.array_equal(out.logits.grad, oracle.logits.grad)
+                    assert np.array_equal(grads[1], oracle.logits.grad)
+                else:
+                    assert len(grads) == 1
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
-    def test_loss_is_one_node_over_the_outputs(self, kind, monkeypatch):
-        out = outputs(kind, np.random.default_rng(3), 4)
+    def test_batch_loss_builds_no_node(self, kind, monkeypatch):
+        values, logits = outputs(kind, np.random.default_rng(3), 4)
         nodes = []
         init = ad.Tensor.__init__
         monkeypatch.setattr(ad.Tensor, "__init__",
                             lambda t, *args, **kw: nodes.append(t) or init(t, *args, **kw))
-        loss = loss_graph(kind, out, np.zeros((4, 3)))
-        assert nodes == [loss] and loss.shape == ()
-        assert out.values.grad is None  # nothing flows before backward()
-        loss.backward()
-        assert out.values.grad.shape == out.values.shape
+        value, vjp = batch_loss(kind, values, logits, np.zeros((4, 3)))
+        grads = vjp(1.0)
+        assert nodes == [] and np.shape(value) == ()
+        assert grads[0].shape == values.shape
         if kind == "combined":
-            assert out.logits.grad.shape == out.logits.shape
+            assert grads[1].shape == logits.shape
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_flat_grad_equals_the_graph(self, kind):
         x1, x2, c, targets = prepare_arrays(training_data(40, 12))
         model = Model.build(ModelConfig(kind), np.random.default_rng(13))
         for rows in (slice(0, 1), slice(0, 40)):
-            grads = []
-            for build in (loss_graph, loss_reference.loss_graph):
-                model.flat_grad[...] = 0.0
-                out = model.forward(x1[rows], x2[rows], c[rows])
-                build(kind, out, targets[rows]).backward()
-                grads.append(model.flat_grad.copy())
-            assert np.array_equal(grads[0], grads[1])
-            assert np.abs(grads[0]).max() > 0.0
+            runs = []
+            for step in (loss_and_gradient, loss_graph_and_gradient):
+                loss = step(model, x1[rows], x2[rows], c[rows], targets[rows])
+                runs.append((loss, model.flat_grad.copy()))
+            (new, new_grad), (old, old_grad) = runs
+            assert new == old
+            assert np.array_equal(new_grad, old_grad)
+            assert np.abs(new_grad).max() > 0.0
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_adam_steps_equal_the_graph(self, kind, monkeypatch):
@@ -330,8 +342,8 @@ class TestClosedForm:
         data, val = training_data(193, 14), training_data(20, 15)
         config = TrainConfig(n_epochs=31, batch_size=16)
         runs = []
-        for build in (loss_graph, loss_reference.loss_graph):
-            monkeypatch.setattr(training, "loss_graph", build)
+        for step in (loss_and_gradient, loss_graph_and_gradient):
+            monkeypatch.setattr(training, "loss_and_gradient", step)
             model = Model.build(ModelConfig(kind), np.random.default_rng(16))
             history = train(model, data, config, np.random.default_rng(17), val=val)
             runs.append((model.flat.copy(), history.to_dict()))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from headpose import training
 from headpose.formats import prepare_arrays, read_model, write_model
 from headpose.geometry import EulerPose
 from headpose.keypoints import NormalizedInput
-from headpose.losses import loss_graph
 from headpose.model import (
     FC_BASE,
     FIXED_CONFIG,
@@ -28,8 +26,9 @@ from headpose.model import (
     scaled_width,
 )
 from headpose.synthetic import NoiseModel, synthesize
-from headpose.training import TrainConfig, train
+from headpose.training import TrainConfig, loss_and_gradient, train
 
+import loss_reference
 import network_reference
 from autodiff_reference import kink_margin
 
@@ -49,7 +48,7 @@ def rand_inputs(rng, batch=1):
 
 def numpy_forward(model, x1, x2, c):
     """Independent re-implementation of the forward pass for one sample."""
-    p = {k: t.data for k, t in model.params.items()}
+    p = model.params
     slope = LEAKY_SLOPE
 
     def conv_k1(x, w, b):  # kernel size 1: per-position affine
@@ -197,29 +196,29 @@ class TestForward:
         for kind in ("heteroscedastic", "mse", "combined"):
             m = build(kind, seed=2)
             x1, x2, c = rand_inputs(rng)
-            out = m.forward(x1, x2, c)
-            values, logits = numpy_forward(m, x1[0], x2[0], c[0])
-            assert np.allclose(out.values.data[0], values, atol=1e-12)
+            values, logits = m.outputs(x1, x2, c)
+            expect_values, expect_logits = numpy_forward(m, x1[0], x2[0], c[0])
+            assert np.allclose(values[0], expect_values, atol=1e-12)
             if kind == "combined":
-                assert np.allclose(out.logits.data[0], logits, atol=1e-12)
+                assert np.allclose(logits[0], expect_logits, atol=1e-12)
             else:
-                assert out.logits is None
+                assert logits is None
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(3)
         m = build()
         x1, x2, c = rand_inputs(rng, batch=7)
-        out = m.forward(x1, x2, c)
-        assert out.values.shape == (7, 6)
+        values, _ = m.outputs(x1, x2, c)
+        assert values.shape == (7, 6)
         for i in range(7):
-            single = m.forward(x1[i : i + 1], x2[i : i + 1], c[i : i + 1])
-            assert np.allclose(out.values.data[i], single.values.data[0], atol=1e-12)
+            single, _ = m.outputs(x1[i : i + 1], x2[i : i + 1], c[i : i + 1])
+            assert np.allclose(values[i], single[0], atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         x1, x2, c = rand_inputs(rng)
-        a = build(seed=5).forward(x1, x2, c).values.data
-        b = build(seed=5).forward(x1, x2, c).values.data
+        a, _ = build(seed=5).outputs(x1, x2, c)
+        b, _ = build(seed=5).outputs(x1, x2, c)
         assert np.array_equal(a, b)
 
     def test_confidence_moves_the_gate(self):
@@ -227,22 +226,22 @@ class TestForward:
         m = build(seed=6)
         rng = np.random.default_rng(7)
         x1, x2, c = rand_inputs(rng)
-        lo = m.forward(x1, x2, c * 0.1).values.data
-        hi = m.forward(x1, x2, np.minimum(c * 0.1 + 0.9, 1.0)).values.data
+        lo, _ = m.outputs(x1, x2, c * 0.1)
+        hi, _ = m.outputs(x1, x2, np.minimum(c * 0.1 + 0.9, 1.0))
         assert not np.allclose(lo, hi)
 
     def test_output_head_shapes(self):
         rng = np.random.default_rng(8)
         x1, x2, c = rand_inputs(rng)
-        assert build("heteroscedastic").forward(x1, x2, c).values.shape == (1, 6)
-        assert build("mse").forward(x1, x2, c).values.shape == (1, 3)
-        out = build("combined").forward(x1, x2, c)
-        assert out.values.shape == (1, 3) and out.logits.shape == (1, 198)
+        assert build("heteroscedastic").outputs(x1, x2, c)[0].shape == (1, 6)
+        assert build("mse").outputs(x1, x2, c)[0].shape == (1, 3)
+        values, logits = build("combined").outputs(x1, x2, c)
+        assert values.shape == (1, 3) and logits.shape == (1, 198)
 
     def test_batches_only(self):
         x1, x2, c = rand_inputs(np.random.default_rng(8))
         with pytest.raises(ValueError, match="batch"):
-            build().forward(x1[0], x2[0], c[0])
+            build().outputs(x1[0], x2[0], c[0])
 
     def test_kink_margin_positive(self):
         rng = np.random.default_rng(9)
@@ -256,15 +255,15 @@ def training_data(n, seed):
     return synthesize(n, np.random.default_rng(seed), noise=NoiseModel(1.0, 0.02))
 
 
-def graph_outputs(model, x1, x2, c, tape=None):
+def graph_outputs(model, x1, x2, c):
     """Model.outputs from the op graph oracle."""
     out = network_reference.forward(model, x1, x2, c)
     return out.values.data, None if out.logits is None else out.logits.data
 
 
 class TestClosedFormNetwork:
-    """Model.outputs, Model.forward and its backward against the op graph
-    of tests/network_reference.py, bit for bit.
+    """Model.outputs and training.loss_and_gradient against the op graphs of
+    tests/network_reference.py and tests/loss_reference.py, bit for bit.
 
     Only the sign of a zero gradient may differ, which np.array_equal
     ignores and which moves no parameter.
@@ -296,17 +295,12 @@ class TestClosedFormNetwork:
         for batch in (1, 40, 64):
             rows = slice(0, batch)
             runs = []
-            for forward in (m.forward, partial(network_reference.forward, m)):
-                m.flat_grad[...] = 0.0
-                out = forward(x1[rows], x2[rows], c[rows])
-                loss_graph(kind, out, targets[rows]).backward()
-                runs.append((out, m.flat_grad.copy()))
+            for step in (loss_and_gradient, loss_reference.loss_and_gradient):
+                m.flat_grad[...] = np.nan  # each step replaces the gradient
+                loss = step(m, x1[rows], x2[rows], c[rows], targets[rows])
+                runs.append((loss, m.flat_grad.copy()))
             (new, new_grad), (old, old_grad) = runs
-            assert np.array_equal(new.values.data, old.values.data)
-            if kind == "combined":
-                assert np.array_equal(new.logits.data, old.logits.data)
-            else:
-                assert new.logits is None and old.logits is None
+            assert type(new) is float and new == old
             assert np.array_equal(new_grad, old_grad)
             assert np.abs(new_grad).max() > 0.0
 
@@ -319,7 +313,8 @@ class TestClosedFormNetwork:
         runs = []
         for oracle in (False, True):
             if oracle:
-                monkeypatch.setattr(Model, "forward", network_reference.forward)
+                monkeypatch.setattr(training, "loss_and_gradient",
+                                    loss_reference.loss_and_gradient)
                 monkeypatch.setattr(Model, "outputs", graph_outputs)
             model = build(kind, seed=36)
             history = train(model, data, config, np.random.default_rng(37), val=val)
@@ -329,20 +324,16 @@ class TestClosedFormNetwork:
         assert new_history == old_history
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
-    def test_a_training_step_is_one_network_node(self, kind, monkeypatch):
-        x1, x2, c, targets = prepare_arrays(training_data(8, 38))
+    def test_training_builds_no_tensor(self, kind, monkeypatch):
         m = build(kind, alpha=0.2, seed=39)
         built = []
         init = ad.Tensor.__init__
         monkeypatch.setattr(ad.Tensor, "__init__",
                             lambda t, *args, **kw: built.append(t) or init(t, *args, **kw))
-        out = m.forward(x1, x2, c)
-        loss = loss_graph(kind, out, targets)
-        # the heads node, one node per head over it, and the loss
-        assert len(built) == (4 if kind == "combined" else 3)
-        assert not m.flat_grad.any()  # nothing flows before backward()
-        loss.backward()
-        assert all(t.grad.any() for t in m.params.values())
+        train(m, training_data(24, 38), TrainConfig(n_epochs=2, batch_size=8),
+              np.random.default_rng(40))
+        assert built == []
+        assert all(g.any() for g in m.grads.values())
 
 
 class TestInferenceMemory:
@@ -381,7 +372,7 @@ class TestPredict:
         assert isinstance(est, PoseEstimate)
         assert isinstance(est.pose, EulerPose)
         assert est.log_variance.shape == (3,)
-        raw = m.forward(x1, x2, c).values.data[0]
+        raw = m.outputs(x1, x2, c)[0][0]
         assert est.pose.yaw == raw[0] and est.log_variance.tolist() == raw[3:6].tolist()
 
     def test_point_estimate_has_no_variance(self):
@@ -404,19 +395,19 @@ class TestSnapshot:
     def test_round_trip(self):
         m = build(seed=16)
         snap = m.snapshot()
-        for t in m.parameters():
-            t.data += 1.0
+        for t in m.params.values():
+            t += 1.0
         m.restore(snap)
         assert np.array_equal(m.flat, snap)
         for name, lo, hi in zip(m.params, m.offsets[:-1], m.offsets[1:]):
-            assert np.array_equal(m.params[name].data.ravel(), snap[lo:hi])
+            assert np.array_equal(m.params[name].ravel(), snap[lo:hi])
 
     def test_snapshot_is_a_copy(self):
         m = build(seed=17)
         snap = m.snapshot()
-        m.parameters()[0].data += 1.0
+        m.params["conv_x1_w"] += 1.0
         assert not np.shares_memory(snap, m.flat)
-        assert not np.array_equal(m.parameters()[0].data.ravel(), snap[:5])
+        assert not np.array_equal(m.params["conv_x1_w"].ravel(), snap[:5])
 
     def test_restore_validates(self):
         m = build(seed=18)
@@ -428,9 +419,11 @@ class TestSnapshot:
 
 
 def assert_views_of_flat_vectors(model):
-    for name, t in model.params.items():
-        assert np.shares_memory(t.data, model.flat), name
-        assert np.shares_memory(t.grad, model.flat_grad), name
+    assert list(model.params) == list(model.grads)
+    for name, shape in parameter_layout(model.config):
+        assert model.params[name].shape == model.grads[name].shape == shape, name
+        assert np.shares_memory(model.params[name], model.flat), name
+        assert np.shares_memory(model.grads[name], model.flat_grad), name
     assert model.flat.size == model.flat_grad.size == model.n_parameters()
 
 
@@ -466,11 +459,11 @@ class TestFlatStorage:
 class TestInit:
     def test_init_statistics(self):
         m = build(seed=19)
-        w = m.params["fc1_w"].data  # 50,000 draws
+        w = m.params["fc1_w"]  # 50,000 draws
         assert abs(w.mean()) < 0.01
         assert w.std() == pytest.approx(np.sqrt(0.05), rel=0.02)
 
     def test_different_seeds_differ(self):
-        a = build(seed=20).params["fc0_w"].data
-        b = build(seed=21).params["fc0_w"].data
+        a = build(seed=20).params["fc0_w"]
+        b = build(seed=21).params["fc0_w"]
         assert not np.array_equal(a, b)

@@ -8,11 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from headpose import autodiff as ad
 from headpose import training
 from headpose.geometry import EulerPose
 from headpose.keypoints import KeypointSet, normalize
-from headpose.losses import loss_graph
+from headpose.losses import batch_loss
 from headpose.model import LOSS_KINDS, Model, ModelConfig
 from headpose.synthetic import NoiseModel, Sample, generate_dataset, synthesize
 from headpose.training import (
@@ -20,12 +19,12 @@ from headpose.training import (
     AdamState,
     TrainConfig,
     TrainHistory,
+    loss_and_gradient,
     prepare_arrays,
     train,
 )
 
 from adam_reference import TensorAdam
-from loss_reference import add
 from synthetic_reference import dataset
 
 
@@ -65,10 +64,9 @@ def vector_holder(values):
     return SimpleNamespace(flat=flat, flat_grad=np.zeros_like(flat), parameter_at=lambda i: "w")
 
 
-def batch_loss(model, arrays, idx):
+def batch_step(model, arrays, idx):
     x1, x2, c, targets = arrays
-    out = model.forward(x1[idx], x2[idx], c[idx])
-    return loss_graph(model.config.loss_kind, out, targets[idx])
+    return loss_and_gradient(model, x1[idx], x2[idx], c[idx], targets[idx])
 
 
 class TestAdam:
@@ -100,9 +98,9 @@ class TestAdam:
         arrays = prepare_arrays(small_dataset(16, 26))
         for kind in LOSS_KINDS:
             m = Model.build(ModelConfig(kind, width_scale=0.2), np.random.default_rng(27))
-            batch_loss(m, arrays, np.arange(16)).backward()
-            for name, t in m.params.items():
-                assert t.grad.any(), f"{kind}: {name} got no gradient"
+            batch_step(m, arrays, np.arange(16))
+            for name, g in m.grads.items():
+                assert g.any(), f"{kind}: {name} got no gradient"
 
     def test_non_finite_gradient_raises(self):
         w = vector_holder([1.0])
@@ -128,15 +126,14 @@ class TestAdam:
             Model.build(ModelConfig(kind, width_scale=0.2), np.random.default_rng(30))
             for _ in range(2)
         )
-        opt, oracle = AdamState(fast), TensorAdam(slow.parameters())
+        opt, oracle = AdamState(fast), TensorAdam(slow)
         order = np.random.default_rng(31)
         for _ in range(400):
             idx = order.choice(64, size=16, replace=False)
             for model in (fast, slow):
-                model.flat_grad[...] = 0.0
-                batch_loss(model, arrays, idx).backward()
+                batch_step(model, arrays, idx)
             opt.step(fast, cfg)
-            oracle.step(slow.parameters(), cfg)
+            oracle.step(cfg)
             assert np.array_equal(fast.flat, slow.flat)
         assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in oracle.m]))
         assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in oracle.v]))
@@ -183,7 +180,7 @@ class TestTrainLoop:
         hist = train(m, small_dataset(64, 8), TrainConfig(n_epochs=4, batch_size=16),
                      np.random.default_rng(9), val=val)
         x1, x2, c, t = prepare_arrays(val)
-        now = float(loss_graph("heteroscedastic", m.forward(x1, x2, c), t).data)
+        now = float(batch_loss("heteroscedastic", *m.outputs(x1, x2, c), t)[0])
         assert now == pytest.approx(hist.best_val_loss, abs=1e-12)
 
     def test_empty_dataset_raises(self):
@@ -207,18 +204,15 @@ class TestTrainLoop:
 
     def test_non_finite_gradient_reports_tensor_step_and_last_loss(self, monkeypatch):
         m = Model.build(ModelConfig("mse", width_scale=0.2), np.random.default_rng(15))
-        fc1 = m.params["fc1_w"]
         losses = []
 
-        def poisoned(*args):
-            loss = loss_graph(*args)
-            losses.append(float(loss.data))
-            if len(losses) < 3:
-                return loss
-            # a term of value 0 whose gradient into fc1_w is NaN
-            return add(loss, ad.Tensor(0.0, (fc1,), lambda g: (np.full(fc1.shape, np.nan),)))
+        def poisoned(model, *batch):
+            losses.append(loss_and_gradient(model, *batch))
+            if len(losses) == 3:
+                model.grads["fc1_w"][...] = np.nan
+            return losses[-1]
 
-        monkeypatch.setattr(training, "loss_graph", poisoned)
+        monkeypatch.setattr(training, "loss_and_gradient", poisoned)
         cfg = TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0)
         with pytest.raises(FloatingPointError) as info:
             train(m, small_dataset(32, 16), cfg, np.random.default_rng(17))
