@@ -70,6 +70,14 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _read_records(path: str) -> formats.Dataset:
+    """A dataset file that holds at least one record; ValueError naming an empty one."""
+    data = formats.read_dataset(path)
+    if not len(data):
+        raise ValueError(f"{path}: no records")
+    return data
+
+
 def _train_one(
     loss_flag: str,
     data: formats.Dataset,
@@ -90,8 +98,8 @@ def _train_one(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    data = formats.read_dataset(args.data)
-    val = formats.read_dataset(args.val) if args.val else None
+    data = _read_records(args.data)
+    val = _read_records(args.val) if args.val is not None else None
     model, history = _train_one(args.loss, data, val, args)
     formats.write_model(args.out, model)
     history_path = args.history or args.out + ".history.json"
@@ -138,7 +146,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from . import evaluation
 
     model = formats.read_model(args.model)
-    data = formats.read_dataset(args.data)
+    data = _read_records(args.data)
     result = evaluation.evaluate(model, data)
     _require_finite(result.angles, result.log_variance, data.record_name)
     formats.write_json(args.report, evaluation.build_report(result))
@@ -239,8 +247,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     from . import evaluation
 
-    data = formats.read_dataset(args.data)
-    val = formats.read_dataset(args.val) if args.val else None
+    data = _read_records(args.data)
+    val = _read_records(args.val) if args.val is not None else None
     rows = []
     for loss_flag in ABLATE_ORDER:
         model, _ = _train_one(loss_flag, data, val, args)

@@ -20,7 +20,10 @@ count only the pairs of labelled frames.
 
 A head whose projected gaze has zero length (yaw = pitch = 0, facing the
 camera) looks at no one in the image plane: its cosine toward every
-other head is 0, and its weight is unchanged.
+other head is 0, and its weight is unchanged. By the same rule, a pair
+whose joining line has no finite, nonzero length (the two heads share a
+centroid, or their distance overflows) gets both cosines 0: its weights
+are unchanged, its value is 0, and it stays in the rows and the metrics.
 
 Gate modes:
 * "interval": weight 1 iff the mean log-variance lies in [0, delta],
@@ -143,9 +146,11 @@ def _gazes(poses: np.ndarray) -> np.ndarray:
 
 def _cosines(toward: np.ndarray, u_norm: np.ndarray, gaze: np.ndarray,
              g_norm: np.ndarray) -> np.ndarray:
-    """Cosine between each gaze and its line; 0 for a gaze of zero length."""
-    has_direction = g_norm > 0.0
-    cos = _row_dots(toward, gaze) / (u_norm * np.where(has_direction, g_norm, 1.0))
+    """Cosine between each gaze and its line; 0 where the gaze has zero
+    length or the line has no finite, nonzero length."""
+    has_direction = (g_norm > 0.0) & (u_norm > 0.0) & (u_norm < np.inf)
+    with np.errstate(all="ignore"):  # the rows without a direction are masked
+        cos = _row_dots(toward, gaze) / (u_norm * g_norm)
     return np.where(has_direction, cos, 0.0)
 
 
@@ -255,9 +260,7 @@ def evaluate_laeo(
     id. Every head in a pair needs a pose. Each head's gaze and weight are
     computed once. Precision/recall/F1 use the tau cutoff and, like AP,
     count only the pairs of labelled frames. A frame with fewer than two
-    heads contributes nothing. Raises ValueError naming the first pair
-    whose heads share a centroid or lie so far apart that their distance
-    overflows.
+    heads contributes nothing.
     """
     heads, ia, ib, pair_frame = _pair_index(frames)
     ids = frames.head_ids[heads].tolist()
@@ -265,16 +268,9 @@ def evaluate_laeo(
     frame_ids = frames.frame_ids[pair_frame].tolist()
 
     centroids = frames.centroids[heads]
-    with np.errstate(over="ignore"):  # an overflow is refused below
+    with np.errstate(over="ignore"):  # an overflowing distance has no direction
         u = centroids[ib] - centroids[ia]
         u_norm = np.sqrt(_row_dots(u, u))
-    bad = np.flatnonzero((u_norm == 0.0) | ~np.isfinite(u_norm))
-    if bad.size:
-        k = bad[0]
-        a, b = pairs[k]
-        why = ("share a centroid" if u_norm[k] == 0.0
-               else "are too far apart: their distance overflows")
-        raise ValueError(f"{frames.frame_name(pair_frame[k])}: heads {a}, {b} {why}")
     gaze = _gazes(frames.poses[heads])
     g_norm = np.sqrt(_row_dots(gaze, gaze))
     cos_a = _cosines(u, u_norm, gaze[ia], g_norm[ia])

@@ -12,12 +12,13 @@ Three interchangeable objectives, matched to the head widths in model.py:
   plus the summed squared error of the continuous head.
 
 Each loss takes the output arrays, (B, ...) with B >= 1, and the (B, 3)
-targets, and returns the batch-mean value and its vjp: given the upstream
-gradient g, the hand-derived gradient with respect to `values` (and
-`logits` under combined). Both follow the op order of the equivalent
-op graph, so values and gradients match it bit for bit; that graph is
-the test oracle in tests/loss_reference.py. `batch_loss` picks the loss
-of a kind, and training hands its vjp's arrays to `Model.backward`.
+targets, and returns a triple: the batch-mean value, its hand-derived
+gradient with respect to `values`, and its gradient with respect to
+`logits` under combined (else None). Both follow the op order of the
+equivalent op graph, so values and gradients match it bit for bit; that
+graph is the test oracle in tests/loss_reference.py. `batch_loss` picks
+the loss of a kind, and training hands its two gradients to
+`Model.backward`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def bin_index(angles_degrees) -> np.ndarray:
 
 
 def heteroscedastic(values: np.ndarray, targets: np.ndarray):
-    """Over (B, 6) values, angles then log-variances: the value and its vjp."""
+    """Over (B, 6) values, angles then log-variances: the value, its gradient
+    and None."""
     if values.shape[-1] != 6:
         raise ValueError(f"heteroscedastic loss needs 6 outputs, got {values.shape}")
     k = 1.0 / values.shape[0]
@@ -50,43 +52,33 @@ def heteroscedastic(values: np.ndarray, targets: np.ndarray):
     e = np.exp(-s)
     d2 = diff * diff
     value = ((e * d2) * 0.5 + s * 0.5).sum() * k
-
-    def vjp(g):
-        gt = g * k
-        gm = gt * 0.5
-        gd2 = gm * e
-        grad = np.empty_like(values)
-        grad[:, 0:3] = gd2 * diff + gd2 * diff
-        grad[:, 3:6] = -(gm * d2 * e) + gt * 0.5
-        return (grad,)
-
-    return value, vjp
+    gm = k * 0.5
+    gd2 = gm * e
+    grad = np.empty_like(values)
+    grad[:, 0:3] = gd2 * diff + gd2 * diff
+    grad[:, 3:6] = -(gm * d2 * e) + k * 0.5
+    return value, grad, None
 
 
 def mse(values: np.ndarray, targets: np.ndarray):
-    """Over (B, 3) values: the value and its vjp."""
+    """Over (B, 3) values: the value, its gradient and None."""
     if values.shape[-1] != 3:
         raise ValueError(f"mse loss needs 3 outputs, got {values.shape}")
     k = 1.0 / values.shape[0]
     diff = values - targets
     value = (diff * diff).sum() * k
-
-    def vjp(g):
-        gt = g * k
-        return (gt * diff + gt * diff,)
-
-    return value, vjp
+    return value, k * diff + k * diff, None
 
 
 def combined(values: np.ndarray, logits: np.ndarray, targets: np.ndarray):
-    """Over (B, 3) values and (B, 3 * N_BINS) logits: the value and its vjp,
-    which gives the gradients of both."""
+    """Over (B, 3) values and (B, 3 * N_BINS) logits: the value and its
+    gradients with respect to both."""
     if logits.shape[-1] != 3 * N_BINS:
         raise ValueError(f"expected {3 * N_BINS} logits, got {logits.shape[-1]}")
     k = 1.0 / values.shape[0]
     rows = np.arange(values.shape[0])
     total = 0.0
-    softmax = []  # per angle: the shifted exponentials, their row sums, the target bins
+    g_logits = np.empty_like(logits)
     for angle in range(3):
         z = logits[:, angle * N_BINS : (angle + 1) * N_BINS]
         idx = bin_index(targets[:, angle])
@@ -95,24 +87,18 @@ def combined(values: np.ndarray, logits: np.ndarray, targets: np.ndarray):
         sez = ez.sum(axis=1, keepdims=True)
         ce_sum = (zmax[:, 0] + np.log(sez[:, 0]) - z[rows, idx]).sum()
         total += ce_sum
-        softmax.append((ez, sez, idx))
+        gi = g_logits[:, angle * N_BINS : (angle + 1) * N_BINS]
+        np.multiply(ez / sez, k, out=gi)
+        gi[rows, idx] -= k
     diff = values - targets
     value = (total + (diff * diff).sum()) * k
-
-    def vjp(g):
-        gt = g * k
-        g_logits = np.empty_like(logits)
-        for angle, (ez, sez, idx) in enumerate(softmax):
-            gi = g_logits[:, angle * N_BINS : (angle + 1) * N_BINS]
-            np.multiply(ez / sez, gt, out=gi)
-            gi[rows, idx] -= gt
-        return gt * diff + gt * diff, g_logits
-
-    return value, vjp
+    return value, k * diff + k * diff, g_logits
 
 
 def batch_loss(kind: str, values: np.ndarray, logits: np.ndarray | None, targets):
-    """The batch-mean loss of `kind` over the output arrays, and its vjp."""
+    """The batch-mean loss of `kind` over the output arrays, and its
+    gradients with respect to the values and the logits (None unless
+    `combined`)."""
     targets = np.asarray(targets, dtype=np.float64)
     if kind == "heteroscedastic":
         return heteroscedastic(values, targets)

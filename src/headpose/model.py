@@ -19,8 +19,8 @@ the module constants below.
 
 The forward and backward passes are numpy on arrays. Inference keeps no
 activation; training hands `outputs` a tape and gives `backward` the loss
-gradients of the heads, and `backward` adds every parameter's gradient
-into the flat gradient vector.
+gradients of the heads, and `backward` writes every parameter's gradient
+into its slice of the flat gradient vector.
 """
 
 from __future__ import annotations
@@ -240,13 +240,14 @@ class Model:
     def backward(self, tape: list, g_values: np.ndarray,
                  g_logits: np.ndarray | None = None) -> None:
         """Reverse pass of `outputs` from the loss gradients of its values
-        and, under `combined`, its logits; adds every parameter's gradient
-        into flat_grad.
+        and, under `combined`, its logits; writes each parameter's gradient
+        over its slice of flat_grad, once, as each parameter is used once.
 
         Each step is the expression the graph op of that layer used, so
         the gradients equal the op graph's (tests/network_reference.py) bit
-        for bit; the gate and the trunk output, the only values used twice,
-        sum their two contributions, and IEEE addition is commutative.
+        for bit but for the sign of an exact zero; the gate and the trunk
+        output, the only values used twice, sum their two contributions, and
+        IEEE addition is commutative.
         """
         p, grad = self.params, self.grads
         # in forward order: the conv streams' masks, the inputs, the conv
@@ -255,17 +256,17 @@ class Model:
         m1, m2, x1, x2, c, a1, a2, gate, *trunk = tape
         h = trunk[-1]
         g_h = g_values @ p["head_w"].T
-        grad["head_w"] += h.T @ g_values
-        grad["head_b"] += g_values.sum(axis=0)
+        np.matmul(h.T, g_values, out=grad["head_w"])
+        g_values.sum(axis=0, out=grad["head_b"])
         if g_logits is not None:
-            grad["logits_w"] += h.T @ g_logits
-            grad["logits_b"] += g_logits.sum(axis=0)
+            np.matmul(h.T, g_logits, out=grad["logits_w"])
+            g_logits.sum(axis=0, out=grad["logits_b"])
             g_h = g_h + g_logits @ p["logits_w"].T
         for i in (2, 1, 0):
             h, mask = trunk[2 * i], trunk[2 * i + 1]
             g_z = g_h * np.where(mask, 1.0, LEAKY_SLOPE)
-            grad[f"fc{i}_w"] += h.T @ g_z
-            grad[f"fc{i}_b"] += g_z.sum(axis=0)
+            np.matmul(h.T, g_z, out=grad[f"fc{i}_w"])
+            g_z.sum(axis=0, out=grad[f"fc{i}_b"])
             g_h = g_z @ p[f"fc{i}_w"].T
         g_h = g_h.reshape(len(g_h), 2, N_KEYPOINTS, N_FILTERS)
         g_a1, g_a2 = g_h[:, 0], g_h[:, 1]
@@ -275,8 +276,9 @@ class Model:
             ("x2", x2, g_a2 * gate * np.where(m2, 1.0, LEAKY_SLOPE)),
             ("c", c, g_gate * gate * (1.0 - gate)),
         ):
-            grad[f"conv_{stream}_w"] += np.tensordot(x[:, :, None], g_z, axes=([0, 1], [0, 1]))
-            grad[f"conv_{stream}_b"] += g_z.sum(axis=(0, 1))
+            grad[f"conv_{stream}_w"][...] = np.tensordot(x[:, :, None], g_z,
+                                                         axes=([0, 1], [0, 1]))
+            g_z.sum(axis=(0, 1), out=grad[f"conv_{stream}_b"])
 
     def predict(self, inputs: NormalizedInput) -> PoseEstimate:
         """One sample's estimate: predict_batch on a batch of one row."""

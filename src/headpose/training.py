@@ -5,15 +5,15 @@ indices with the caller's generator, so a fixed seed reproduces the run
 bit for bit. After each epoch the loss is measured on a held-out
 validation split, and the parameters that scored best are restored at the
 end, which matters here because the heteroscedastic objective can start
-oscillating once the variance head sharpens. Each step chains the closed
-forms directly: the network's outputs, the loss and its vjp, then the
-network's backward pass into the model's flat gradient vector, from
-which Adam updates the flat parameter vector in place.
+oscillating once the variance head sharpens. A step is three calls: the
+network's outputs, the loss with its output gradients, and the network's
+backward pass, which writes the model's whole flat gradient vector; Adam
+then updates the flat parameter vector in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -82,13 +82,7 @@ class TrainHistory:
     best_val_loss: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_mae": self.val_mae,
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-        }
+        return asdict(self)
 
 
 def loss_and_gradient(model: Model, x1: np.ndarray, x2: np.ndarray, c: np.ndarray,
@@ -96,17 +90,16 @@ def loss_and_gradient(model: Model, x1: np.ndarray, x2: np.ndarray, c: np.ndarra
     """The batch-mean loss of a (B, 5) batch; its gradient replaces flat_grad."""
     tape: list = []
     values, logits = model.outputs(x1, x2, c, tape)
-    value, vjp = batch_loss(model.config.loss_kind, values, logits, targets)
-    model.flat_grad[...] = 0.0
-    model.backward(tape, *vjp(1.0))
+    value, g_values, g_logits = batch_loss(model.config.loss_kind, values, logits, targets)
+    model.backward(tape, g_values, g_logits)
     return float(value)
 
 
 def _validation_pass(model: Model, arrays) -> tuple[float, list[float]]:
-    """Loss plus per-angle MAE on a held-out split: one forward pass, no gradient."""
+    """Loss plus per-angle MAE on a held-out split: one forward pass, no backward."""
     x1, x2, c, targets = arrays
     values, logits = model.outputs(x1, x2, c)
-    loss, _ = batch_loss(model.config.loss_kind, values, logits, targets)
+    loss, _, _ = batch_loss(model.config.loss_kind, values, logits, targets)
     per_angle = np.abs(values[:, :3] - targets).mean(axis=0)
     return float(loss), [float(v) for v in per_angle]
 
@@ -122,12 +115,15 @@ def train(
 
     When val is None, the head val_fraction of a seeded shuffle of `data`
     becomes the validation split. With no validation data at all the
-    final epoch's parameters are kept.
+    final epoch's parameters are kept. Empty `data` or an empty `val`
+    raises ValueError.
     """
     if not len(data):
         raise ValueError("no training samples")
+    if val is not None and not len(val):
+        raise ValueError("no validation samples")
     arrays = prepare_arrays(data)
-    val_arrays = prepare_arrays(val) if val else None
+    val_arrays = prepare_arrays(val) if val is not None else None
     if val is None and config.val_fraction > 0.0:
         order = rng.permutation(len(data))
         n_val = max(1, int(round(len(data) * config.val_fraction)))

@@ -15,10 +15,11 @@ Three independent references:
   became array operations; the arrays must match them bit for bit.
 
 Both give a head whose projected gaze has zero length a cosine of 0 toward
-every other head, as the package does. The per-pair path reads frames as
-the JSON rows of a frames file (see `frame_rows`): a head is a dict with
-"id", "centroid", "pose" and an optional "log_variance", and a frame
-without a "laeo_pairs" key is unlabelled.
+every other head, and both heads of a pair whose joining line has no
+finite, nonzero length a cosine of 0, as the package does. The per-pair
+path reads frames as the JSON rows of a frames file (see `frame_rows`): a
+head is a dict with "id", "centroid", "pose" and an optional
+"log_variance", and a frame without a "laeo_pairs" key is unlabelled.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def pair_score(head_a, head_b, delta: float, mode: str) -> float:
     for (pose, sign) in ((pose_a, 1.0), (pose_b, -1.0)):
         gx, gy = gaze_2d(pose[0], pose[1])
         gn = math.hypot(gx, gy)
-        if gn == 0.0:
+        if gn == 0.0 or not 0.0 < un < math.inf:
             cosines.append(0.0)
             continue
         cosines.append((sign * ux * gx + sign * uy * gy) / (un * gn))
@@ -84,11 +85,13 @@ def brute_force_scores(frames, delta: float, mode: str) -> dict:
 
 
 def interaction_measure(a: dict, b: dict) -> tuple[float, float]:
-    """Cosines between each head's projected gaze and the line joining them."""
-    u = np.array(b["centroid"], dtype=np.float64) - np.array(a["centroid"], dtype=np.float64)
-    u_norm = float(np.linalg.norm(u))
-    if u_norm == 0.0:
-        raise ValueError(f"heads {a['id']}, {b['id']} share a centroid")
+    """Cosines between each head's projected gaze and the line joining them;
+    both 0 when that line has no finite, nonzero length."""
+    with np.errstate(over="ignore"):
+        u = np.array(b["centroid"], dtype=np.float64) - np.array(a["centroid"], dtype=np.float64)
+        u_norm = float(np.linalg.norm(u))
+    if not 0.0 < u_norm < math.inf:
+        return 0.0, 0.0
     cosines = []
     for head, toward in ((a, u), (b, -u)):
         g = np.array(project_direction(EulerPose(*head["pose"])), dtype=np.float64)

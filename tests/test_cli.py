@@ -14,6 +14,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from headpose.model import MAX_FC_WIDTH, Model, ModelConfig
 from headpose.synthetic import generate_dataset, synthesize
 
 from frame_rows import frame, head, write
+from test_formats import _spoilt_files, _spoilt_frame_files
 
 DATA = Path(__file__).parent / "data"
 
@@ -349,20 +351,30 @@ class TestLaeo:
                 assert row["cos_b" if row["pair"][1] == "c" else "cos_a"] == 0.0
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("first, pair", [("a", "a, b"), ("b", "b, c")])
-    def test_overflowing_distance_is_refused(self, tmp_path, capsys, first, pair):
+    @pytest.mark.parametrize("first", ["a", "b"])
+    def test_overflowing_distance_scores_zero(self, tmp_path, capsys, first):
         # every centroid is finite, but the a-b offset has a length beyond the
-        # float range (its row read cos_a 0.0) and the b-c offset is itself
-        # beyond it (its row read NaN)
+        # float range and the b-c offset is itself beyond it: such a pair has
+        # no direction, so it scores 0 with its weights, as a frontal gaze
+        # does, and the run goes on to the next frame
         heads = (head("a", (0.0, 0.0), pose=(30.0, 0.0, 0.0)),
-                 head("b", (1e308, 1e308), pose=(-30.0, 0.0, 0.0)),
+                 head("b", (1e308, 1e308), pose=(-30.0, 0.0, 0.0), log_variance=(9.0, 9.0, 0)),
                  head("c", (-1.7e308, 1e300), pose=(10.0, 5.0, 0.0)))
         heads = heads["abc".index(first):]
-        frames_path = write(tmp_path / "far.jsonl", [frame("ok", heads[:1]), frame("f", heads)])
+        near = (head("a", (0.0, 0.0), pose=(90.0, 0.0, 0.0)),
+                head("b", (10.0, 0.0), pose=(-90.0, 0.0, 0.0)))
+        frames_path = write(tmp_path / "far.jsonl",
+                            [frame("f", heads, [(heads[0]["id"], heads[1]["id"])]),
+                             frame("g", near, [("a", "b")])])
         code, out, err = run(capsys, "laeo", "--frames", str(frames_path))
-        assert code == 1 and out == ""
-        assert err == (f"error: {frames_path}: line 2: frame 'f': heads {pair} are too far "
-                       "apart: their distance overflows\n")
+        assert code == 0 and err == ""
+        *far, last, summary = [json.loads(line) for line in out.splitlines()]
+        assert len(far) == len(heads) * (len(heads) - 1) // 2
+        for row in far:
+            assert (row["cos_a"], row["cos_b"], row["laeo_value"]) == (0.0, 0.0, 0.0)
+            assert [row["weight_a"], row["weight_b"]] == [int(h != "b") for h in row["pair"]]
+        assert last["laeo_value"] == pytest.approx(1.0, abs=1e-12)
+        assert summary["summary"]["gated"]["n_pairs"] == len(far) + 1
 
     def test_keypoint_frames_need_model(self, tmp_path, unc_model, data_file, capsys):
         sample = generate_dataset(1, np.random.default_rng(3))[0]
@@ -533,6 +545,9 @@ def test_non_finite_model_file_is_refused(tmp_path, data_file, capsys, command):
 PIN_MODEL = (DATA / "score_pin_unc.hpm").read_bytes()
 PIN_HEADER_END = PIN_MODEL.index(b"\n") + 1
 PIN_KEYPOINTS = read_dataset(DATA / "score_pin.jsonl").keypoints[:2].tolist()
+KEYPOINT_FRAME = {"frame_id": "k0", "heads": [
+    {"id": "a", "centroid": [0.0, 0.0], "keypoints": PIN_KEYPOINTS[0]},
+    {"id": "b", "centroid": [30.0, 0.0], "keypoints": PIN_KEYPOINTS[1]}]}
 _header_bytes = st.sampled_from(b'0123456789{}[]",:.-+eE ntf\\\n') | st.integers(0, 255)
 
 
@@ -561,9 +576,7 @@ def test_mutated_model_files_fail_cleanly(blob):
         with open(model, "wb") as f:
             f.write(blob)
         frames = os.path.join(tmp, "kp.jsonl")
-        write(frames, [{"frame_id": "k0", "heads": [
-            {"id": "a", "centroid": [0.0, 0.0], "keypoints": PIN_KEYPOINTS[0]},
-            {"id": "b", "centroid": [30.0, 0.0], "keypoints": PIN_KEYPOINTS[1]}]}])
+        write(frames, [KEYPOINT_FRAME])
         for argv in (
             ["infer", "--model", model, "--data", str(DATA / "score_pin.jsonl"), "--out", out],
             ["eval", "--model", model, "--data", str(DATA / "score_pin.jsonl"), "--report", out],
@@ -600,25 +613,100 @@ def _synth_argv(draw) -> list[str]:
     return argv
 
 
+def _main_cleanly(argv: list[str]) -> int:
+    """cli.main(argv) in-process, so an exception that escapes it fails the
+    example. Requires exit code 0, 1 or 2 (argparse's refusal), no warning,
+    no traceback, no subprocess, and one `error:` line exactly on failure."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.object(subprocess, "Popen", side_effect=AssertionError("subprocess")):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err and not caught, (argv, err, caught)
+    assert sum("error:" in line for line in err.splitlines()) == (code != 0), (argv, err)
+    return code
+
+
 @settings(max_examples=300, deadline=None)
 @given(argv=_synth_argv())
 def test_synth_flags_fail_cleanly(argv):
-    # in-process, so an exception that escapes cli.main fails the example
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "d.jsonl")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("always")
-            try:
-                code = cli.main([*argv, "--out", out])
-            except SystemExit as e:  # argparse refuses the flag
-                code = e.code
-        err = stderr.getvalue()
-        assert code in (0, 1, 2), (argv, code)
-        assert "Traceback" not in err and not caught, (argv, err, caught)
-        assert sum("error:" in line for line in err.splitlines()) == (code != 0), (argv, err)
+        code = _main_cleanly([*argv, "--out", out])
         assert os.path.exists(out) == (code == 0), argv
+
+
+_FLAG_VALUES = st.sampled_from(["0", "-0.0", "-1", "-1e-300", "5e-324", "1e-9", "0.5", "1", "7",
+                                "1e6", "1e308", "-1e308", "inf", "-inf", "nan"])
+# --alpha is small, or wide enough that the config refuses it before allocating
+_ALPHA_VALUES = st.sampled_from(["0", "-0.0", "-1", "-1e308", "5e-324", "1e-9", "0.05", "0.1",
+                                 "16.4", "1e6", "1e308", "inf", "nan"])
+_INT_VALUES = st.sampled_from(["0", "-1", "1", "2", "64", "1e3", str(10**15), str(2**70)])
+_EMPTY = st.sampled_from([b"", b"\n"])
+
+
+def _joined(lines: list[bytes]) -> bytes:
+    return b"\n".join(lines) + b"\n"
+
+
+_data_blobs = (st.just((DATA / "score_pin.jsonl").read_bytes()) | _EMPTY
+               | _spoilt_files().map(_joined))
+_frames_blobs = (st.sampled_from([(DATA / "laeo_frames_labelled.jsonl").read_bytes(),
+                                  _joined([json.dumps(KEYPOINT_FRAME).encode()])]) | _EMPTY
+                 | _spoilt_frame_files().map(_joined))
+_model_blobs = st.sampled_from([PIN_MODEL, (DATA / "score_pin_mse.hpm").read_bytes()]) \
+    | _EMPTY | _mutated_model()
+
+
+@st.composite
+def _command(draw) -> tuple[list[str], dict[str, bytes]]:
+    """A command line over train, eval, infer, laeo and ablate, with its input
+    files' bytes by name; flags are drawn from edge values, and --epochs is 1
+    or 2."""
+    command = draw(st.sampled_from(["train", "eval", "infer", "laeo", "ablate"]))
+    files = {"data": draw(_data_blobs)}
+    argv = [command]
+    if command in ("eval", "infer") or command == "laeo" and draw(st.booleans()):
+        files["model"] = draw(_model_blobs)
+    if command == "laeo":
+        files["frames"] = draw(_frames_blobs)
+        del files["data"]
+        for flag in ("--tau", "--delta"):
+            if draw(st.booleans()):
+                argv += [flag, draw(_FLAG_VALUES)]
+        if draw(st.booleans()):
+            argv += ["--gate", draw(st.sampled_from(["interval", "open-below", "off"]))]
+    if command in ("train", "ablate"):
+        if draw(st.booleans()):
+            files["val"] = draw(_data_blobs)
+        argv += ["--epochs", draw(st.sampled_from(["1", "2"]))]
+        for flag, values in (("--batch-size", _INT_VALUES), ("--lr", _FLAG_VALUES),
+                             ("--alpha", _ALPHA_VALUES), ("--seed", _INT_VALUES)):
+            if draw(st.booleans()):
+                argv += [flag, draw(values)]
+    if command == "train" and draw(st.booleans()):
+        argv += ["--loss", draw(st.sampled_from(["unc", "mse", "comb"]))]
+    return argv, files
+
+
+@settings(max_examples=400, deadline=None)
+@given(command=_command())
+def test_command_flags_fail_cleanly(command):
+    argv, files = command
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, blob in files.items():
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as f:
+                f.write(blob)
+            argv += [f"--{name}", path]
+        _main_cleanly([*argv, "--report" if argv[0] == "eval" else "--out",
+                       os.path.join(tmp, "out")])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -689,6 +777,37 @@ def test_record_without_usable_keypoints_names_its_line(tmp_path, unc_model, cap
     assert err == (f"error: {bad}: line 2: record 'b': "
                    "no usable keypoints: all confidences are zero\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train-val", "eval", "ablate", "ablate-val"])
+def test_empty_data_file_is_refused_before_training(tmp_path, unc_model, data_file, capsys,
+                                                    monkeypatch, command):
+    def boom(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(cli, "train", boom, raising=False)
+    empty, out = tmp_path / "empty.jsonl", tmp_path / "out"
+    empty.write_text("\n")
+    argv = {
+        "train": ["train", "--data", str(empty), "--out", str(out)],
+        "train-val": ["train", "--data", str(data_file), "--val", str(empty), "--out", str(out)],
+        "eval": ["eval", "--model", str(unc_model), "--data", str(empty), "--report", str(out)],
+        "ablate": ["ablate", "--data", str(empty), "--out", str(out)],
+        "ablate-val": ["ablate", "--data", str(data_file), "--val", str(empty),
+                       "--out", str(out)],
+    }[command]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err == f"error: {empty}: no records\n"
+    assert not out.exists()
+
+
+def test_empty_frames_file_gives_only_the_summary(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code, out, err = run(capsys, "laeo", "--frames", str(empty))
+    assert code == 0 and err == ""
+    assert json.loads(out)["summary"]["n_pairs"] == 0
 
 
 @pytest.mark.parametrize("command", ["eval", "infer"])

@@ -209,10 +209,13 @@ class TestGraphs:
         x = rng.uniform(-1, 1, size=(1, 5))
         values, logits = m.outputs(x, x, np.ones((1, 5)))
         target = np.zeros((1, 3))
-        value, _ = batch_loss("heteroscedastic", values, logits, target)
+        value, g_values, g_logits = batch_loss("heteroscedastic", values, logits, target)
         assert float(value) == pytest.approx(
             float(heteroscedastic_loss(values, target).sum()), abs=1e-12
         )
+        oracle = leaves(values)
+        loss_reference.loss_graph("heteroscedastic", oracle, target).backward()
+        assert np.array_equal(g_values, oracle.values.grad) and g_logits is None
 
     def test_head_width_validation(self):
         rng = np.random.default_rng(8)
@@ -239,9 +242,16 @@ class TestGraphs:
         targets = np.zeros((8, 3))
         for kind in LOSS_KINDS:
             values, logits = batch_output(kind, rng)
-            a, _ = batch_loss(kind, values, logits, targets)
-            b = loss_reference.loss_graph(kind, leaves(values, logits), targets)
+            a, g_values, g_logits = batch_loss(kind, values, logits, targets)
+            oracle = leaves(values, logits)
+            b = loss_reference.loss_graph(kind, oracle, targets)
             assert float(a) == float(b.data)
+            b.backward()
+            assert np.array_equal(g_values, oracle.values.grad)
+            if kind == "combined":
+                assert np.array_equal(g_logits, oracle.logits.grad)
+            else:
+                assert g_logits is None
         with pytest.raises(ValueError, match="unknown loss kind"):
             batch_loss("nope", values, logits, targets)
 
@@ -271,7 +281,6 @@ def loss_graph_and_gradient(model, x1, x2, c, targets):
     out = leaves(*model.outputs(x1, x2, c, tape))
     loss = loss_reference.loss_graph(model.config.loss_kind, out, targets)
     loss.backward()
-    model.flat_grad[...] = 0.0
     model.backward(tape, out.values.grad, None if out.logits is None else out.logits.grad)
     return float(loss.data)
 
@@ -296,16 +305,15 @@ class TestClosedForm:
                 values, logits = outputs(kind, rng, batch)
                 targets = rng.uniform(-99.0, 99.0, (batch, 3))
                 oracle = leaves(values, logits)
-                new, vjp = batch_loss(kind, values, logits, targets)
+                new, g_values, g_logits = batch_loss(kind, values, logits, targets)
                 old = loss_reference.loss_graph(kind, oracle, targets)
                 assert np.array_equal(new, old.data)
-                grads = vjp(1.0)
                 old.backward()
-                assert np.array_equal(grads[0], oracle.values.grad)
+                assert np.array_equal(g_values, oracle.values.grad)
                 if kind == "combined":
-                    assert np.array_equal(grads[1], oracle.logits.grad)
+                    assert np.array_equal(g_logits, oracle.logits.grad)
                 else:
-                    assert len(grads) == 1
+                    assert g_logits is None
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_batch_loss_builds_no_node(self, kind, monkeypatch):
@@ -314,12 +322,13 @@ class TestClosedForm:
         init = ad.Tensor.__init__
         monkeypatch.setattr(ad.Tensor, "__init__",
                             lambda t, *args, **kw: nodes.append(t) or init(t, *args, **kw))
-        value, vjp = batch_loss(kind, values, logits, np.zeros((4, 3)))
-        grads = vjp(1.0)
+        value, g_values, g_logits = batch_loss(kind, values, logits, np.zeros((4, 3)))
         assert nodes == [] and np.shape(value) == ()
-        assert grads[0].shape == values.shape
+        assert g_values.shape == values.shape
         if kind == "combined":
-            assert grads[1].shape == logits.shape
+            assert g_logits.shape == logits.shape
+        else:
+            assert g_logits is None
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_flat_grad_equals_the_graph(self, kind):

@@ -305,6 +305,23 @@ class TestClosedFormNetwork:
             assert np.abs(new_grad).max() > 0.0
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_backward_overwrites_flat_grad(self, kind):
+        # backward writes every slice of flat_grad, so whatever it held
+        # before, even NaN, is gone; the output gradients come from the graph
+        x1, x2, c, targets = prepare_arrays(training_data(40, 42))
+        m = build(kind, seed=43)
+        loss_reference.loss_and_gradient(m, x1, x2, c, targets)
+        expect = m.flat_grad.copy()
+        m.flat_grad[...] = np.nan
+        tape = []
+        values, logits = m.outputs(x1, x2, c, tape)
+        out = network_reference.NetworkOutput(
+            ad.Tensor(values), None if logits is None else ad.Tensor(logits))
+        loss_reference.loss_graph(kind, out, targets).backward()
+        m.backward(tape, out.values.grad, None if out.logits is None else out.logits.grad)
+        assert np.array_equal(m.flat_grad, expect)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_adam_steps_equal_the_graph(self, kind, monkeypatch):
         # 193 rows in batches of 16 end every epoch with a batch of one:
         # 31 epochs of 13 steps are 403 Adam steps

@@ -188,6 +188,13 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(m, dataset([]), TrainConfig(), np.random.default_rng(0))
 
+    def test_empty_validation_set_raises(self):
+        # an empty val must not fall back to training without validation
+        m = Model.build(ModelConfig("mse"), np.random.default_rng(10))
+        with pytest.raises(ValueError, match="no validation samples"):
+            train(m, small_dataset(8, 1), TrainConfig(n_epochs=1), np.random.default_rng(0),
+                  val=dataset([]))
+
     def test_split_cannot_eat_everything(self):
         m = Model.build(ModelConfig("mse"), np.random.default_rng(11))
         with pytest.raises(ValueError):
