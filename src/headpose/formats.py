@@ -94,39 +94,30 @@ def write_text(path: str | Path | None, text: str) -> None:
 # The three row kinds written in bulk (dataset, `infer` and `laeo` rows) are
 # formatted here rather than by json.dumps, which builds and walks a dict
 # per row. Their bytes are json.dumps's: its key order and separators,
-# float.__repr__ for floats, and its escaper for strings.
+# float.__repr__ for floats, all finite, and its escaper for strings.
 _JSON_LITERAL = {True: "true", False: "false", None: "null"}
 
 
-def _json_float(x: float) -> str:
-    """A float as json.dumps writes it, NaN and the infinities included."""
-    if x - x == 0.0:  # finite
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def _json_floats(values: list[float] | None) -> str:
-    """A list of floats, or None, as json.dumps writes it."""
-    return "null" if values is None else f"[{', '.join(map(_json_float, values))}]"
-
-
 def infer_lines(ids: Sequence[str], angles: np.ndarray, log_var: np.ndarray | None) -> str:
-    """The `infer` rows: id, yaw, pitch, roll and the log-variances or null."""
-    variances = [None] * len(ids) if log_var is None else log_var.tolist()
+    """The `infer` rows: id, yaw, pitch, roll and the log-variances or null.
+    Angles and log-variances must be finite, as the CLI checks."""
+    # a list of floats prints as json.dumps writes it: each repr, ", " between
+    variances = ["null"] * len(ids) if log_var is None else log_var.tolist()
     return "".join(
-        f'{{"id": {_json_string(i)}, "yaw": {_json_float(yaw)}, "pitch": {_json_float(pitch)}, '
-        f'"roll": {_json_float(roll)}, "log_variance": {_json_floats(lv)}}}\n'
+        f'{{"id": {_json_string(i)}, "yaw": {yaw!r}, "pitch": {pitch!r}, '
+        f'"roll": {roll!r}, "log_variance": {lv}}}\n'
         for i, (yaw, pitch, roll), lv in zip(ids, angles.tolist(), variances)
     )
 
 
 def laeo_lines(results: Iterable[tuple[str, LaeoResult, bool | None]]) -> str:
-    """The `laeo` pair rows: the frame id, the result's fields in order, the label."""
+    """The `laeo` pair rows: the frame id, the result's fields in order, the
+    label. The cosines and values must be finite, as `evaluate_laeo` gives."""
     return "".join(
         f'{{"frame_id": {_json_string(frame_id)}, '
         f'"pair": [{_json_string(a)}, {_json_string(b)}], '
-        f'"cos_a": {_json_float(cos_a)}, "cos_b": {_json_float(cos_b)}, '
-        f'"weight_a": {w_a}, "weight_b": {w_b}, "laeo_value": {_json_float(value)}, '
+        f'"cos_a": {cos_a!r}, "cos_b": {cos_b!r}, '
+        f'"weight_a": {w_a}, "weight_b": {w_b}, "laeo_value": {value!r}, '
         f'"is_laeo": {_JSON_LITERAL[is_laeo]}, "label": {_JSON_LITERAL[label]}}}\n'
         for frame_id, ((a, b), cos_a, cos_b, w_a, w_b, value, is_laeo), label in results
     )

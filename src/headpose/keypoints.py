@@ -85,7 +85,8 @@ def normalize(raw: KeypointSet | np.ndarray) -> NormalizedInput:
     centroid and peak statistics and come out with zero coordinates.
     Idempotent on its own output; invariant to translation and positive
     uniform scaling of the raw pixel coordinates. Raises UnusableKeypoints
-    for the first set whose confidences are all 0.
+    for the first set whose confidences are all 0. Coordinates whose sum
+    overflows give non-finite streams, which callers report, not numpy.
     """
     single = isinstance(raw, KeypointSet)
     if single:
@@ -99,7 +100,8 @@ def normalize(raw: KeypointSet | np.ndarray) -> NormalizedInput:
     count = present.sum(axis=1)
     if not count.all():
         raise UnusableKeypoints(int(np.argmin(count)))
-    x1, x2 = (_center_and_scale(kps[:, :, axis], present, count) for axis in (0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1, x2 = (_center_and_scale(kps[:, :, axis], present, count) for axis in (0, 1))
     if single:
         return NormalizedInput(x1=x1[0], x2=x2[0], c=c[0])
     return NormalizedInput(x1=x1, x2=x2, c=c)

@@ -24,6 +24,9 @@ other head is 0, and its weight is unchanged. By the same rule, a pair
 whose joining line has no finite, nonzero length (the two heads share a
 centroid, or their distance overflows) gets both cosines 0: its weights
 are unchanged, its value is 0, and it stays in the rows and the metrics.
+A gaze or a line shorter than MIN_LENGTH (about 1.5e-154) counts as
+zero: its squared length is subnormal and too imprecise to keep a cosine
+within [-1, 1].
 
 Gate modes:
 * "interval": weight 1 iff the mean log-variance lies in [0, delta],
@@ -144,11 +147,15 @@ def _gazes(poses: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(yaw), -np.cos(yaw) * np.sin(pitch)], axis=1)
 
 
+# 2**-511: a shorter vector has a subnormal squared length (see above)
+MIN_LENGTH = np.sqrt(np.finfo(np.float64).tiny)
+
+
 def _cosines(toward: np.ndarray, u_norm: np.ndarray, gaze: np.ndarray,
              g_norm: np.ndarray) -> np.ndarray:
-    """Cosine between each gaze and its line; 0 where the gaze has zero
-    length or the line has no finite, nonzero length."""
-    has_direction = (g_norm > 0.0) & (u_norm > 0.0) & (u_norm < np.inf)
+    """Cosine between each gaze and its line; 0 where the gaze or the line is
+    shorter than MIN_LENGTH or the line has no finite length."""
+    has_direction = (g_norm >= MIN_LENGTH) & (u_norm >= MIN_LENGTH) & (u_norm < np.inf)
     with np.errstate(all="ignore"):  # the rows without a direction are masked
         cos = _row_dots(toward, gaze) / (u_norm * g_norm)
     return np.where(has_direction, cos, 0.0)

@@ -2,13 +2,13 @@
 
 Inputs are normalized once up front; every epoch reshuffles the training
 indices with the caller's generator, so a fixed seed reproduces the run
-bit for bit. After each epoch the loss is measured on a held-out
-validation split, and the parameters that scored best are restored at the
-end, which matters here because the heteroscedastic objective can start
-oscillating once the variance head sharpens. A step is three calls: the
-network's outputs, the loss with its output gradients, and the network's
-backward pass, which writes the model's whole flat gradient vector; Adam
-then updates the flat parameter vector in place.
+bit for bit. After each epoch the loss is measured on validation data,
+given or split off, and the parameters that scored best are restored at
+the end, which matters here because the heteroscedastic objective can
+start oscillating once the variance head sharpens. A step is three
+calls: the network's outputs, the loss with its output gradients, and the
+network's backward pass, which writes the model's whole flat gradient
+vector; Adam then updates the flat parameter vector in place.
 """
 
 from __future__ import annotations
@@ -27,21 +27,22 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
+# The share of the training records held out for validation when no
+# validation set is given
+VAL_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     n_epochs: int = 100
     batch_size: int = 64
     learning_rate: float = 0.001
-    val_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.n_epochs < 1 or self.batch_size < 1:
             raise ValueError("n_epochs and batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
 
 
 class AdamState:
@@ -113,20 +114,20 @@ def train(
 ) -> TrainHistory:
     """Optimize the model in place; parameters end at the best epoch.
 
-    When val is None, the head val_fraction of a seeded shuffle of `data`
-    becomes the validation split. With no validation data at all the
-    final epoch's parameters are kept. Empty `data` or an empty `val`
-    raises ValueError.
+    When val is None, the head VAL_FRACTION of a seeded shuffle of `data`,
+    at least one record, becomes the validation split. Empty `data`, an
+    empty `val` or a split that would take every record raises ValueError.
     """
     if not len(data):
         raise ValueError("no training samples")
     if val is not None and not len(val):
         raise ValueError("no validation samples")
     arrays = prepare_arrays(data)
-    val_arrays = prepare_arrays(val) if val is not None else None
-    if val is None and config.val_fraction > 0.0:
+    if val is not None:
+        val_arrays = prepare_arrays(val)
+    else:
         order = rng.permutation(len(data))
-        n_val = max(1, int(round(len(data) * config.val_fraction)))
+        n_val = max(1, int(round(len(data) * VAL_FRACTION)))
         if n_val >= len(data):
             raise ValueError("validation split would consume every sample")
         val_arrays = tuple(a[order[:n_val]] for a in arrays)
@@ -136,7 +137,6 @@ def train(
     opt = AdamState(model)
     history = TrainHistory()
     best_val = np.inf
-    best_snapshot: np.ndarray | None = None
     n = len(targets)
     last_finite = "no finite training loss yet"
 
@@ -162,21 +162,17 @@ def train(
                 running += value * len(idx)
             history.train_loss.append(running / n)
 
-            if val_arrays is not None:
-                val, per_angle = _validation_pass(model, val_arrays)
-                if not np.isfinite(val):
-                    raise FloatingPointError(
-                        f"non-finite validation loss at epoch {epoch} ({last_finite})")
-                history.val_loss.append(val)
-                history.val_mae.append(per_angle)
-                if val < best_val:
-                    best_val = val
-                    best_snapshot = model.snapshot()
-                    history.best_epoch = epoch
-                    history.best_val_loss = val
+            val, per_angle = _validation_pass(model, val_arrays)
+            if not np.isfinite(val):
+                raise FloatingPointError(
+                    f"non-finite validation loss at epoch {epoch} ({last_finite})")
+            history.val_loss.append(val)
+            history.val_mae.append(per_angle)
+            if val < best_val:
+                best_val = val
+                best_snapshot = model.snapshot()
+                history.best_epoch = epoch
+                history.best_val_loss = val
 
-    if best_snapshot is not None:
-        model.restore(best_snapshot)
-    else:
-        history.best_epoch = config.n_epochs - 1
+    model.restore(best_snapshot)
     return history

@@ -14,9 +14,10 @@ Three independent references:
   tuple sort and walk Python lists, as the package did before its metrics
   became array operations; the arrays must match them bit for bit.
 
-Both give a head whose projected gaze has zero length a cosine of 0 toward
-every other head, and both heads of a pair whose joining line has no
-finite, nonzero length a cosine of 0, as the package does. The per-pair
+Both give a head whose projected gaze is shorter than MIN_LENGTH (zero,
+say) a cosine of 0 toward every other head, and both heads of a pair
+whose joining line is shorter than MIN_LENGTH or has no finite length a
+cosine of 0, as the package does. The per-pair
 path reads frames as the JSON rows of a frames file (see `frame_rows`): a
 head is a dict with "id", "centroid", "pose" and an optional
 "log_variance", and a frame without a "laeo_pairs" key is unlabelled.
@@ -32,6 +33,10 @@ from headpose.geometry import EulerPose
 from headpose.laeo import DEFAULT_DELTA, DEFAULT_TAU, LaeoResult, uncertainty_weight
 
 from geometry_reference import project_direction
+
+# 2**-511, the square root of the smallest normal float: a vector shorter
+# than this has a subnormal squared length, so it counts as zero length
+MIN_LENGTH = 2.0**-511
 
 
 def gaze_2d(yaw_deg: float, pitch_deg: float) -> tuple[float, float]:
@@ -61,7 +66,7 @@ def pair_score(head_a, head_b, delta: float, mode: str) -> float:
     for (pose, sign) in ((pose_a, 1.0), (pose_b, -1.0)):
         gx, gy = gaze_2d(pose[0], pose[1])
         gn = math.hypot(gx, gy)
-        if gn == 0.0 or not 0.0 < un < math.inf:
+        if gn < MIN_LENGTH or not MIN_LENGTH <= un < math.inf:
             cosines.append(0.0)
             continue
         cosines.append((sign * ux * gx + sign * uy * gy) / (un * gn))
@@ -86,17 +91,18 @@ def brute_force_scores(frames, delta: float, mode: str) -> dict:
 
 def interaction_measure(a: dict, b: dict) -> tuple[float, float]:
     """Cosines between each head's projected gaze and the line joining them;
-    both 0 when that line has no finite, nonzero length."""
+    both 0 when that line is shorter than MIN_LENGTH or has no finite
+    length, and each 0 when its gaze is shorter than MIN_LENGTH."""
     with np.errstate(over="ignore"):
         u = np.array(b["centroid"], dtype=np.float64) - np.array(a["centroid"], dtype=np.float64)
         u_norm = float(np.linalg.norm(u))
-    if not 0.0 < u_norm < math.inf:
+    if not MIN_LENGTH <= u_norm < math.inf:
         return 0.0, 0.0
     cosines = []
     for head, toward in ((a, u), (b, -u)):
         g = np.array(project_direction(EulerPose(*head["pose"])), dtype=np.float64)
         g_norm = float(np.linalg.norm(g))
-        if g_norm == 0.0:
+        if g_norm < MIN_LENGTH:
             cosines.append(0.0)
             continue
         cosines.append(float(np.dot(toward, g) / (u_norm * g_norm)))

@@ -97,7 +97,6 @@ class TestSynth:
         assert err.startswith("error:")
         assert not (tmp_path / "x.jsonl").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_keypoints_are_not_written(self, tmp_path, capsys):
         # noise this wide overflows the keypoints, which JSON would spell Infinity
         out = tmp_path / "x.jsonl"
@@ -500,10 +499,11 @@ class TestLaeo:
         assert lines[-1]["summary"]["n_heads_gated"] == 0
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_model_estimate_names_head(self, tmp_path, capsys):
         # read_model refuses non-finite weights, but finite keypoints near the
-        # float range still overflow in normalize and give a NaN estimate
+        # float range still overflow in normalize and give a NaN estimate,
+        # which is reported without a numpy warning before it
         model_path = tmp_path / "unc.hpm"
         write_model(model_path, Model.build(ModelConfig("heteroscedastic"),
                                             np.random.default_rng(0)))
@@ -709,26 +709,45 @@ def test_command_flags_fail_cleanly(command):
                        os.path.join(tmp, "out")])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# a usable record, and one whose finite keypoints near the float range
+# overflow in normalize
+GOOD_RECORD = {"id": "ok", "keypoints": [[0, 0, 1], [1, 0, 1], [2, 1, 1], [3, 0, 1], [4, 2, 1]],
+               "pose": [0, 0, 0]}
+HUGE_RECORD = {"id": "huge", "keypoints": [[1.7e308, 0.0, 1.0], [1.7e308, 1.0, 1.0],
+                                           [-1.7e308, 2.0, 1.0], [3.0, 1.0, 1.0],
+                                           [0.0, 0.0, 1.0]],
+               "pose": [0, 0, 0]}
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["infer", "eval"])
 def test_non_finite_estimate_names_record(tmp_path, capsys, command):
-    # finite keypoints near the float range overflow in normalize; the NaN
-    # estimate they give is refused, not printed as `NaN` or averaged in
+    # the NaN estimate of an overflowing record is refused, not printed as
+    # `NaN` or averaged in, and its error line is all that reaches stderr
     model_path = tmp_path / "unc.hpm"
     write_model(model_path, Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(0)))
-    good = {"id": "ok", "keypoints": [[0, 0, 1], [1, 0, 1], [2, 1, 1], [3, 0, 1], [4, 2, 1]],
-            "pose": [0, 0, 0]}
-    huge = {"id": "huge", "keypoints": [[1.7e308, 0.0, 1.0], [1.7e308, 1.0, 1.0],
-                                        [-1.7e308, 2.0, 1.0], [3.0, 1.0, 1.0], [0.0, 0.0, 1.0]],
-            "pose": [0, 0, 0]}
     data = tmp_path / "d.jsonl"
-    data.write_text(json.dumps(good) + "\n" + json.dumps(huge) + "\n")
+    data.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(HUGE_RECORD) + "\n")
     out = tmp_path / "out"
     flag = "--out" if command == "infer" else "--report"
     code, stdout, err = run(capsys, command, "--model", str(model_path), "--data", str(data),
                             flag, str(out))
     assert code == 1 and stdout == ""
     assert err == f"error: {data}: line 2: record 'huge': the model gave a non-finite estimate\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_record_fails_training_with_one_line(tmp_path, capsys):
+    # the record's NaN inputs make the first batch loss non-finite; that
+    # loss's error line is all that reaches stderr
+    data, val, out = tmp_path / "d.jsonl", tmp_path / "v.jsonl", tmp_path / "m.hpm"
+    data.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(HUGE_RECORD) + "\n")
+    val.write_text(json.dumps(GOOD_RECORD) + "\n")
+    code, stdout, err = run(capsys, "train", "--data", str(data), "--val", str(val),
+                            "--epochs", "1", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == "error: non-finite loss at epoch 0, batch 0 (no finite training loss yet)\n"
     assert not out.exists()
 
 
@@ -988,7 +1007,6 @@ class TestParser:
                             r"\(last finite training loss [^()]+\)\n", err)
         assert not out.exists() and not Path(str(out) + ".history.json").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverging_training_reports_error(self, tmp_path, data_file, capsys):
         code, _, err = run(
             capsys, "train", "--data", str(data_file), "--epochs", "3", "--batch-size", "4",

@@ -859,17 +859,17 @@ def test_read_frames_names_a_duplicate_frame_id_on_its_second_line(tmp_path):
 
 
 # Rows as json.dumps writes them must come out of the three row formatters
-# byte for byte, for any float (NaN and the infinities included) and any id.
-_any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
-    [0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, 0.1 + 0.2])
+# byte for byte, for any finite float and any id. The rows hold finite
+# values only: write_dataset checks dataset rows, the CLI refuses a
+# non-finite estimate before an `infer` or `laeo` row, and a `laeo` cosine
+# is computed only where its denominator is a normal float.
 _any_id = st.text() | st.sampled_from(['"', "\\", "\n", "é", "\u2028", "😀", "\x7f"])
-# dataset rows hold finite values only, which write_dataset checks
 _any_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, 0.1 + 0.2])
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.tuples(_any_id, st.lists(_any_float, min_size=6, max_size=6)),
+@given(rows=st.lists(st.tuples(_any_id, st.lists(_any_finite, min_size=6, max_size=6)),
                      max_size=6),
        with_variance=st.booleans())
 def test_infer_lines_are_json_dumps(rows, with_variance):
@@ -886,8 +886,8 @@ def test_infer_lines_are_json_dumps(rows, with_variance):
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.tuples(
-    _any_id, st.tuples(_any_id, _any_id), _any_float, _any_float, st.sampled_from([0, 1]),
-    st.sampled_from([0, 1]), _any_float, st.booleans(), st.sampled_from([True, False, None]),
+    _any_id, st.tuples(_any_id, _any_id), _any_finite, _any_finite, st.sampled_from([0, 1]),
+    st.sampled_from([0, 1]), _any_finite, st.booleans(), st.sampled_from([True, False, None]),
 ), max_size=6))
 def test_laeo_lines_are_json_dumps(rows):
     results = [(frame_id, LaeoResult(*fields), label) for frame_id, *fields, label in rows]

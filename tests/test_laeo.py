@@ -100,6 +100,14 @@ def measure(a, b):
     return result.cos_a, result.cos_b
 
 
+# a centroid offset or an angle: zero, or of any size from 1e-165 up, with
+# half the draws below 1e-150, where squares and products turn subnormal
+_down_to_tiny = st.just(0.0) | st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(-10.0, 10.0), st.integers(-165, -150) | st.integers(-150, 3),
+)
+
+
 class TestInteractionMeasure:
     def test_mutual_gaze_scores_one(self):
         ca, cb = measure(*facing_pair())
@@ -157,6 +165,34 @@ class TestInteractionMeasure:
         assert laeo_reference.pair_score(
             ((0.0, 0.0), (0.0, 0.0), None), ((10.0, 0.0), (-90.0, 0.0), None), 7.0, "off"
         ) == pytest.approx(0.5, abs=1e-12)
+
+    def test_subnormal_squared_length_scores_zero(self):
+        # 3e-162 squared is subnormal, so the line's length comes out a third
+        # short, and its product with a's gaze length is subnormal too: a's
+        # cosine read 2.0, making a mutual-gaze pair of b facing the camera
+        a = head("a", (0.0, 0.0), yaw=1.5e-160)
+        b = head("b", (3e-162, 0.0), yaw=0.0)
+        result = score_two(a, b, mode="off")
+        assert (result.cos_a, result.cos_b, result.laeo_value) == (0.0, 0.0, 0.0)
+        assert not result.is_laeo
+        assert laeo_reference.score_pair(a, b, mode="off") == result
+        assert laeo_reference.pair_score(
+            ((0.0, 0.0), (1.5e-160, 0.0), None), ((3e-162, 0.0), (0.0, 0.0), None), 7.0, "off"
+        ) == 0.0
+        # only a's gaze has a subnormal squared length here: its length times
+        # the 10-pixel line's is a normal float, yet the cosine read 1.18
+        a = head("a", (0.0, 0.0), yaw=0.0, pitch=1.5e-160)
+        b = head("b", (0.0, -10.0), yaw=0.0)
+        assert measure(a, b) == laeo_reference.interaction_measure(a, b) == (0.0, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset=st.tuples(*[_down_to_tiny] * 2), angles=st.tuples(*[_down_to_tiny] * 4))
+    def test_cosines_stay_within_one_down_to_tiny_lengths(self, offset, angles):
+        a = head("a", (0.0, 0.0), yaw=angles[0], pitch=angles[1])
+        b = head("b", offset, yaw=angles[2], pitch=angles[3])
+        cosines = measure(a, b)
+        assert cosines == laeo_reference.interaction_measure(a, b)
+        assert all(abs(c) <= 1.0 + 1e-12 for c in cosines)
 
 
 def test_gazes_equal_project_direction_bit_for_bit():

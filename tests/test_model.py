@@ -461,8 +461,7 @@ class TestFlatStorage:
         m.restore(snap)
         assert np.array_equal(m.flat, snap)
         data = synthesize(8, np.random.default_rng(23))
-        train(m, data, TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0),
-              np.random.default_rng(24))
+        train(m, data, TrainConfig(n_epochs=1, batch_size=8), np.random.default_rng(24))
         assert not np.array_equal(m.flat, snap)
         assert m.flat_grad.any()
         assert_views_of_flat_vectors(m)

@@ -48,14 +48,10 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(val_fraction=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(val_fraction=-0.1)
 
     def test_only_what_callers_set_is_settable(self):
         names = [f.name for f in dataclasses.fields(TrainConfig)]
-        assert names == ["n_epochs", "batch_size", "learning_rate", "val_fraction"]
+        assert names == ["n_epochs", "batch_size", "learning_rate"]
 
 
 def vector_holder(values):
@@ -168,12 +164,6 @@ class TestTrainLoop:
                      np.random.default_rng(3), val=small_dataset(16, 4))
         assert len(hist.val_loss) == 2
 
-    def test_no_validation_keeps_last_epoch(self):
-        m = Model.build(ModelConfig("mse"), np.random.default_rng(4))
-        cfg = TrainConfig(n_epochs=2, batch_size=16, val_fraction=0.0)
-        hist = train(m, small_dataset(32, 5), cfg, np.random.default_rng(5))
-        assert hist.val_loss == [] and hist.best_epoch == 1
-
     def test_parameters_end_at_best_epoch(self):
         m = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(6))
         val = small_dataset(24, 7)
@@ -197,17 +187,17 @@ class TestTrainLoop:
 
     def test_split_cannot_eat_everything(self):
         m = Model.build(ModelConfig("mse"), np.random.default_rng(11))
-        with pytest.raises(ValueError):
-            train(m, small_dataset(2, 12), TrainConfig(val_fraction=0.9),
-                  np.random.default_rng(0))
+        with pytest.raises(ValueError, match="validation split would consume every sample"):
+            train(m, small_dataset(1, 12), TrainConfig(), np.random.default_rng(0))
 
     def test_non_finite_loss_reports_position(self):
         m = Model.build(ModelConfig("mse"), np.random.default_rng(13))
         bad = small_dataset(8, 14)
         bad.poses[0, 0] = np.inf
-        cfg = TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0)
-        with pytest.raises(FloatingPointError, match="epoch 0"):
-            train(m, bad, cfg, np.random.default_rng(0))
+        cfg = TrainConfig(n_epochs=1, batch_size=8)
+        # a given validation set keeps the bad record in the training batch
+        with pytest.raises(FloatingPointError, match="non-finite loss at epoch 0, batch 0"):
+            train(m, bad, cfg, np.random.default_rng(0), val=small_dataset(2, 18))
 
     def test_non_finite_gradient_reports_tensor_step_and_last_loss(self, monkeypatch):
         m = Model.build(ModelConfig("mse", width_scale=0.2), np.random.default_rng(15))
@@ -220,7 +210,7 @@ class TestTrainLoop:
             return losses[-1]
 
         monkeypatch.setattr(training, "loss_and_gradient", poisoned)
-        cfg = TrainConfig(n_epochs=1, batch_size=8, val_fraction=0.0)
+        cfg = TrainConfig(n_epochs=1, batch_size=8)
         with pytest.raises(FloatingPointError) as info:
             train(m, small_dataset(32, 16), cfg, np.random.default_rng(17))
         assert str(info.value) == (
@@ -259,7 +249,7 @@ class TestTrainLoop:
         data = small_dataset(96, 23)
         for kind in ("heteroscedastic", "mse", "combined"):
             m = Model.build(ModelConfig(kind), np.random.default_rng(24))
-            cfg = TrainConfig(n_epochs=8, batch_size=32, val_fraction=0.0)
+            cfg = TrainConfig(n_epochs=8, batch_size=32)
             hist = train(m, data, cfg, np.random.default_rng(25))
             assert hist.train_loss[-1] < hist.train_loss[0]
 
@@ -283,7 +273,7 @@ class TestConvergence:
             return dataset(out)
 
         m = Model.build(ModelConfig("mse"), np.random.default_rng(0))
-        cfg = TrainConfig(n_epochs=200, batch_size=32, val_fraction=0.0)
+        cfg = TrainConfig(n_epochs=200, batch_size=32)
         hist = train(m, make(512, 1), cfg, np.random.default_rng(1), val=make(200, 2))
         best = hist.val_mae[hist.best_epoch]
         assert float(np.mean(best)) < 1.0
