@@ -248,11 +248,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     from . import evaluation
 
     data = _read_records(args.data)
-    val = _read_records(args.val) if args.val is not None else None
+    val = _read_records(args.val)
     rows = []
     for loss_flag in ABLATE_ORDER:
         model, _ = _train_one(loss_flag, data, val, args)
-        result = evaluation.evaluate(model, val if val is not None else data)
+        result = evaluation.evaluate(model, val)
         rows.append(
             {
                 "loss": loss_flag,
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train all three losses and compare errors")
     p.add_argument("--data", required=True)
-    p.add_argument("--val", default=None)
+    p.add_argument("--val", required=True, help="held-out dataset to pick epochs and score on")
     _add_train_flags(p)
     p.add_argument("--out", default=None, help="optional JSON report")
     p.set_defaults(func=cmd_ablate)

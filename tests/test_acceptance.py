@@ -17,7 +17,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from headpose import cli
-from headpose.evaluation import error_by_keypoint_count, evaluate, pearson
+from headpose.evaluation import build_report, evaluate, pearson
 from headpose.formats import read_dataset, read_model, write_model
 from headpose.geometry import EulerPose
 from headpose.keypoints import KeypointSet, normalize
@@ -208,13 +208,13 @@ def test_criterion_5_synthetic_regression(zero_noise_run, noisy_drop_run, capsys
 
 def test_criterion_6_keypoint_count_study(noisy_drop_run, capsys):
     model, _, val_drop, _ = noisy_drop_run
-    groups = error_by_keypoint_count(evaluate(model, val_drop))
-    counts_seen = sorted(k for k in groups if k in (2, 3, 4, 5))
+    groups = build_report(evaluate(model, val_drop))["by_keypoint_count"]
+    counts_seen = sorted(int(k) for k in groups if k in ("2", "3", "4", "5"))
     has_range = {2, 5} <= set(counts_seen)
-    unc_sparse = groups[2]["uncertainty"].median
-    unc_full = groups[5]["uncertainty"].median
-    err_sparse = groups[2]["error"].median
-    err_full = groups[5]["error"].median
+    unc_sparse = groups["2"]["uncertainty"]["median"]
+    unc_full = groups["5"]["uncertainty"]["median"]
+    err_sparse = groups["2"]["error"]["median"]
+    err_full = groups["5"]["error"]["median"]
     ok = has_range and unc_full < unc_sparse and err_full < err_sparse
     announce(
         capsys, 6,

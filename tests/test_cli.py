@@ -196,6 +196,25 @@ class TestEval:
         assert report["n_samples"] == 12
         assert report["uncertainty"] is not None
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e30, 1e36])
+    def test_overflowing_pearson_is_null(self, tmp_path, capsys, scale):
+        # large but finite estimates square past the float range in pearson,
+        # which read as NaN (1e36) or a wrong 0.0 (1e30); they are null
+        model = Model.build(ModelConfig("heteroscedastic"), np.random.default_rng(0))
+        model.flat[:] = np.abs(model.flat) * scale
+        model_path, report = tmp_path / "big.hpm", tmp_path / "r.json"
+        write_model(model_path, model)
+        code, _, err = run(capsys, "eval", "--model", str(model_path),
+                           "--data", str(DATA / "score_pin.jsonl"), "--report", str(report))
+        assert code == 0 and err == ""
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        unc = json.loads(report.read_text(), parse_constant=refuse)["uncertainty"]
+        assert unc["pearson_vs_error"] is None and unc["cross_correlation"] is None
+
 
 class TestInfer:
     def test_stdout_rows_with_uncertainty(self, data_file, unc_model, capsys):
@@ -683,7 +702,7 @@ def _command(draw) -> tuple[list[str], dict[str, bytes]]:
         if draw(st.booleans()):
             argv += ["--gate", draw(st.sampled_from(["interval", "open-below", "off"]))]
     if command in ("train", "ablate"):
-        if draw(st.booleans()):
+        if command == "ablate" or draw(st.booleans()):
             files["val"] = draw(_data_blobs)
         argv += ["--epochs", draw(st.sampled_from(["1", "2"]))]
         for flag, values in (("--batch-size", _INT_VALUES), ("--lr", _FLAG_VALUES),
@@ -788,7 +807,8 @@ def test_record_without_usable_keypoints_names_its_line(tmp_path, unc_model, cap
                            "--out", str(out)],
         "eval": ["eval", "--model", str(unc_model), "--data", str(bad), "--report", str(out)],
         "infer": ["infer", "--model", str(unc_model), "--data", str(bad), "--out", str(out)],
-        "ablate": ["ablate", "--data", str(bad), "--epochs", "1", "--out", str(out)],
+        "ablate": ["ablate", "--data", str(bad), "--val", str(fine), "--epochs", "1",
+                   "--out", str(out)],
     }[command]
     code, stdout, err = run(capsys, *argv)
     assert code == 1 and stdout == ""
@@ -811,7 +831,7 @@ def test_empty_data_file_is_refused_before_training(tmp_path, unc_model, data_fi
         "train": ["train", "--data", str(empty), "--out", str(out)],
         "train-val": ["train", "--data", str(data_file), "--val", str(empty), "--out", str(out)],
         "eval": ["eval", "--model", str(unc_model), "--data", str(empty), "--report", str(out)],
-        "ablate": ["ablate", "--data", str(empty), "--out", str(out)],
+        "ablate": ["ablate", "--data", str(empty), "--val", str(data_file), "--out", str(out)],
         "ablate-val": ["ablate", "--data", str(data_file), "--val", str(empty),
                        "--out", str(out)],
     }[command]
@@ -907,7 +927,8 @@ class TestAblate:
         report = tmp_path / "ablate.json"
         code, out, err = run(
             capsys,
-            "ablate", "--data", str(data_file), "--epochs", "1", "--batch-size", "6",
+            "ablate", "--data", str(data_file), "--val", str(data_file),
+            "--epochs", "1", "--batch-size", "6",
             "--seed", "2", "--out", str(report),
         )
         assert code == 0, err
@@ -960,6 +981,13 @@ class TestParser:
             cli.main(argv)
         assert info.value.code == 2
         assert "expected a finite number" in capsys.readouterr().err
+
+    def test_ablate_needs_val(self, capsys):
+        # each loss would otherwise draw its own split after its build
+        with pytest.raises(SystemExit) as info:
+            cli.main(["ablate", "--data", "d"])
+        assert info.value.code == 2
+        assert "--val" in capsys.readouterr().err
 
     @pytest.mark.parametrize("noise", ["nan,0", "1,inf"])
     def test_non_finite_noise_rejected(self, tmp_path, capsys, noise):

@@ -6,17 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from headpose.evaluation import (
-    BoxStats,
-    EvalResult,
-    build_report,
-    cumulative_error_curve,
-    error_by_keypoint_count,
-    evaluate,
-    pearson,
-    uncertainty_cross_correlation,
-)
+from headpose.evaluation import N_CURVE_POINTS, EvalResult, build_report, evaluate, pearson
 from headpose.model import Model, ModelConfig
 from headpose.synthetic import synthesize
 from headpose.training import prepare_arrays
@@ -57,20 +50,25 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1, 2], [2, 4, 7])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_squares_raise(self):
+        # deviations near 1e154 square past the float range: a wrong 0.0 or
+        # NaN r, and numpy warnings, unless refused
+        for scale in (1e154, 1e160, 1e200):
+            with pytest.raises(ValueError):
+                pearson([scale, -scale, 0.0], [1.0, 2.0, 4.0])
+
 
 class TestBoxStats:
     def test_linear_interpolation_quartiles(self):
-        s = BoxStats.of([1.0, 2.0, 3.0, 4.0])
-        assert s.mean == 2.5
-        assert s.q1 == 1.75 and s.median == 2.5 and s.q3 == 3.25
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            BoxStats.of([])
+        report = build_report(result([(e, e, e) for e in (1, 2, 3, 4)], [(0, 0, 0)] * 4))
+        box = report["by_keypoint_count"]["5"]["error"]
+        assert box["mean"] == 2.5
+        assert box["q1"] == 1.75 and box["median"] == 2.5 and box["q3"] == 3.25
 
     def test_to_dict_keys(self):
-        d = BoxStats.of([1.0]).to_dict()
-        assert list(d.keys()) == ["mean", "q1", "median", "q3"]
+        box = build_report(result([(1, 1, 1)], [(0, 0, 0)]))["by_keypoint_count"]["5"]["error"]
+        assert list(box.keys()) == ["mean", "q1", "median", "q3"]
 
 
 class TestRecords:
@@ -114,35 +112,24 @@ class TestEvaluate:
 
 
 class TestCurve:
-    def make_records(self):
-        return result(
+    def curve(self):
+        # the thresholds are linspace(1, 3, 21), which holds 1.0, 2.0 and 3.0 exactly
+        return build_report(result(
             [(1, 0, 0), (0, 30, 0), (0, 0, 300)],  # err 1/3, 10, 100
             [(0, 0, 0)] * 3,
             log_vars=[[1.0] * 3, [2.0] * 3, [3.0] * 3],  # mu 1, 2, 3
-        )
+        ))["uncertainty"]["cumulative_curve"]
 
     def test_hand_computed_points(self):
-        pts = cumulative_error_curve(self.make_records(), [1.0, 2.0, 3.0])
-        assert [p.retained for p in pts] == pytest.approx([1 / 3, 2 / 3, 1.0])
-        assert pts[0].mean_error == pytest.approx(1 / 3)
-        assert pts[1].mean_error == pytest.approx((1 / 3 + 10) / 2)
-        assert pts[2].mean_error == pytest.approx((1 / 3 + 10 + 100) / 3)
-
-    def test_empty_bucket_gives_none(self):
-        pts = cumulative_error_curve(self.make_records(), [0.0, 3.0])
-        assert pts[0].mean_error is None and pts[0].retained == 0.0
-
-    def test_unsorted_grid_raises(self):
-        with pytest.raises(ValueError):
-            cumulative_error_curve(self.make_records(), [2.0, 1.0])
-
-    def test_requires_uncertainty(self):
-        with pytest.raises(ValueError):
-            cumulative_error_curve(result([(0, 0, 0)], [(0, 0, 0)]), [1.0])
+        pts = [self.curve()[i] for i in (0, 10, 20)]
+        assert [p["threshold"] for p in pts] == [1.0, 2.0, 3.0]
+        assert [p["retained"] for p in pts] == pytest.approx([1 / 3, 2 / 3, 1.0])
+        assert pts[0]["mean_error"] == pytest.approx(1 / 3)
+        assert pts[1]["mean_error"] == pytest.approx((1 / 3 + 10) / 2)
+        assert pts[2]["mean_error"] == pytest.approx((1 / 3 + 10 + 100) / 3)
 
     def test_retained_non_decreasing(self):
-        pts = cumulative_error_curve(self.make_records(), np.linspace(0, 4, 9))
-        retained = [p.retained for p in pts]
+        retained = [p["retained"] for p in self.curve()]
         assert retained == sorted(retained)
 
 
@@ -150,29 +137,29 @@ class TestCrossCorrelation:
     def test_matches_column_pearson(self):
         rng = np.random.default_rng(5)
         lvs = rng.normal(size=(20, 3))
-        r_yp, r_yr, r_pr = uncertainty_cross_correlation(
+        cross = build_report(
             result([(0, 0, 0)] * 20, [(0, 0, 0)] * 20, log_vars=lvs)
-        )
-        assert r_yp == pytest.approx(pearson(lvs[:, 0], lvs[:, 1]), abs=1e-12)
-        assert r_yr == pytest.approx(pearson(lvs[:, 0], lvs[:, 2]), abs=1e-12)
-        assert r_pr == pytest.approx(pearson(lvs[:, 1], lvs[:, 2]), abs=1e-12)
+        )["uncertainty"]["cross_correlation"]
+        assert cross["yaw_pitch"] == pytest.approx(pearson(lvs[:, 0], lvs[:, 1]), abs=1e-12)
+        assert cross["yaw_roll"] == pytest.approx(pearson(lvs[:, 0], lvs[:, 2]), abs=1e-12)
+        assert cross["pitch_roll"] == pytest.approx(pearson(lvs[:, 1], lvs[:, 2]), abs=1e-12)
 
 
 class TestGroups:
     def test_grouping_by_count(self):
-        groups = error_by_keypoint_count(result(
+        groups = build_report(result(
             [(1, 1, 1), (9, 9, 9), (2, 2, 2)], [(0, 0, 0)] * 3, counts=[5, 2, 5],
             log_vars=[[1] * 3, [5] * 3, [2] * 3],
-        ))
-        assert list(groups.keys()) == [2, 5]
-        assert groups[5]["error"].median == pytest.approx(1.5)
-        assert groups[2]["error"].mean == pytest.approx(9.0)
-        assert groups[5]["uncertainty"].median == pytest.approx(1.5)
+        ))["by_keypoint_count"]
+        assert list(groups.keys()) == ["2", "5"]
+        assert groups["5"]["error"]["median"] == pytest.approx(1.5)
+        assert groups["2"]["error"]["mean"] == pytest.approx(9.0)
+        assert groups["5"]["uncertainty"]["median"] == pytest.approx(1.5)
 
     def test_uncertainty_none_without_variances(self):
-        groups = error_by_keypoint_count(result([(1, 1, 1)], [(0, 0, 0)], counts=[4]))
-        assert groups[4]["uncertainty"] is None
-        assert groups[4]["error"] is not None
+        groups = build_report(result([(1, 1, 1)], [(0, 0, 0)], counts=[4]))["by_keypoint_count"]
+        assert groups["4"]["uncertainty"] is None
+        assert groups["4"]["error"] is not None
 
 
 class TestReport:
@@ -200,3 +187,47 @@ class TestReport:
     def test_group_keys_are_strings(self):
         report = self.build()
         assert all(isinstance(k, str) for k in report["by_keypoint_count"])
+
+
+@st.composite
+def _eval_results(draw):
+    """EvalResults of 1-40 records, counts 1-5, and log-variances that are
+    None, tied, or as large as 1e200."""
+    n = draw(st.integers(1, 40))
+
+    def rows(values):
+        return st.lists(st.tuples(values, values, values), min_size=n, max_size=n)
+
+    angles = draw(rows(st.integers(-99, 99) | st.floats(-1e3, 1e3)))
+    targets = draw(rows(st.integers(-99, 99)))
+    counts = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    log_vars = draw(st.none() | rows(st.sampled_from([-3.0, 0.5, 1e200]))
+                    | rows(st.floats(-1e200, 1e200)))
+    return result(angles, targets, counts, log_vars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored=_eval_results())
+def test_report_invariants(scored):
+    report = build_report(scored)
+    json.dumps(report, allow_nan=False)
+    mu, err = scored.mean_uncertainty, scored.overall_error
+    if mu is None or len(scored) < 2:
+        assert report["uncertainty"] is None
+    else:
+        curve = report["uncertainty"]["cumulative_curve"]
+        assert len(curve) == N_CURVE_POINTS
+        assert curve[0]["threshold"] == mu.min() and curve[-1]["threshold"] == mu.max()
+        retained = [p["retained"] for p in curve]
+        assert retained == sorted(retained) and retained[-1] == 1.0
+        assert all(type(p["mean_error"]) is float for p in curve)
+    groups = report["by_keypoint_count"]
+    assert list(groups) == [str(c) for c in sorted(set(scored.present.tolist()))]
+    for key, boxes in groups.items():
+        group = scored.present == int(key)
+        for name, values in (("error", err), ("uncertainty", mu)):
+            if values is None:
+                assert boxes[name] is None
+            else:
+                expect = [values[group].mean(), *np.percentile(values[group], [25, 50, 75])]
+                assert list(boxes[name].values()) == expect
