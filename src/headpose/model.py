@@ -7,10 +7,11 @@ gates the two coordinate streams element-wise, so a low-confidence
 keypoint contributes little regardless of where it sits. The gated
 features feed a three-layer fully connected trunk and a linear head.
 
-Head width follows the training objective: a heteroscedastic head emits
-six values (three angles plus three log-variances), a plain squared-error
-head emits the three angles, and the combined classification head emits
-the three angles plus one row of bin logits per angle.
+The one linear head's width follows the training objective, and the loss
+kind alone says what each column means: a heteroscedastic head emits six
+values (three angles, then three log-variances), a plain squared-error
+head the three angles, and a combined head the three angles, then one row
+of bin logits per angle.
 
 The fully connected widths scale with a single multiplier so the same
 topology covers the full-size and reduced variants. The loss kind and
@@ -19,8 +20,8 @@ the module constants below.
 
 The forward and backward passes are numpy on arrays. Inference keeps no
 activation; training hands `outputs` a tape and gives `backward` the loss
-gradients of the heads, and `backward` writes every parameter's gradient
-into its slice of the flat gradient vector.
+gradient of the head's output, and `backward` writes every parameter's
+gradient into its slice of the flat gradient vector.
 """
 
 from __future__ import annotations
@@ -85,12 +86,9 @@ class ModelConfig:
         return (w0, w1, w2)
 
     @property
-    def n_pose_outputs(self) -> int:
-        return 6 if self.loss_kind == "heteroscedastic" else 3
-
-    @property
-    def n_aux_outputs(self) -> int:
-        return 3 * N_BINS if self.loss_kind == "combined" else 0
+    def n_outputs(self) -> int:
+        """The head's width: angles, then log-variances or bin logits."""
+        return {"heteroscedastic": 6, "mse": 3, "combined": 3 + 3 * N_BINS}[self.loss_kind]
 
     def to_dict(self) -> dict:
         return {"loss_kind": self.loss_kind, "width_scale": self.width_scale, **FIXED_CONFIG}
@@ -199,18 +197,18 @@ class Model:
         total = 3 * N_KEYPOINTS * N_FILTERS
         w0, w1, w2 = cfg.fc_widths
         total += 2 * N_KEYPOINTS * N_FILTERS * w0 + w0 * w1 + w1 * w2
-        total += w2 * (cfg.n_pose_outputs + cfg.n_aux_outputs)
+        total += w2 * cfg.n_outputs
         return total
 
     def outputs(
         self, x1: np.ndarray, x2: np.ndarray, c: np.ndarray, tape: list | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The head outputs of a (B, 5) batch: values, and under `combined`
-        the bin logits (else None). A single sample is a batch of one.
+    ) -> np.ndarray:
+        """The (B, n_outputs) head output of a (B, 5) batch. A single sample
+        is a batch of one.
 
         This is the one forward pass. Every layer applies its bias and
         activation in place and drops its input, so without a tape nothing
-        but the outputs outlives the call. Given a list as tape, it receives
+        but the output outlives the call. Given a list as tape, it receives
         the activations and leaky-ReLU masks that `backward` reads.
         """
         if x1.ndim != 2 or x1.shape[1] != N_KEYPOINTS or not x1.shape == x2.shape == c.shape:
@@ -233,21 +231,18 @@ class Model:
             h = _leaky_relu(_dense(h, p[f"fc{i}_w"], p[f"fc{i}_b"]), tape)
         if tape is not None:
             tape.append(h)
-        values = _dense(h, p["head_w"], p["head_b"])
-        logits = _dense(h, p["logits_w"], p["logits_b"]) if "logits_w" in p else None
-        return values, logits
+        return _dense(h, p["head_w"], p["head_b"])
 
-    def backward(self, tape: list, g_values: np.ndarray,
-                 g_logits: np.ndarray | None = None) -> None:
-        """Reverse pass of `outputs` from the loss gradients of its values
-        and, under `combined`, its logits; writes each parameter's gradient
-        over its slice of flat_grad, once, as each parameter is used once.
+    def backward(self, tape: list, g_out: np.ndarray) -> None:
+        """Reverse pass of `outputs` from the loss gradient of its output;
+        writes each parameter's gradient over its slice of flat_grad, once,
+        as each parameter is used once.
 
         Each step is the expression the graph op of that layer used, so
         the gradients equal the op graph's (tests/network_reference.py) bit
-        for bit but for the sign of an exact zero; the gate and the trunk
-        output, the only values used twice, sum their two contributions, and
-        IEEE addition is commutative.
+        for bit but for the sign of an exact zero; the gate, the only value
+        used twice, sums its two contributions, and IEEE addition is
+        commutative.
         """
         p, grad = self.params, self.grads
         # in forward order: the conv streams' masks, the inputs, the conv
@@ -255,13 +250,9 @@ class Model:
         # the trunk output
         m1, m2, x1, x2, c, a1, a2, gate, *trunk = tape
         h = trunk[-1]
-        g_h = g_values @ p["head_w"].T
-        np.matmul(h.T, g_values, out=grad["head_w"])
-        g_values.sum(axis=0, out=grad["head_b"])
-        if g_logits is not None:
-            np.matmul(h.T, g_logits, out=grad["logits_w"])
-            g_logits.sum(axis=0, out=grad["logits_b"])
-            g_h = g_h + g_logits @ p["logits_w"].T
+        g_h = g_out @ p["head_w"].T
+        np.matmul(h.T, g_out, out=grad["head_w"])
+        g_out.sum(axis=0, out=grad["head_b"])
         for i in (2, 1, 0):
             h, mask = trunk[2 * i], trunk[2 * i + 1]
             g_z = g_h * np.where(mask, 1.0, LEAKY_SLOPE)
@@ -290,10 +281,9 @@ class Model:
         self, x1: np.ndarray, x2: np.ndarray, c: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Angles (B, 3) and, for a heteroscedastic head, log-variances (B, 3)."""
-        out, _ = self.outputs(x1, x2, c)
-        if self.config.loss_kind == "heteroscedastic":
-            return out[:, :3].copy(), out[:, 3:6].copy()
-        return out, None
+        out = self.outputs(x1, x2, c)
+        log_var = out[:, 3:6].copy() if self.config.loss_kind == "heteroscedastic" else None
+        return out[:, :3].copy(), log_var
 
     def snapshot(self) -> np.ndarray:
         """A copy of the flat parameter vector."""
@@ -319,9 +309,6 @@ def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     for i, (w_in, w_out) in enumerate(zip((trunk_in, w0, w1), (w0, w1, w2))):
         layout.append((f"fc{i}_w", (w_in, w_out)))
         layout.append((f"fc{i}_b", (w_out,)))
-    layout.append(("head_w", (w2, config.n_pose_outputs)))
-    layout.append(("head_b", (config.n_pose_outputs,)))
-    if config.loss_kind == "combined":
-        layout.append(("logits_w", (w2, config.n_aux_outputs)))
-        layout.append(("logits_b", (config.n_aux_outputs,)))
+    layout.append(("head_w", (w2, config.n_outputs)))
+    layout.append(("head_b", (config.n_outputs,)))
     return layout

@@ -6,7 +6,7 @@ bit for bit. After each epoch the loss is measured on validation data,
 given or split off, and the parameters that scored best are restored at
 the end, which matters here because the heteroscedastic objective can
 start oscillating once the variance head sharpens. A step is three
-calls: the network's outputs, the loss with its output gradients, and the
+calls: the network's output, the loss with its gradient, and the
 network's backward pass, which writes the model's whole flat gradient
 vector; Adam then updates the flat parameter vector in place.
 """
@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .formats import Dataset, prepare_arrays
-from .losses import batch_loss
+from .losses import BIN_HI_DEGREES, BIN_LO_DEGREES, batch_loss
 from .model import Model
 
 # Adam's moment decay rates and denominator guard, at the defaults of
@@ -90,18 +90,30 @@ def loss_and_gradient(model: Model, x1: np.ndarray, x2: np.ndarray, c: np.ndarra
                       targets: np.ndarray) -> float:
     """The batch-mean loss of a (B, 5) batch; its gradient replaces flat_grad."""
     tape: list = []
-    values, logits = model.outputs(x1, x2, c, tape)
-    value, g_values, g_logits = batch_loss(model.config.loss_kind, values, logits, targets)
-    model.backward(tape, g_values, g_logits)
+    value, g_out = batch_loss(model.config.loss_kind, model.outputs(x1, x2, c, tape), targets)
+    model.backward(tape, g_out)
     return float(value)
+
+
+def _require_binned(*datasets: Dataset | None) -> None:
+    """ValueError naming the first record whose pose lies outside the bins of
+    the combined loss; a None dataset is skipped."""
+    for data in datasets:
+        if data is None:
+            continue
+        outside = ((data.poses < BIN_LO_DEGREES) | (data.poses > BIN_HI_DEGREES)).any(axis=1)
+        if outside.any():
+            raise ValueError(f"{data.record_name(int(np.argmax(outside)))}: pose outside "
+                             f"[{BIN_LO_DEGREES}, {BIN_HI_DEGREES}] degrees, "
+                             "the range of the combined loss's bins")
 
 
 def _validation_pass(model: Model, arrays) -> tuple[float, list[float]]:
     """Loss plus per-angle MAE on a held-out split: one forward pass, no backward."""
     x1, x2, c, targets = arrays
-    values, logits = model.outputs(x1, x2, c)
-    loss, _, _ = batch_loss(model.config.loss_kind, values, logits, targets)
-    per_angle = np.abs(values[:, :3] - targets).mean(axis=0)
+    out = model.outputs(x1, x2, c)
+    loss, _ = batch_loss(model.config.loss_kind, out, targets)
+    per_angle = np.abs(out[:, :3] - targets).mean(axis=0)
     return float(loss), [float(v) for v in per_angle]
 
 
@@ -114,19 +126,24 @@ def train(
 ) -> TrainHistory:
     """Optimize the model in place; parameters end at the best epoch.
 
-    When val is None, the head VAL_FRACTION of a seeded shuffle of `data`,
-    at least one record, becomes the validation split. Empty `data`, an
-    empty `val` or a split that would take every record raises ValueError.
+    When val is None, the head VAL_FRACTION of a shuffle of `data`, at least
+    one record, becomes the validation split. The shuffle comes from a child
+    stream of `rng` (`rng.spawn`), so the split does not depend on how many
+    draws built the model. Empty `data`, an empty `val`, a split that would
+    take every record, or under the combined loss a pose outside its bins
+    raises ValueError.
     """
     if not len(data):
         raise ValueError("no training samples")
     if val is not None and not len(val):
         raise ValueError("no validation samples")
     arrays = prepare_arrays(data)
+    if model.config.loss_kind == "combined":
+        _require_binned(data, val)
     if val is not None:
         val_arrays = prepare_arrays(val)
     else:
-        order = rng.permutation(len(data))
+        order = rng.spawn(1)[0].permutation(len(data))
         n_val = max(1, int(round(len(data) * VAL_FRACTION)))
         if n_val >= len(data):
             raise ValueError("validation split would consume every sample")

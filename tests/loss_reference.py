@@ -23,7 +23,7 @@ from headpose.losses import bin_index
 from headpose.model import N_BINS, Model, PoseEstimate
 
 import network_reference
-from network_reference import NetworkOutput, mul
+from network_reference import mul
 
 
 def as_array(pose: EulerPose) -> np.ndarray:
@@ -192,52 +192,48 @@ def cross_entropy_logits(logits: Tensor, target_idx: np.ndarray) -> Tensor:
     return Tensor(out, (logits,), vjp)
 
 
-def heteroscedastic_loss_graph(output: NetworkOutput, targets: np.ndarray) -> Tensor:
-    values = output.values
-    if values.shape[-1] != 6:
-        raise ValueError(f"heteroscedastic loss needs 6 outputs, got {values.shape}")
-    f = slice_last(values, 0, 3)
-    s = slice_last(values, 3, 6)
+def heteroscedastic_loss_graph(out: Tensor, targets: np.ndarray) -> Tensor:
+    if out.shape[-1] != 6:
+        raise ValueError(f"heteroscedastic loss needs 6 outputs, got {out.shape}")
+    f = slice_last(out, 0, 3)
+    s = slice_last(out, 3, 6)
     diff = sub(f, Tensor(targets))
     damped = scale(mul(exp(neg(s)), mul(diff, diff)), 0.5)
     term = add(damped, scale(s, 0.5))
-    return scale(tsum(term), 1.0 / values.shape[0])
+    return scale(tsum(term), 1.0 / out.shape[0])
 
 
-def mse_loss_graph(output: NetworkOutput, targets: np.ndarray) -> Tensor:
-    values = output.values
-    if values.shape[-1] != 3:
-        raise ValueError(f"mse loss needs 3 outputs, got {values.shape}")
-    diff = sub(values, Tensor(targets))
-    return scale(tsum(mul(diff, diff)), 1.0 / values.shape[0])
+def mse_loss_graph(out: Tensor, targets: np.ndarray) -> Tensor:
+    if out.shape[-1] != 3:
+        raise ValueError(f"mse loss needs 3 outputs, got {out.shape}")
+    diff = sub(out, Tensor(targets))
+    return scale(tsum(mul(diff, diff)), 1.0 / out.shape[0])
 
 
-def combined_loss_graph(output: NetworkOutput, targets: np.ndarray) -> Tensor:
-    if output.logits is None:
-        raise ValueError("combined loss needs the bin-logits head")
-    values, logits = output.values, output.logits
-    if logits.shape[-1] != 3 * N_BINS:
-        raise ValueError(f"expected {3 * N_BINS} logits, got {logits.shape[-1]}")
+def combined_loss_graph(out: Tensor, targets: np.ndarray) -> Tensor:
+    """Angles in columns 0-2, then one row of N_BINS logits per angle."""
+    if out.shape[-1] != 3 + 3 * N_BINS:
+        raise ValueError(f"combined loss needs {3 + 3 * N_BINS} outputs, got {out.shape}")
     q = np.asarray(targets, dtype=np.float64)
     total: Tensor | None = None
     for angle in range(3):
-        rows = slice_last(logits, angle * N_BINS, (angle + 1) * N_BINS)
+        rows = slice_last(out, 3 + angle * N_BINS, 3 + (angle + 1) * N_BINS)
         ce = cross_entropy_logits(rows, bin_index(q[:, angle]))
         ce_sum = tsum(ce)
         total = ce_sum if total is None else add(total, ce_sum)
-    diff = sub(values, Tensor(q))
+    diff = sub(slice_last(out, 0, 3), Tensor(q))
     total = add(total, tsum(mul(diff, diff)))
-    return scale(total, 1.0 / values.shape[0])
+    return scale(total, 1.0 / out.shape[0])
 
 
-def loss_graph(kind: str, output: NetworkOutput, targets: np.ndarray) -> Tensor:
+def loss_graph(kind: str, out: Tensor, targets: np.ndarray) -> Tensor:
     """Dispatch to the builder matching the model's loss kind."""
     if kind == "heteroscedastic":
-        return heteroscedastic_loss_graph(output, targets)
+        return heteroscedastic_loss_graph(out, targets)
     if kind == "mse":
-        return mse_loss_graph(output, targets)
+        return mse_loss_graph(out, targets)
     if kind == "combined":
-        return combined_loss_graph(output, targets)
+        return combined_loss_graph(out, targets)
     raise ValueError(f"unknown loss kind {kind!r}")
 
 

@@ -10,21 +10,12 @@ conv1d, flatten) take batches only, with the batch on the leading axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from headpose.autodiff import Parameter, Tensor
 from headpose.model import LEAKY_SLOPE, Model
-
-
-@dataclass(frozen=True)
-class NetworkOutput:
-    """Raw head tensors; values is (B, 3) or (B, 6), logits optional."""
-
-    values: Tensor
-    logits: Tensor | None = None
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -112,8 +103,9 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return Tensor(out, tuple(parts), vjp)
 
 
-def forward(model: Model, x1: np.ndarray, x2: np.ndarray, c: np.ndarray) -> NetworkOutput:
-    """The model's outputs as the op graph; backward() adds into flat_grad.
+def forward(model: Model, x1: np.ndarray, x2: np.ndarray, c: np.ndarray) -> Tensor:
+    """The model's (B, n_outputs) head output as the op graph; backward()
+    adds into flat_grad.
 
     Each parameter is a leaf over the model's views of it in `flat` and
     `flat_grad`.
@@ -125,8 +117,4 @@ def forward(model: Model, x1: np.ndarray, x2: np.ndarray, c: np.ndarray) -> Netw
     h = concat([flatten(mul(a1, gate)), flatten(mul(a2, gate))])
     for i in range(3):
         h = leaky_relu(dense(h, p[f"fc{i}_w"], p[f"fc{i}_b"]), LEAKY_SLOPE)
-    values = dense(h, p["head_w"], p["head_b"])
-    logits = None
-    if model.config.loss_kind == "combined":
-        logits = dense(h, p["logits_w"], p["logits_b"])
-    return NetworkOutput(values=values, logits=logits)
+    return dense(h, p["head_w"], p["head_b"])

@@ -101,8 +101,8 @@ def test_criterion_2_model_file_size(tmp_path, capsys):
     write_model(path, model)
     size = path.stat().st_size
     x1, x2, c, _ = prepare_arrays(synthesize(64, np.random.default_rng(3)))
-    before, _ = model.outputs(x1, x2, c)
-    after, _ = read_model(path).outputs(x1, x2, c)
+    before = model.outputs(x1, x2, c)
+    after = read_model(path).outputs(x1, x2, c)
     drift = float(np.abs(after - before).max())
     ok = size < 500_000 and drift < 1e-4
     announce(
@@ -160,11 +160,11 @@ def test_criterion_4_gradient_integrity(capsys):
         x1, x2, c, _ = prepare_arrays(data)
         for kind in ("heteroscedastic", "mse", "combined"):
             model = Model.build(ModelConfig(kind), np.random.default_rng(100 + seed))
-            base, _ = model.outputs(x1, x2, c)
+            base = model.outputs(x1, x2, c)
             targets = base[:, :3] + np.random.default_rng(1000 + seed).normal(0.0, 0.3, (8, 3))
 
             def value() -> float:
-                return float(batch_loss(kind, *model.outputs(x1, x2, c), targets)[0])
+                return float(batch_loss(kind, model.outputs(x1, x2, c), targets)[0])
 
             loss_and_gradient(model, x1, x2, c, targets)
             worst = max(

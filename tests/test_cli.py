@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headpose import cli
+from headpose import cli, training
 from headpose.evaluation import evaluate
 from headpose.formats import read_dataset, read_model, write_model
 from headpose.keypoints import Keypoint, KeypointSet, normalize
@@ -177,6 +177,28 @@ class TestTrain:
         )
         assert code == 1
         assert f"error: {bad}: line 3" in err
+
+
+    def test_split_does_not_depend_on_loss_or_width(self, tmp_path, capsys, monkeypatch):
+        # without --val, the split comes from a child stream of the --seed
+        # generator, not from the draws left over after building the model
+        data = tmp_path / "d.jsonl"
+        run(capsys, "synth", "--n", "40", "--noise", "1,0.02", "--seed", "5", "--out", str(data))
+        validated = []
+        validation_pass = training._validation_pass
+
+        def recording(model, arrays):
+            validated.append(arrays[3].copy())
+            return validation_pass(model, arrays)
+
+        monkeypatch.setattr(training, "_validation_pass", recording)
+        for flags in (["--loss", "unc"], ["--loss", "mse"], ["--loss", "comb"],
+                      ["--loss", "unc", "--alpha", "0.6"]):
+            code, _, err = run(capsys, "train", "--data", str(data), *flags, "--epochs", "1",
+                               "--seed", "0", "--out", str(tmp_path / "m.hpm"))
+            assert code == 0, err
+        assert len(validated) == 4 and validated[0].shape == (4, 3)
+        assert all(np.array_equal(targets, validated[0]) for targets in validated)
 
 
 class TestEval:
@@ -815,6 +837,28 @@ def test_record_without_usable_keypoints_names_its_line(tmp_path, unc_model, cap
     # the file is named: with --data and --val, either may hold the bad record
     assert err == (f"error: {bad}: line 2: record 'b': "
                    "no usable keypoints: all confidences are zero\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("wide_flag", ["--data", "--val"])
+def test_pose_outside_the_bins_names_its_record(tmp_path, capsys, command, wide_flag):
+    # the combined loss bins each angle over [-99, 99] degrees; a pose beyond
+    # them is refused, naming its record, before any training step
+    good = {"id": "a", "keypoints": [[0, 0, 1], [1, 0, 1], [2, 1, 1], [3, 0, 1], [4, 2, 1]],
+            "pose": [0, 0, 0]}
+    wide = {**good, "id": "w", "pose": [0, -120.5, 0]}
+    wide_file, fine = tmp_path / "wide.jsonl", tmp_path / "fine.jsonl"
+    wide_file.write_text(json.dumps(good) + "\n" + json.dumps(wide) + "\n")
+    fine.write_text(json.dumps(good) + "\n" + json.dumps(good) + "\n")
+    files = {"--data": fine, "--val": fine, wide_flag: wide_file}
+    out = tmp_path / "out"
+    argv = [command, "--data", str(files["--data"]), "--val", str(files["--val"]),
+            "--epochs", "1", "--out", str(out)]
+    code, stdout, err = run(capsys, *argv, *(["--loss", "comb"] if command == "train" else []))
+    assert code == 1 and stdout == ""
+    assert err == (f"error: {wide_file}: line 2: record 'w': pose outside [-99.0, 99.0] "
+                   "degrees, the range of the combined loss's bins\n")
     assert not out.exists()
 
 

@@ -471,6 +471,11 @@ def test_bad_value_reports_line(tmp_path, reader, row, word):
         pytest.param(lambda d: [1, 2], ("not a model file",), id="header-not-an-object"),
         pytest.param(lambda d: {**d, "model_config": {**d["model_config"], "kernel_size": 3}},
                      ("model_config", "kernel_size must be 1"), id="kernel-size-3"),
+        # a combined model as written when its bin logits had their own head
+        pytest.param(lambda d: {**d, "model_config": {**d["model_config"], "loss_kind": "combined"},
+                                "tensors": d["tensors"] + [["logits_w", [30, 198]],
+                                                           ["logits_b", [198]]]},
+                     ("tensor layout does not match the config",), id="combined-two-heads"),
     ],
 )
 def test_bad_model_header_names_path(tmp_path, edit, words):

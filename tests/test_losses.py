@@ -37,7 +37,6 @@ from loss_reference import (
     squared_error_loss,
     squared_error_value,
 )
-from network_reference import NetworkOutput
 
 
 def het_values(pose, log_var):
@@ -156,7 +155,7 @@ class TestPerSampleValues:
 
 
 def batch_output(kind, rng, batch=8):
-    """The output arrays of a network of `kind` on a random batch."""
+    """The head output of a network of `kind` on a random batch."""
     cfg = ModelConfig(loss_kind=kind)
     m = Model.build(cfg, np.random.default_rng(99))
     x1 = rng.uniform(-1, 1, size=(batch, 5))
@@ -165,41 +164,40 @@ def batch_output(kind, rng, batch=8):
     return m.outputs(x1, x2, c)
 
 
-def leaves(values, logits=None):
-    """Output arrays as fresh leaves of the graph oracle."""
-    return NetworkOutput(ad.Tensor(values.copy()),
-                         None if logits is None else ad.Tensor(logits.copy()))
+def leaf(out):
+    """A head output as a fresh leaf of the graph oracle."""
+    return ad.Tensor(out.copy())
 
 
 class TestGraphs:
     def test_heteroscedastic_graph_matches_numeric(self):
         rng = np.random.default_rng(4)
-        values, _ = batch_output("heteroscedastic", rng)
+        out = batch_output("heteroscedastic", rng)
         targets = rng.normal(0, 2, size=(8, 3))
-        expect = float(heteroscedastic_loss(values, targets).mean())
-        for value in (batch_loss("heteroscedastic", values, None, targets)[0],
-                      heteroscedastic_loss_graph(leaves(values), targets).data):
+        expect = float(heteroscedastic_loss(out, targets).mean())
+        for value in (batch_loss("heteroscedastic", out, targets)[0],
+                      heteroscedastic_loss_graph(leaf(out), targets).data):
             assert float(value) == pytest.approx(expect, abs=1e-12)
 
     def test_mse_graph_matches_numeric(self):
         rng = np.random.default_rng(5)
-        values, _ = batch_output("mse", rng)
+        out = batch_output("mse", rng)
         targets = rng.normal(0, 2, size=(8, 3))
-        expect = float(squared_error_loss(values, targets).mean())
-        for value in (batch_loss("mse", values, None, targets)[0],
-                      mse_loss_graph(leaves(values), targets).data):
+        expect = float(squared_error_loss(out, targets).mean())
+        for value in (batch_loss("mse", out, targets)[0],
+                      mse_loss_graph(leaf(out), targets).data):
             assert float(value) == pytest.approx(expect, abs=1e-12)
 
     def test_combined_graph_matches_per_sample_values(self):
         rng = np.random.default_rng(6)
-        values, logits = batch_output("combined", rng)
+        out = batch_output("combined", rng)
         targets = rng.uniform(-60, 60, size=(8, 3))
         per_sample = [
-            combined_value(EulerPose(*values[i]), logits[i], EulerPose(*targets[i])).total
+            combined_value(EulerPose(*out[i, :3]), out[i, 3:], EulerPose(*targets[i])).total
             for i in range(8)
         ]
-        for value in (batch_loss("combined", values, logits, targets)[0],
-                      combined_loss_graph(leaves(values, logits), targets).data):
+        for value in (batch_loss("combined", out, targets)[0],
+                      combined_loss_graph(leaf(out), targets).data):
             assert float(value) == pytest.approx(float(np.mean(per_sample)), abs=1e-12)
 
     def test_single_sample_graph_is_sum_not_mean(self):
@@ -207,31 +205,32 @@ class TestGraphs:
         cfg = ModelConfig("heteroscedastic")
         m = Model.build(cfg, np.random.default_rng(98))
         x = rng.uniform(-1, 1, size=(1, 5))
-        values, logits = m.outputs(x, x, np.ones((1, 5)))
+        out = m.outputs(x, x, np.ones((1, 5)))
         target = np.zeros((1, 3))
-        value, g_values, g_logits = batch_loss("heteroscedastic", values, logits, target)
+        value, g_out = batch_loss("heteroscedastic", out, target)
         assert float(value) == pytest.approx(
-            float(heteroscedastic_loss(values, target).sum()), abs=1e-12
+            float(heteroscedastic_loss(out, target).sum()), abs=1e-12
         )
-        oracle = leaves(values)
+        oracle = leaf(out)
         loss_reference.loss_graph("heteroscedastic", oracle, target).backward()
-        assert np.array_equal(g_values, oracle.values.grad) and g_logits is None
+        assert np.array_equal(g_out, oracle.grad)
 
     def test_head_width_validation(self):
         rng = np.random.default_rng(8)
-        het, _ = batch_output("heteroscedastic", rng)
-        mse, _ = batch_output("mse", rng)
+        het = batch_output("heteroscedastic", rng)
+        mse = batch_output("mse", rng)
         with pytest.raises(ValueError, match="mse loss needs 3 outputs"):
-            batch_loss("mse", het, None, np.zeros((8, 3)))
+            batch_loss("mse", het, np.zeros((8, 3)))
         with pytest.raises(ValueError, match="heteroscedastic loss needs 6 outputs"):
-            batch_loss("heteroscedastic", mse, None, np.zeros((8, 3)))
-        with pytest.raises(ValueError, match="expected 198 logits"):
-            batch_loss("combined", mse, np.zeros((8, 10)), np.zeros((8, 3)))
+            batch_loss("heteroscedastic", mse, np.zeros((8, 3)))
+        with pytest.raises(ValueError, match="combined loss needs 201 outputs"):
+            batch_loss("combined", np.zeros((8, 3 + 10)), np.zeros((8, 3)))
 
     def test_combined_needs_logits_and_batch(self):
+        # an output without the bin-logit columns is refused
         rng = np.random.default_rng(9)
-        with pytest.raises(ValueError, match="bin-logits head"):
-            batch_loss("combined", *batch_output("mse", rng), np.zeros((8, 3)))
+        with pytest.raises(ValueError, match="combined loss needs 201 outputs"):
+            batch_loss("combined", batch_output("mse", rng), np.zeros((8, 3)))
         # an unbatched sample is refused before any loss sees it
         m = Model.build(ModelConfig("combined"), np.random.default_rng(97))
         with pytest.raises(ValueError, match="batch"):
@@ -241,19 +240,15 @@ class TestGraphs:
         rng = np.random.default_rng(10)
         targets = np.zeros((8, 3))
         for kind in LOSS_KINDS:
-            values, logits = batch_output(kind, rng)
-            a, g_values, g_logits = batch_loss(kind, values, logits, targets)
-            oracle = leaves(values, logits)
+            out = batch_output(kind, rng)
+            a, g_out = batch_loss(kind, out, targets)
+            oracle = leaf(out)
             b = loss_reference.loss_graph(kind, oracle, targets)
             assert float(a) == float(b.data)
             b.backward()
-            assert np.array_equal(g_values, oracle.values.grad)
-            if kind == "combined":
-                assert np.array_equal(g_logits, oracle.logits.grad)
-            else:
-                assert g_logits is None
+            assert np.array_equal(g_out, oracle.grad)
         with pytest.raises(ValueError, match="unknown loss kind"):
-            batch_loss("nope", values, logits, targets)
+            batch_loss("nope", out, targets)
 
     def test_graphs_backpropagate(self):
         rng = np.random.default_rng(11)
@@ -264,24 +259,24 @@ class TestGraphs:
 
 
 def outputs(kind, rng, batch):
-    """Random network outputs for `kind`, wide in scale: values and logits
-    (None unless combined)."""
+    """A random head output for `kind`, wide in scale: the angles and, under
+    combined, the bin logits each drawn at their own scale."""
     width = 6 if kind == "heteroscedastic" else 3
-    values = rng.normal(0.0, rng.choice([0.1, 3.0, 30.0]), (batch, width))
-    logits = None
+    out = rng.normal(0.0, rng.choice([0.1, 3.0, 30.0]), (batch, width))
     if kind == "combined":
         logits = rng.normal(0.0, rng.choice([0.1, 3.0, 30.0]), (batch, 198))
-    return values, logits
+        out = np.hstack([out, logits])
+    return out
 
 
 def loss_graph_and_gradient(model, x1, x2, c, targets):
     """training.loss_and_gradient with the loss from its graph oracle: the
-    graph's output gradients go to the closed-form Model.backward."""
+    graph's output gradient goes to the closed-form Model.backward."""
     tape = []
-    out = leaves(*model.outputs(x1, x2, c, tape))
+    out = leaf(model.outputs(x1, x2, c, tape))
     loss = loss_reference.loss_graph(model.config.loss_kind, out, targets)
     loss.backward()
-    model.backward(tape, out.values.grad, None if out.logits is None else out.logits.grad)
+    model.backward(tape, out.grad)
     return float(loss.data)
 
 
@@ -302,33 +297,25 @@ class TestClosedForm:
         rng = np.random.default_rng(LOSS_KINDS.index(kind))
         for batch in (1, 2, 3, 17, 64, 79):
             for _ in range(20):
-                values, logits = outputs(kind, rng, batch)
+                out = outputs(kind, rng, batch)
                 targets = rng.uniform(-99.0, 99.0, (batch, 3))
-                oracle = leaves(values, logits)
-                new, g_values, g_logits = batch_loss(kind, values, logits, targets)
+                oracle = leaf(out)
+                new, g_out = batch_loss(kind, out, targets)
                 old = loss_reference.loss_graph(kind, oracle, targets)
                 assert np.array_equal(new, old.data)
                 old.backward()
-                assert np.array_equal(g_values, oracle.values.grad)
-                if kind == "combined":
-                    assert np.array_equal(g_logits, oracle.logits.grad)
-                else:
-                    assert g_logits is None
+                assert np.array_equal(g_out, oracle.grad)
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_batch_loss_builds_no_node(self, kind, monkeypatch):
-        values, logits = outputs(kind, np.random.default_rng(3), 4)
+        out = outputs(kind, np.random.default_rng(3), 4)
         nodes = []
         init = ad.Tensor.__init__
         monkeypatch.setattr(ad.Tensor, "__init__",
                             lambda t, *args, **kw: nodes.append(t) or init(t, *args, **kw))
-        value, g_values, g_logits = batch_loss(kind, values, logits, np.zeros((4, 3)))
+        value, g_out = batch_loss(kind, out, np.zeros((4, 3)))
         assert nodes == [] and np.shape(value) == ()
-        assert g_values.shape == values.shape
-        if kind == "combined":
-            assert g_logits.shape == logits.shape
-        else:
-            assert g_logits is None
+        assert g_out.shape == out.shape
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_flat_grad_equals_the_graph(self, kind):

@@ -63,9 +63,7 @@ def numpy_forward(model, x1, x2, c):
     h = np.concatenate([(a1 * gate).ravel(), (a2 * gate).ravel()])
     for i in range(3):
         h = lrelu(h @ p[f"fc{i}_w"] + p[f"fc{i}_b"])
-    values = h @ p["head_w"] + p["head_b"]
-    logits = h @ p["logits_w"] + p["logits_b"] if "logits_w" in p else None
-    return values, logits
+    return h @ p["head_w"] + p["head_b"]
 
 
 class TestWidths:
@@ -159,11 +157,9 @@ class TestConfig:
             ModelConfig.from_dict({**ModelConfig().to_dict(), key: changed})
 
     def test_head_sizes(self):
-        assert ModelConfig("heteroscedastic").n_pose_outputs == 6
-        assert ModelConfig("mse").n_pose_outputs == 3
-        assert ModelConfig("combined").n_pose_outputs == 3
-        assert ModelConfig("combined").n_aux_outputs == 198
-        assert ModelConfig("mse").n_aux_outputs == 0
+        assert ModelConfig("heteroscedastic").n_outputs == 6
+        assert ModelConfig("mse").n_outputs == 3
+        assert ModelConfig("combined").n_outputs == 3 + 198
 
 
 class TestLayout:
@@ -180,8 +176,10 @@ class TestLayout:
         assert shapes["head_w"] == (150, 6)
 
     def test_combined_appends_logits(self):
+        # the bin logits are columns 3 on of the one head
         layout = parameter_layout(ModelConfig("combined"))
-        assert layout[-2:] == [("logits_w", (150, 198)), ("logits_b", (198,))]
+        assert layout[-2:] == [("head_w", (150, 201)), ("head_b", (201,))]
+        assert [n for n, _ in layout] == [n for n, _ in parameter_layout(ModelConfig("mse"))]
 
     def test_wrong_params_rejected(self):
         cfg = ModelConfig("mse")
@@ -196,29 +194,26 @@ class TestForward:
         for kind in ("heteroscedastic", "mse", "combined"):
             m = build(kind, seed=2)
             x1, x2, c = rand_inputs(rng)
-            values, logits = m.outputs(x1, x2, c)
-            expect_values, expect_logits = numpy_forward(m, x1[0], x2[0], c[0])
-            assert np.allclose(values[0], expect_values, atol=1e-12)
-            if kind == "combined":
-                assert np.allclose(logits[0], expect_logits, atol=1e-12)
-            else:
-                assert logits is None
+            out = m.outputs(x1, x2, c)
+            expect = numpy_forward(m, x1[0], x2[0], c[0])
+            assert out.shape == (1, m.config.n_outputs)
+            assert np.allclose(out[0], expect, atol=1e-12)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(3)
         m = build()
         x1, x2, c = rand_inputs(rng, batch=7)
-        values, _ = m.outputs(x1, x2, c)
+        values = m.outputs(x1, x2, c)
         assert values.shape == (7, 6)
         for i in range(7):
-            single, _ = m.outputs(x1[i : i + 1], x2[i : i + 1], c[i : i + 1])
+            single = m.outputs(x1[i : i + 1], x2[i : i + 1], c[i : i + 1])
             assert np.allclose(values[i], single[0], atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         x1, x2, c = rand_inputs(rng)
-        a, _ = build(seed=5).outputs(x1, x2, c)
-        b, _ = build(seed=5).outputs(x1, x2, c)
+        a = build(seed=5).outputs(x1, x2, c)
+        b = build(seed=5).outputs(x1, x2, c)
         assert np.array_equal(a, b)
 
     def test_confidence_moves_the_gate(self):
@@ -226,17 +221,16 @@ class TestForward:
         m = build(seed=6)
         rng = np.random.default_rng(7)
         x1, x2, c = rand_inputs(rng)
-        lo, _ = m.outputs(x1, x2, c * 0.1)
-        hi, _ = m.outputs(x1, x2, np.minimum(c * 0.1 + 0.9, 1.0))
+        lo = m.outputs(x1, x2, c * 0.1)
+        hi = m.outputs(x1, x2, np.minimum(c * 0.1 + 0.9, 1.0))
         assert not np.allclose(lo, hi)
 
     def test_output_head_shapes(self):
         rng = np.random.default_rng(8)
         x1, x2, c = rand_inputs(rng)
-        assert build("heteroscedastic").outputs(x1, x2, c)[0].shape == (1, 6)
-        assert build("mse").outputs(x1, x2, c)[0].shape == (1, 3)
-        values, logits = build("combined").outputs(x1, x2, c)
-        assert values.shape == (1, 3) and logits.shape == (1, 198)
+        assert build("heteroscedastic").outputs(x1, x2, c).shape == (1, 6)
+        assert build("mse").outputs(x1, x2, c).shape == (1, 3)
+        assert build("combined").outputs(x1, x2, c).shape == (1, 3 + 198)
 
     def test_batches_only(self):
         x1, x2, c = rand_inputs(np.random.default_rng(8))
@@ -257,8 +251,7 @@ def training_data(n, seed):
 
 def graph_outputs(model, x1, x2, c):
     """Model.outputs from the op graph oracle."""
-    out = network_reference.forward(model, x1, x2, c)
-    return out.values.data, None if out.logits is None else out.logits.data
+    return network_reference.forward(model, x1, x2, c).data
 
 
 class TestClosedFormNetwork:
@@ -275,18 +268,14 @@ class TestClosedFormNetwork:
         m = build(kind, seed=31)
         for batch in (1, 2, 7, 64, 79, 1500):
             x1, x2, c = rand_inputs(rng, batch)
-            values, logits = graph_outputs(m, x1, x2, c)
+            out = graph_outputs(m, x1, x2, c)
             angles, log_var = m.predict_batch(x1, x2, c)
-            assert np.array_equal(angles, values[:, :3])
+            assert np.array_equal(angles, out[:, :3])
             if kind == "heteroscedastic":
-                assert np.array_equal(log_var, values[:, 3:6])
+                assert np.array_equal(log_var, out[:, 3:6])
             else:
                 assert log_var is None
-            new_values, new_logits = m.outputs(x1, x2, c)
-            assert np.array_equal(new_values, values)
-            assert (new_logits is None) == (logits is None)
-            if logits is not None:
-                assert np.array_equal(new_logits, logits)
+            assert np.array_equal(m.outputs(x1, x2, c), out)
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_training_forward_and_flat_grad_equal_the_graph(self, kind):
@@ -314,11 +303,9 @@ class TestClosedFormNetwork:
         expect = m.flat_grad.copy()
         m.flat_grad[...] = np.nan
         tape = []
-        values, logits = m.outputs(x1, x2, c, tape)
-        out = network_reference.NetworkOutput(
-            ad.Tensor(values), None if logits is None else ad.Tensor(logits))
+        out = ad.Tensor(m.outputs(x1, x2, c, tape))
         loss_reference.loss_graph(kind, out, targets).backward()
-        m.backward(tape, out.values.grad, None if out.logits is None else out.logits.grad)
+        m.backward(tape, out.grad)
         assert np.array_equal(m.flat_grad, expect)
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
@@ -389,7 +376,7 @@ class TestPredict:
         assert isinstance(est, PoseEstimate)
         assert isinstance(est.pose, EulerPose)
         assert est.log_variance.shape == (3,)
-        raw = m.outputs(x1, x2, c)[0][0]
+        raw = m.outputs(x1, x2, c)[0]
         assert est.pose.yaw == raw[0] and est.log_variance.tolist() == raw[3:6].tolist()
 
     def test_point_estimate_has_no_variance(self):

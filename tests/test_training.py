@@ -170,7 +170,7 @@ class TestTrainLoop:
         hist = train(m, small_dataset(64, 8), TrainConfig(n_epochs=4, batch_size=16),
                      np.random.default_rng(9), val=val)
         x1, x2, c, t = prepare_arrays(val)
-        now = float(batch_loss("heteroscedastic", *m.outputs(x1, x2, c), t)[0])
+        now = float(batch_loss("heteroscedastic", m.outputs(x1, x2, c), t)[0])
         assert now == pytest.approx(hist.best_val_loss, abs=1e-12)
 
     def test_empty_dataset_raises(self):
@@ -239,7 +239,7 @@ class TestTrainLoop:
         )
         split = train(split_model, dataset(samples), cfg, np.random.default_rng(32))
         rng = np.random.default_rng(32)
-        order = rng.permutation(40)
+        order = rng.spawn(1)[0].permutation(40)
         rows = [dataset([samples[i] for i in part]) for part in np.split(order, [4])]
         given = train(given_model, rows[1], cfg, rng, val=rows[0])
         assert split.to_dict() == given.to_dict()
