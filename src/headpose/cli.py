@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -27,24 +27,25 @@ from .laeo_settings import DEFAULT_DELTA, DEFAULT_TAU, GATE_MODES
 if TYPE_CHECKING:
     from .laeo import Frames
     from .model import Model
-    from .synthetic import NoiseModel
-    from .training import TrainHistory
-
-# Functions of other modules that the commands call as attributes of this
-# module, resolved on first use; the benchmark's tracer replaces them here.
-# The key generate_dataset is the name the tracer patches to time synth's
-# generator, which is synthesize.
-_LAZY = {"generate_dataset": (".synthetic", "synthesize"), "train": (".training", "train")}
-_cli = sys.modules[__name__]
+    from .synthetic import NoiseModel, PoseRange
+    from .training import TrainConfig, TrainHistory
 
 
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module, attr = _LAZY[name]
-    value = getattr(importlib.import_module(module, __package__), attr)
-    globals()[name] = value
-    return value
+# The benchmark's tracer replaces these two functions on this module to time
+# synth's generator and training, so the commands call them by bare name, looked
+# up at call time; each imports its module only when a command runs it.
+def generate_dataset(n: int, rng: np.random.Generator, noise: NoiseModel, pose_range: PoseRange,
+                     occlusion_yaw: float, drop_fraction: float) -> formats.Dataset:
+    from . import synthetic
+
+    return synthetic.synthesize(n, rng, noise, pose_range, occlusion_yaw, drop_fraction)
+
+
+def train(model: Model, data: formats.Dataset, config: TrainConfig, rng: np.random.Generator,
+          val: formats.Dataset | None) -> TrainHistory:
+    from . import training
+
+    return training.train(model, data, config, rng, val)
 
 
 LOSS_BY_FLAG = {"unc": "heteroscedastic", "mse": "mse", "comb": "combined"}
@@ -93,11 +94,13 @@ def _train_one(
     train_config = TrainConfig(
         n_epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr
     )
-    history = _cli.train(model, data, train_config, rng, val)
+    history = train(model, data, train_config, rng, val)
     return model, history
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.history and os.path.realpath(args.history) == os.path.realpath(args.out):
+        raise ValueError(f"--history and --out name the same file: {args.out}")
     data = _read_records(args.data)
     val = _read_records(args.val) if args.val is not None else None
     model, history = _train_one(args.loss, data, val, args)
@@ -231,7 +234,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .synthetic import PoseRange
 
     rng = np.random.default_rng(args.seed)
-    data = _cli.generate_dataset(
+    data = generate_dataset(
         args.n,
         rng,
         noise=_parse_noise(args.noise),

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import headpose
 from headpose import cli, training
 from headpose.evaluation import evaluate
 from headpose.formats import read_dataset, read_model, write_model
@@ -165,6 +166,24 @@ class TestTrain:
         assert read_model(model_path).config.loss_kind == "mse"
         doc = json.loads(hist_path.read_text())
         assert len(doc["history"]["val_loss"]) == 1
+
+    @pytest.mark.parametrize("history", ["m.hpm", "./m.hpm", "absolute"])
+    def test_history_naming_the_model_file_is_refused(self, tmp_path, data_file, capsys,
+                                                      monkeypatch, history):
+        # the history JSON would overwrite the model file just written
+        def boom(*args, **kwargs):
+            raise AssertionError("the data was read or a model was trained")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_read_records", boom)
+        monkeypatch.setattr(cli, "train", boom)
+        history = str(tmp_path / "m.hpm") if history == "absolute" else history
+        before = sorted(tmp_path.iterdir())
+        code, stdout, err = run(capsys, "train", "--data", str(data_file), "--out", "m.hpm",
+                                "--history", history)
+        assert code == 1 and stdout == ""
+        assert err == "error: --history and --out name the same file: m.hpm\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_malformed_data_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -1096,7 +1115,8 @@ class TestParser:
 # process: `laeo` without a model loads no network or training code, only
 # `train` loads training and loss code, no command here loads synthesis
 # code, only `eval` loads evaluation code, and none loads `autodiff`, the
-# engine of the test oracles. `geometry` comes with `model`.
+# engine of the test oracles. `geometry` comes with `model`. `import headpose`
+# alone loads only `formats` and `keypoints`, which every command loads.
 SCORING = {"cli", "formats", "keypoints", "laeo_settings"}
 NETWORK = {"model", "geometry"}
 LOADED_BY = {
@@ -1105,11 +1125,15 @@ LOADED_BY = {
     "infer": SCORING | NETWORK,
     "eval": SCORING | NETWORK | {"evaluation"},
     "train": SCORING | NETWORK | {"training", "losses"},
+    "import headpose": {"formats", "keypoints"},
 }
 LIST_MODULES = """
 import sys
-from headpose.cli import main
-code = main(sys.argv[1:])
+import headpose
+code = 0
+if sys.argv[1:]:
+    from headpose.cli import main
+    code = main(sys.argv[1:])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("headpose."))
 print(code, *loaded, file=sys.stderr)
 """
@@ -1132,6 +1156,7 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, command):
                  "--report", out],
         "train": ["train", "--data", str(DATA / "score_pin.jsonl"), "--epochs", "1",
                   "--alpha", "0.2", "--out", out],
+        "import headpose": [],
     }[command]
     src = str(Path(cli.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -1141,3 +1166,7 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, command):
     code, *loaded = proc.stderr.split()
     assert code == "0", proc.stderr
     assert set(loaded) == LOADED_BY[command]
+
+
+def test_package_exports_resolve():
+    assert [name for name in headpose.__all__ if not hasattr(headpose, name)] == []
