@@ -66,7 +66,9 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValueError("pearson needs two equal-length vectors")
     if av.size < 2:
         raise ValueError("pearson needs at least 2 points")
-    with np.errstate(over="ignore", invalid="ignore"):
+    # squared deviations may overflow, or underflow to a zero denominator;
+    # the check below rejects both
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         da = av - av.mean()
         db = bv - bv.mean()
         denom = np.sqrt((da * da).sum() * (db * db).sum())

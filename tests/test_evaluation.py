@@ -58,6 +58,13 @@ class TestPearson:
             with pytest.raises(ValueError):
                 pearson([scale, -scale, 0.0], [1.0, 2.0, 4.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_squares_raise(self):
+        # deviations near 1e-200 square to 0.0 against a non-zero numerator:
+        # a divide-by-zero warning and an infinite r, unless refused
+        with pytest.raises(ValueError):
+            pearson([0.0, 0.0, 0.0, 7.8e-201], [0.0, 0.0, 0.0, 1.0 / 3.0])
+
 
 class TestBoxStats:
     def test_linear_interpolation_quartiles(self):
