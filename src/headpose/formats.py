@@ -6,7 +6,8 @@ one columnar `laeo.Frames`; each is checked as a whole and rescanned
 record by record only to name the first bad line. Model files are one
 JSON header line (version, config, tensor layout) followed by the
 model's flat parameter vector as raw little-endian float32, tensors in
-layout order; non-finite values are refused on read and on write, as
+layout order, read back into a float64 model, the precision inference
+runs in; non-finite values are refused on read and on write, as
 they are when writing a dataset. Dataset, `infer` and `laeo` rows have
 one formatter each. All writes go through a temp file in the target
 directory and a rename, so readers never observe partial files.

@@ -18,6 +18,9 @@ targets, and returns a pair: the batch-mean value and its hand-derived
 gradient with respect to the output, of the output's shape. Both follow
 the op order of the equivalent op graph, so value and gradient match it
 bit for bit; that graph is the test oracle in tests/loss_reference.py.
+The gradient keeps the output's dtype, float32 in training; the value is
+summed in float64 whatever that dtype, so a float32 batch's loss and the
+training history built from it are float64 sums of float32 terms.
 `batch_loss` picks the loss of a kind, and training hands its gradient
 to `Model.backward`.
 """
@@ -51,7 +54,7 @@ def heteroscedastic(out: np.ndarray, targets: np.ndarray):
     diff = out[:, 0:3] - targets
     e = np.exp(-s)
     d2 = diff * diff
-    value = ((e * d2) * 0.5 + s * 0.5).sum() * k
+    value = ((e * d2) * 0.5 + s * 0.5).sum(dtype=np.float64) * k
     gm = k * 0.5
     gd2 = gm * e
     grad = np.empty_like(out)
@@ -66,7 +69,7 @@ def mse(out: np.ndarray, targets: np.ndarray):
         raise ValueError(f"mse loss needs 3 outputs, got {out.shape}")
     k = 1.0 / out.shape[0]
     diff = out - targets
-    value = (diff * diff).sum() * k
+    value = (diff * diff).sum(dtype=np.float64) * k
     return value, k * diff + k * diff
 
 
@@ -86,21 +89,21 @@ def combined(out: np.ndarray, targets: np.ndarray):
         zmax = z.max(axis=1, keepdims=True)
         ez = np.exp(z - zmax)
         sez = ez.sum(axis=1, keepdims=True)
-        ce_sum = (zmax[:, 0] + np.log(sez[:, 0]) - z[rows, idx]).sum()
+        ce_sum = (zmax[:, 0] + np.log(sez[:, 0]) - z[rows, idx]).sum(dtype=np.float64)
         total += ce_sum
         gi = grad[:, lo:hi]
         np.multiply(ez / sez, k, out=gi)
         gi[rows, idx] -= k
     diff = out[:, 0:3] - targets
-    value = (total + (diff * diff).sum()) * k
+    value = (total + (diff * diff).sum(dtype=np.float64)) * k
     grad[:, 0:3] = k * diff + k * diff
     return value, grad
 
 
 def batch_loss(kind: str, out: np.ndarray, targets):
     """The batch-mean loss of `kind` over the head output, and its gradient
-    with respect to that output."""
-    targets = np.asarray(targets, dtype=np.float64)
+    with respect to that output; the targets are cast to the output's dtype."""
+    targets = np.asarray(targets, dtype=out.dtype)
     if kind == "heteroscedastic":
         return heteroscedastic(out, targets)
     if kind == "mse":

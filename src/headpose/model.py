@@ -158,16 +158,21 @@ class Model:
 
     `flat` holds every parameter and `flat_grad` every gradient; `params`
     and `grads` map each name to an array viewing its slice of one of them,
-    in parameter_layout order."""
+    in parameter_layout order. Both vectors share one dtype, float32 as
+    built for training or float64 as read from a file, and the forward and
+    backward passes run in it."""
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
         self._layout = parameter_layout(config)
         self.offsets = np.cumsum([0] + [math.prod(shape) for _, shape in self._layout])
         if not isinstance(flat, np.ndarray) or flat.shape != (self.offsets[-1],):
             raise ValueError(f"expected a vector of {self.offsets[-1]} parameters")
+        if flat.dtype not in (np.float32, np.float64):  # native byte order only
+            raise ValueError(f"expected float32 or float64 parameters, got {flat.dtype}")
         self.config = config
-        self.flat = np.ascontiguousarray(flat, dtype=np.float64)
-        self.flat_grad = np.zeros(self.flat.size)  # calloc: untouched pages until a backward
+        self.flat = np.ascontiguousarray(flat)
+        # calloc, unlike zeros_like: untouched pages until a backward
+        self.flat_grad = np.zeros(self.flat.size, self.flat.dtype)
         self.params = self._views(self.flat)
         self.grads = self._views(self.flat_grad)
 
@@ -177,8 +182,10 @@ class Model:
 
     @staticmethod
     def build(config: ModelConfig, rng: np.random.Generator) -> "Model":
+        """A float32 model, the precision it trains in, drawn from `rng`."""
         size = sum(math.prod(shape) for _, shape in parameter_layout(config))
-        return Model(config, rng.normal(0.0, math.sqrt(INIT_VARIANCE), size=size))
+        draws = rng.normal(0.0, math.sqrt(INIT_VARIANCE), size=size)
+        return Model(config, draws.astype(np.float32))
 
     def parameter_at(self, index: int) -> str:
         """Name of the parameter holding element `index` of the flat vector."""
@@ -214,11 +221,13 @@ class Model:
         if x1.ndim != 2 or x1.shape[1] != N_KEYPOINTS or not x1.shape == x2.shape == c.shape:
             raise ValueError(
                 f"expected three (B, {N_KEYPOINTS}) batches, got {x1.shape}, {x2.shape}, {c.shape}")
+        dtype = self.flat.dtype
+        x1, x2, c = (x.astype(dtype, copy=False) for x in (x1, x2, c))
         p = self.params
         a1 = _leaky_relu(_conv(x1, p["conv_x1_w"], p["conv_x1_b"]), tape)
         a2 = _leaky_relu(_conv(x2, p["conv_x2_w"], p["conv_x2_b"]), tape)
         gate = _sigmoid(_conv(c, p["conv_c_w"], p["conv_c_b"]))
-        h = np.empty((len(x1), 2, N_KEYPOINTS, N_FILTERS))
+        h = np.empty((len(x1), 2, N_KEYPOINTS, N_FILTERS), dtype)
         np.multiply(a1, gate, out=h[:, 0])
         np.multiply(a2, gate, out=h[:, 1])
         h = h.reshape(len(x1), 2 * N_KEYPOINTS * N_FILTERS)  # both gated streams, flattened
@@ -245,6 +254,7 @@ class Model:
         commutative.
         """
         p, grad = self.params, self.grads
+        one, slope = self.flat.dtype.type(1.0), self.flat.dtype.type(LEAKY_SLOPE)
         # in forward order: the conv streams' masks, the inputs, the conv
         # activations and the gate, then each fc layer's input and mask, then
         # the trunk output
@@ -255,7 +265,7 @@ class Model:
         g_out.sum(axis=0, out=grad["head_b"])
         for i in (2, 1, 0):
             h, mask = trunk[2 * i], trunk[2 * i + 1]
-            g_z = g_h * np.where(mask, 1.0, LEAKY_SLOPE)
+            g_z = g_h * np.where(mask, one, slope)
             np.matmul(h.T, g_z, out=grad[f"fc{i}_w"])
             g_z.sum(axis=0, out=grad[f"fc{i}_b"])
             g_h = g_z @ p[f"fc{i}_w"].T
@@ -263,8 +273,8 @@ class Model:
         g_a1, g_a2 = g_h[:, 0], g_h[:, 1]
         g_gate = g_a1 * a1 + g_a2 * a2
         for stream, x, g_z in (
-            ("x1", x1, g_a1 * gate * np.where(m1, 1.0, LEAKY_SLOPE)),
-            ("x2", x2, g_a2 * gate * np.where(m2, 1.0, LEAKY_SLOPE)),
+            ("x1", x1, g_a1 * gate * np.where(m1, one, slope)),
+            ("x2", x2, g_a2 * gate * np.where(m2, one, slope)),
             ("c", c, g_gate * gate * (1.0 - gate)),
         ):
             grad[f"conv_{stream}_w"][...] = np.tensordot(x[:, :, None], g_z,

@@ -1,14 +1,17 @@
 """Minibatch training loop with Adam and best-epoch selection.
 
-Inputs are normalized once up front; every epoch reshuffles the training
-indices with the caller's generator, so a fixed seed reproduces the run
-bit for bit. After each epoch the loss is measured on validation data,
-given or split off, and the parameters that scored best are restored at
-the end, which matters here because the heteroscedastic objective can
-start oscillating once the variance head sharpens. A step is three
-calls: the network's output, the loss with its gradient, and the
-network's backward pass, which writes the model's whole flat gradient
-vector; Adam then updates the flat parameter vector in place.
+Inputs are normalized once up front and cast to the dtype of the model's
+flat vector, which the forward pass, the loss gradients, the backward
+pass and Adam all run in: float32 for a model from `Model.build`. Every
+epoch reshuffles the training indices with the caller's generator, so a
+fixed seed reproduces the run bit for bit. After each epoch the loss is
+measured on validation data, given or split off, and the parameters that
+scored best are restored at the end, which matters here because the
+heteroscedastic objective can start oscillating once the variance head
+sharpens. A step is three calls: the network's output, the loss with its
+gradient, and the network's backward pass, which writes the model's whole
+flat gradient vector; Adam then updates the flat parameter vector in
+place.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class TrainConfig:
 
 
 class AdamState:
-    """Adam (Kingma & Ba, 2015) as in-place ops on a model's flat vectors."""
+    """Adam (Kingma & Ba, 2015) as in-place ops on a model's flat vectors,
+    in their dtype."""
 
     def __init__(self, model: Model):
         self.m, self.v, self._a, self._b = (np.zeros_like(model.flat) for _ in range(4))
@@ -113,7 +117,7 @@ def _validation_pass(model: Model, arrays) -> tuple[float, list[float]]:
     x1, x2, c, targets = arrays
     out = model.outputs(x1, x2, c)
     loss, _ = batch_loss(model.config.loss_kind, out, targets)
-    per_angle = np.abs(out[:, :3] - targets).mean(axis=0)
+    per_angle = np.abs(out[:, :3] - targets).mean(axis=0, dtype=np.float64)
     return float(loss), [float(v) for v in per_angle]
 
 
@@ -149,6 +153,10 @@ def train(
             raise ValueError("validation split would consume every sample")
         val_arrays = tuple(a[order[:n_val]] for a in arrays)
         arrays = tuple(a[order[n_val:]] for a in arrays)
+    # cast once, so that every batch and validation pass runs in the model's dtype
+    dtype = model.flat.dtype
+    arrays = [a.astype(dtype, copy=False) for a in arrays]
+    val_arrays = [a.astype(dtype, copy=False) for a in val_arrays]
     x1, x2, c, targets = arrays
 
     opt = AdamState(model)

@@ -15,7 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from headpose.autodiff import Parameter, Tensor
-from headpose.model import LEAKY_SLOPE, Model
+from headpose.model import LEAKY_SLOPE, Model, ModelConfig
+
+
+def build_float64(config: ModelConfig, rng: np.random.Generator) -> Model:
+    """`Model.build`'s float32 parameters in a float64 model: the precision
+    of the oracles, at which the closed forms match them bit for bit."""
+    return Model(config, Model.build(config, rng).flat.astype(np.float64))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

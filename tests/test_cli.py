@@ -811,6 +811,27 @@ def test_overflowing_record_fails_training_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_float32_overflow_fails_training_with_one_line(tmp_path, capsys, monkeypatch, data_file):
+    # `train` builds a float32 model; a log-variance of -89 overflows its
+    # exp(-s), which a float64 model would compute
+    build = Model.build
+
+    def at_the_edge(config, rng):
+        model = build(config, rng)
+        model.params["head_w"][:, 3:6] = 0.0
+        model.params["head_b"][3:6] = -89.0
+        return model
+
+    monkeypatch.setattr(Model, "build", staticmethod(at_the_edge))
+    out = tmp_path / "m.hpm"
+    code, stdout, err = run(capsys, "train", "--data", str(data_file), "--loss", "unc",
+                            "--epochs", "1", "--alpha", "0.2", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == "error: non-finite loss at epoch 0, batch 0 (no finite training loss yet)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_record_without_pose_names_its_line(tmp_path, unc_model, capsys, command):
     labelled = {"id": "l", "keypoints": [[0, 0, 1], [1, 0, 1], [2, 1, 1], [3, 0, 1], [4, 2, 1]],

@@ -400,6 +400,8 @@ class TestModelFile:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])  # 1e39 overflows float32
     def test_write_refuses_non_finite_tensor(self, tmp_path, bad):
         model = self.build("mse", alpha=0.2)
+        # float64, so that 1e39 reaches write_model's cast to float32
+        model = Model(model.config, model.flat.astype(np.float64))
         model.params["head_b"][1] = bad
         path = tmp_path / "m.hpm"
         with pytest.raises(ValueError, match="non-finite value in tensor head_b"):

@@ -37,6 +37,7 @@ from loss_reference import (
     squared_error_loss,
     squared_error_value,
 )
+from network_reference import build_float64
 
 
 def het_values(pose, log_var):
@@ -121,6 +122,31 @@ class TestHeteroscedastic:
         for i in range(4):
             assert batch[i] == pytest.approx(heteroscedastic_loss(v[i], t[i]), abs=1e-12)
 
+    @staticmethod
+    def at_log_variance(s, dtype):
+        """A (4, 6) output of residual 1 against zero targets, every log-variance s."""
+        out = np.ones((4, 6), dtype)
+        out[:, 3:6] = s
+        return out
+
+    def test_float32_edge_is_finite_at_minus_87(self):
+        # exp(87) is 6.1e37, below float32's largest value, 3.4e38
+        value, grad = batch_loss("heteroscedastic", self.at_log_variance(-87.0, np.float32),
+                                 np.zeros((4, 3)))
+        assert grad.dtype == np.float32
+        assert np.isfinite(value) and np.isfinite(grad).all()
+
+    def test_float32_edge_overflows_at_minus_89(self):
+        # exp(89) overflows float32; float64 overflows only beyond exp(709)
+        zeros = np.zeros((4, 3))
+        with np.errstate(over="ignore"):
+            value, _ = batch_loss("heteroscedastic", self.at_log_variance(-89.0, np.float32),
+                                  zeros)
+        assert not np.isfinite(value)
+        value, grad = batch_loss("heteroscedastic", self.at_log_variance(-89.0, np.float64),
+                                 zeros)
+        assert np.isfinite(value) and np.isfinite(grad).all()
+
 
 class TestPerSampleValues:
     def test_heteroscedastic_value(self):
@@ -157,7 +183,7 @@ class TestPerSampleValues:
 def batch_output(kind, rng, batch=8):
     """The head output of a network of `kind` on a random batch."""
     cfg = ModelConfig(loss_kind=kind)
-    m = Model.build(cfg, np.random.default_rng(99))
+    m = build_float64(cfg, np.random.default_rng(99))
     x1 = rng.uniform(-1, 1, size=(batch, 5))
     x2 = rng.uniform(-1, 1, size=(batch, 5))
     c = rng.uniform(0, 1, size=(batch, 5))
@@ -203,7 +229,7 @@ class TestGraphs:
     def test_single_sample_graph_is_sum_not_mean(self):
         rng = np.random.default_rng(7)
         cfg = ModelConfig("heteroscedastic")
-        m = Model.build(cfg, np.random.default_rng(98))
+        m = build_float64(cfg, np.random.default_rng(98))
         x = rng.uniform(-1, 1, size=(1, 5))
         out = m.outputs(x, x, np.ones((1, 5)))
         target = np.zeros((1, 3))
@@ -320,7 +346,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_flat_grad_equals_the_graph(self, kind):
         x1, x2, c, targets = prepare_arrays(training_data(40, 12))
-        model = Model.build(ModelConfig(kind), np.random.default_rng(13))
+        model = build_float64(ModelConfig(kind), np.random.default_rng(13))
         for rows in (slice(0, 1), slice(0, 40)):
             runs = []
             for step in (loss_and_gradient, loss_graph_and_gradient):
@@ -340,7 +366,7 @@ class TestClosedForm:
         runs = []
         for step in (loss_and_gradient, loss_graph_and_gradient):
             monkeypatch.setattr(training, "loss_and_gradient", step)
-            model = Model.build(ModelConfig(kind), np.random.default_rng(16))
+            model = build_float64(ModelConfig(kind), np.random.default_rng(16))
             history = train(model, data, config, np.random.default_rng(17), val=val)
             runs.append((model.flat.copy(), history.to_dict()))
         (new_flat, new_history), (old_flat, old_history) = runs

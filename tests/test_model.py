@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,9 @@ from autodiff_reference import kink_margin
 
 
 def build(kind="heteroscedastic", alpha=1.0, seed=0):
-    return Model.build(ModelConfig(loss_kind=kind, width_scale=alpha), np.random.default_rng(seed))
+    """A float64 model, as the oracles below compute in float64."""
+    return network_reference.build_float64(ModelConfig(loss_kind=kind, width_scale=alpha),
+                                           np.random.default_rng(seed))
 
 
 def rand_inputs(rng, batch=1):
@@ -186,6 +189,25 @@ class TestLayout:
         params = {n: None for n, _ in parameter_layout(ModelConfig("combined"))}
         with pytest.raises(ValueError):
             Model(cfg, params)  # type: ignore[arg-type]
+
+
+class TestDtype:
+    def test_build_gives_a_float32_model(self):
+        m = Model.build(ModelConfig("mse", width_scale=0.2), np.random.default_rng(0))
+        assert m.flat.dtype == m.flat_grad.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_float_vector_keeps_its_dtype(self, dtype):
+        flat = build("mse", 0.2).flat.astype(dtype)
+        m = Model(ModelConfig("mse", width_scale=0.2), flat)
+        assert m.flat.dtype == m.flat_grad.dtype == dtype
+        assert np.array_equal(m.flat, flat)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.complex128, ">f4"])
+    def test_other_dtypes_are_refused(self, dtype):
+        flat = np.zeros(build("mse", 0.2).n_parameters(), dtype)
+        with pytest.raises(ValueError, match=f"got {re.escape(str(flat.dtype))}$"):
+            Model(ModelConfig("mse", width_scale=0.2), flat)
 
 
 class TestForward:
